@@ -6,12 +6,15 @@ Usage: python3 scripts/run_figures.py [output_dir]
 Each config in configs/ is executed with the subcommand it is meant for
 (curve for single-coupling figures, sweep for coupling scans,
 oracle-check for the discrete-bath validation) and the resulting CSV is
-written to the output directory (default: ./figures_out).
+written to the output directory (default: ./figures_out).  The wall
+time of each config and the total go to standard output; the CSVs do
+not depend on them.
 """
 
 import pathlib
 import subprocess
 import sys
+import time
 
 COMMANDS = {
     "fig1a": "compare",
@@ -32,16 +35,22 @@ def main():
         else pathlib.Path("figures_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
+    total = 0.0
     for name, command in COMMANDS.items():
         config = repo / "configs" / f"{name}.ini"
         out = out_dir / f"{name}.csv"
         argv = [sys.executable, "-m", "spinzeno.cli", command,
                 "--config", str(config), "--out", str(out)]
-        print(f"[{name}] {command} -> {out}")
+        print(f"[{name}] {command} -> {out}", flush=True)
+        start = time.perf_counter()
         proc = subprocess.run(argv)
+        wall = time.perf_counter() - start
+        total += wall
+        print(f"[{name}] wall {wall:.2f} s", flush=True)
         if proc.returncode != 0:
             print(f"[{name}] FAILED with exit code {proc.returncode}")
             failures += 1
+    print(f"total wall {total:.2f} s")
     return 1 if failures else 0
 
 

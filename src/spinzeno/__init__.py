@@ -3,7 +3,7 @@ measured spin-boson system, computed with a polaron-frame second-order
 perturbative method plus an exact-diagonalization validation oracle."""
 
 from .bath import (BathKernel, DiscreteBath, KernelTable, SpectralDensity,
-                   ZERO_TEMPERATURE, coherence_B, correlation_C, eval_J, phi)
+                   ZERO_TEMPERATURE)
 from .config import RunConfig, apply_sweep, parse_config
 from .tables import ResultTable, emit_csv, emit_json, parse_json
 from .errors import (ConfigError, DegenerateSystemError, DimensionBudgetError,

@@ -13,16 +13,29 @@ enter downstream formulas stay finite, so the kernel always exposes
     phi_I(t)
 
 and forms products like B^2 exp(+-phi) in log space.
+
+At zero temperature the Ohmic-family kernel has a closed form
+(Weiss, Quantum Dissipative Systems).  With z = (1 + i w_c t)^(1-s),
+
+    phi_R(0) = G Gamma(s-1)                          (s > 1)
+    psi(t)   = G Gamma(s-1) (1 - Re z)               (s != 1)
+    phi_I(t) = -G Gamma(s-1) Im z
+    psi(t)   = (G/2) ln(1 + w_c^2 t^2),  phi_I(t) = G arctan(w_c t)   (s = 1)
+
+for every s > 0.  1 - Re z is formed without cancellation as s -> 1.
+Discrete baths are finite sums.  Only a continuous bath at finite
+temperature needs half-line quadrature, and only it is tabulated as
+splines for reuse (BathKernel.needs_table).
 """
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DivergentKernelError, DomainError
-from .quadrature import integrate_semiinfinite
+from .quadrature import _integrate_interval
 
 ZERO_TEMPERATURE = None
 
@@ -61,11 +74,6 @@ class SpectralDensity:
             val = self.G * omega ** self.s * self.omega_c ** (1.0 - self.s) \
                 * np.exp(-omega / self.omega_c)
         return np.where(omega == 0.0, 0.0, val)[()]
-
-
-def eval_J(J, omega):
-    """J(omega) for an Ohmic-family spectral density."""
-    return J.eval(omega)
 
 
 @dataclass(frozen=True)
@@ -155,6 +163,17 @@ class BathKernel:
         limit = 1.0 if self.beta is ZERO_TEMPERATURE else 2.0
         return self.source.s <= limit
 
+    @property
+    def needs_table(self):
+        """True when lookups should go through a spline table.
+
+        Only a continuous bath at finite temperature is evaluated by
+        half-line quadrature; the T = 0 closed form and the discrete sums
+        are cheaper to evaluate directly than to interpolate.
+        """
+        return not isinstance(self.source, DiscreteBath) \
+            and self.beta is not ZERO_TEMPERATURE
+
     def _coth(self, omega):
         if self.beta is ZERO_TEMPERATURE:
             return np.ones_like(np.asarray(omega, dtype=float))
@@ -182,8 +201,6 @@ class BathKernel:
         mapped through omega = split * v^3, which softens the algebraic
         w^(s-2) behaviour for small Ohmicity.
         """
-        from .quadrature import _integrate_interval
-
         J = self.source
         split = J.omega_c / 8.0
         w_top = self._cutoff()
@@ -198,11 +215,6 @@ class BathKernel:
 
         top = _integrate_interval(f, split, w_top, tol, osc_freq,
                                   self.max_depth, 16)
-
-        if J.s >= 2.0 and self.beta is ZERO_TEMPERATURE:
-            low = _integrate_interval(f, 0.0, split, tol, osc_freq,
-                                      self.max_depth, 16)
-            return top + low
 
         power = 3
 
@@ -219,6 +231,23 @@ class BathKernel:
                                   self.max_depth, 16)
         return top + low
 
+    # -- zero-temperature closed form ---------------------------------------
+
+    def _zero_temperature_parts(self, ta):
+        """Closed-form (psi, phi_I) at T = 0 for times ta >= 0."""
+        J = self.source
+        x = J.omega_c * ta
+        if J.s == 1.0:
+            return 0.5 * J.G * np.log1p(x * x), J.G * np.arctan(x)
+        scale = J.G * math.gamma(J.s - 1.0)
+        # z = exp(a + ib); 1 - Re z = 2 sin^2(b/2) - expm1(a) cos b keeps
+        # full relative accuracy where a, b -> 0 (s -> 1 or t -> 0)
+        a = (1.0 - J.s) * 0.5 * np.log1p(x * x)
+        b = (1.0 - J.s) * np.arctan(x)
+        psi = scale * (2.0 * np.sin(0.5 * b) ** 2 - np.expm1(a) * np.cos(b))
+        phi_i = -scale * np.exp(a) * np.sin(b)
+        return psi, phi_i
+
     # -- kernel pieces ------------------------------------------------------
 
     def phi_r0(self):
@@ -232,6 +261,8 @@ class BathKernel:
             if isinstance(self.source, DiscreteBath):
                 a2 = self.source.alphas ** 2
                 val = float(np.sum(a2 * self._coth(self.source.omegas)))
+            elif self.beta is ZERO_TEMPERATURE:
+                val = self.source.G * math.gamma(self.source.s - 1.0)
             else:
                 val = float(self._halfline(lambda w: np.ones_like(w), 0.0))
             self._cache["phi_r0"] = val
@@ -255,6 +286,8 @@ class BathKernel:
             psi = (2.0 * np.sin(0.5 * wt) ** 2) @ a2
             a2i = self.source.alphas ** 2
             phi_i = np.sin(wt) @ a2i
+        elif self.beta is ZERO_TEMPERATURE:
+            psi, phi_i = self._zero_temperature_parts(ta)
         else:
             flat = np.atleast_1d(ta).ravel()
             osc = float(flat.max(initial=0.0))
@@ -342,16 +375,3 @@ class BathKernel:
                             t_max, r0, self.coherence_b())
         self._cache[key] = table
         return table
-
-
-def coherence_B(kernel):
-    """Module-level alias for BathKernel.coherence_b."""
-    return kernel.coherence_b()
-
-
-def phi(kernel, t):
-    return kernel.phi(t)
-
-
-def correlation_C(kernel, index_pair, t):
-    return kernel.correlation(index_pair, t)

@@ -9,7 +9,6 @@ cross-check in the test suite; production code uses survival.survival_prob.
 
 import numpy as np
 
-from .bath import DiscreteBath
 from .polaron import SIGMA_X, SIGMA_Y, SIGMA_Z, renormalize
 from .quadrature import _gl_nodes
 from .survival import SurvivalMode, _coeff_params
@@ -46,7 +45,7 @@ def reconstruct_survival(mode, sys, kernel, tau, order=96, table=None):
     t1 = 0.5 * tau * (x + 1.0)
     w1 = 0.5 * tau * w
 
-    if table is None and not isinstance(kernel.source, DiscreteBath):
+    if table is None and kernel.needs_table:
         table = kernel.tabulate(tau)
 
     def corr(idx, t):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import BathKernel, DiscreteBath
+from .bath import BathKernel
 from .errors import SpinZenoError
 from .survival import (SurvivalMode, decay_rate, survival_prob,
                        validity_value)
@@ -69,9 +69,7 @@ def sample_curve(mode, sys, source, beta, tau_min, tau_max, n_points, *,
     mode = SurvivalMode(mode)
     kernel = BathKernel(source, beta, tol=kernel_tol)
     grid = tau_grid(tau_min, tau_max, n_points, spacing)
-    table = None
-    if not isinstance(source, DiscreteBath):
-        table = kernel.tabulate(tau_max)
+    table = kernel.tabulate(tau_max) if kernel.needs_table else None
     gammas = np.full(n_points, np.nan)
     svals = np.full(n_points, np.nan)
     errors = []

@@ -71,8 +71,8 @@ def validity_value(sys, kernel):
 
 def _auto_table(kernel, tau):
     """Shared kernel table; bucketed t_max so nearby taus reuse one table."""
-    if isinstance(kernel.source, DiscreteBath):
-        return None  # finite sums are cheap enough to evaluate directly
+    if not kernel.needs_table:
+        return None
     bucket = 2.0 ** math.ceil(math.log2(max(tau, 1e-3)))
     return kernel.tabulate(bucket)
 
@@ -242,6 +242,9 @@ def survival_prob(mode, sys, kernel, tau, *, tol=1e-8,
     pc = p_full.with_small_delta() if mode.small_delta else p_full
     if table is None:
         table = _auto_table(kernel, tau)
+    elif table.t_max < tau:
+        raise ValueError(f"kernel table covers t <= {table.t_max:g}, "
+                         f"shorter than tau = {tau:g}")
 
     if mode.removed:
         if integrand_style == "derived":

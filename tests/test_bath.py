@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from spinzeno import BathKernel, DiscreteBath, SpectralDensity
@@ -19,6 +20,36 @@ def phi_closed_form(J, t):
     t = np.asarray(t, dtype=float)
     return J.G * J.omega_c ** (1.0 - J.s) * gamma_fn(J.s - 1.0) \
         * (1.0 / J.omega_c + 1j * t) ** (1.0 - J.s)
+
+
+def reference_parts(J, t):
+    """(psi, phi_I) at T = 0 for t > 0 by QUADPACK, independent of bath.py.
+
+    Below w = omega_c the algebraic weight w^alpha carries the endpoint
+    behaviour (QAWS); above it the Fourier weight handles the oscillation
+    (QAWF).
+    """
+    c = J.G * J.omega_c ** (1.0 - J.s)
+
+    def damp(w):
+        return c * np.exp(-w / J.omega_c)
+
+    def env(w):
+        return damp(w) * w ** (J.s - 2.0)
+
+    split = J.omega_c
+    low = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
+    # (1 - cos wt)/w^2 and sin(wt)/w written with sinc stay smooth at w = 0
+    psi_low = quad(lambda w: damp(w) * 0.5 * t * t
+                   * np.sinc(w * t / (2.0 * np.pi)) ** 2,
+                   0.0, split, weight="alg", wvar=(J.s, 0.0), **low)[0]
+    phi_low = quad(lambda w: damp(w) * t * np.sinc(w * t / np.pi),
+                   0.0, split, weight="alg", wvar=(J.s - 1.0, 0.0), **low)[0]
+    high = dict(epsabs=1e-12, limlst=200)
+    psi_high = quad(env, split, np.inf, epsabs=1e-13, epsrel=1e-13)[0] \
+        - quad(env, split, np.inf, weight="cos", wvar=t, **high)[0]
+    phi_high = quad(env, split, np.inf, weight="sin", wvar=t, **high)[0]
+    return psi_low + psi_high, phi_low + phi_high
 
 
 class TestSpectralDensity:
@@ -87,6 +118,21 @@ class TestClosedFormKernel:
             assert phi_i == pytest.approx(
                 J.G * math.atan(J.omega_c * t), abs=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.one_of(st.floats(0.3, 4.0), st.just(1.0),
+                       st.floats(1.0 - 1e-6, 1.0 + 1e-6)),
+           omega_c=st.floats(1.0, 20.0), G=st.floats(0.1, 2.0),
+           t=st.floats(0.01, 3.0))
+    @example(s=1.0, omega_c=10.0, G=1.0, t=2.5)
+    @example(s=1.0 + 1e-8, omega_c=10.0, G=1.0, t=2.5)
+    @example(s=0.3, omega_c=20.0, G=2.0, t=3.0)
+    def test_zero_temperature_parts_match_quadrature(self, s, omega_c, G, t):
+        J = SpectralDensity(G=G, s=s, omega_c=omega_c)
+        psi, phi_i = BathKernel(J, None).phi_parts(t)
+        psi_ref, phi_i_ref = reference_parts(J, t)
+        assert psi == pytest.approx(psi_ref, abs=1e-8)
+        assert phi_i == pytest.approx(phi_i_ref, abs=1e-8)
+
 
 class TestDivergenceDetection:
     @pytest.mark.parametrize("s", [0.5, 1.0])
@@ -152,6 +198,16 @@ class TestScaledExponentials:
 
 
 class TestKernelTable:
+    @pytest.mark.parametrize("source, beta, expected", [
+        (SUPER_OHMIC, None, False),
+        (SUPER_OHMIC, 2.0, True),
+        (DiscreteBath(((1.0, 0.2), (3.0, 0.3))), None, False),
+        (DiscreteBath(((1.0, 0.2), (3.0, 0.3))), 2.0, False),
+    ])
+    def test_only_finite_temperature_continuum_needs_table(
+            self, source, beta, expected):
+        assert BathKernel(source, beta).needs_table is expected
+
     def test_table_accuracy(self):
         kern = BathKernel(SUPER_OHMIC, None)
         table = kern.tabulate(4.0)
@@ -171,3 +227,11 @@ class TestKernelTable:
         psi_c, _ = cold.phi_parts(1.0)
         psi_w, _ = warm.phi_parts(1.0)
         assert psi_w > psi_c
+
+    @pytest.mark.xfail(strict=True, reason="finite-T continuum phi_I carries "
+                       "coth(beta w/2) from the shared envelope")
+    def test_finite_temperature_phi_i_is_temperature_independent(self):
+        J = SpectralDensity(G=0.95, s=3.0, omega_c=10.0)
+        _, phi_i_cold = BathKernel(J, None).phi_parts(1.5)
+        _, phi_i_warm = BathKernel(J, beta=2.0).phi_parts(1.5)
+        assert phi_i_warm == pytest.approx(phi_i_cold, abs=1e-8)

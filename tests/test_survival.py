@@ -40,6 +40,11 @@ class TestTrivialLimits:
         with pytest.raises(ValueError):
             survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, -1.0)
 
+    def test_table_shorter_than_tau_rejected(self):
+        table = KERNEL.tabulate(1.0)
+        with pytest.raises(ValueError, match="kernel table"):
+            survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, 2.0, table=table)
+
 
 class TestRegression:
     def test_full_survival_at_tau_one(self):
