@@ -10,7 +10,8 @@ from .errors import (ConfigError, DegenerateSystemError, DimensionBudgetError,
                      DivergentKernelError, DomainError, OutOfRegimeError,
                      QuadratureError, SpinZenoError, TruncationError)
 from .oracle import (ExactEvolution, TruncatedBathSpec, build_lab_hamiltonian,
-                     discretize_bath, exact_survival, initial_state_lab)
+                     discretize_bath, exact_survival, initial_state_lab,
+                     initial_vector_lab)
 from .polaron import (PolaronParams, SystemParams, fgh, renormalize,
                       rot_coeffs, u_s_matrix)
 from .quadrature import integrate_semiinfinite, integrate_triangle

@@ -25,8 +25,9 @@ Configs are INI documents with three sections::
     kernel_tol = 1e-10
     n_max = 6           ; Fock truncation for oracle-check
 
-Unknown keys, missing required keys and non-numeric values are rejected
-with the offending key and line number.
+Unknown keys, missing required keys, non-numeric values and non-integer
+``tau_points`` or ``n_max`` are rejected with the offending key and line
+number.
 """
 
 import configparser
@@ -95,6 +96,13 @@ def _number(text, section, raw, key):
         _fail(text, section, key, f"non-numeric value {raw!r}")
 
 
+def _integer(text, section, raw, key):
+    try:
+        return int(raw)
+    except ValueError:
+        _fail(text, section, key, f"must be an integer, got {raw!r}")
+
+
 def parse_config(text):
     """Parse and validate an INI run configuration."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -123,6 +131,10 @@ def parse_config(text):
                 raise ConfigError(f"[{section}] missing required key {key!r}")
             return default
         return _number(text, section, raw, key)
+
+    def get_int(section, key, default):
+        raw = get(section, key)
+        return default if raw is None else _integer(text, section, raw, key)
 
     if not parser.has_section("system"):
         raise ConfigError("missing required section [system]")
@@ -172,7 +184,7 @@ def parse_config(text):
     tau = get_num("run", "tau") if parser.has_section("run") else None
     tau_min = get_num("run", "tau_min") if parser.has_section("run") else None
     tau_max = get_num("run", "tau_max") if parser.has_section("run") else None
-    tau_points = int(get_num("run", "tau_points", DEFAULTS["tau_points"])) \
+    tau_points = get_int("run", "tau_points", DEFAULTS["tau_points"]) \
         if parser.has_section("run") else DEFAULTS["tau_points"]
     spacing = get("run", "spacing", DEFAULTS["spacing"]) \
         if parser.has_section("run") else DEFAULTS["spacing"]
@@ -182,7 +194,7 @@ def parse_config(text):
         if parser.has_section("run") else DEFAULTS["tol"]
     kernel_tol = get_num("run", "kernel_tol", DEFAULTS["kernel_tol"]) \
         if parser.has_section("run") else DEFAULTS["kernel_tol"]
-    n_max = int(get_num("run", "n_max", DEFAULTS["n_max"])) \
+    n_max = get_int("run", "n_max", DEFAULTS["n_max"]) \
         if parser.has_section("run") else DEFAULTS["n_max"]
 
     sweep_key, sweep_values = None, ()

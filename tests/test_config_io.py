@@ -56,6 +56,14 @@ class TestParseConfig:
             parse_config(MINIMAL.replace("0.2", "two"))
         assert "delta" in str(exc.value)
 
+    @pytest.mark.parametrize("key", ["n_max", "tau_points"])
+    @pytest.mark.parametrize("value", ["6.7", "nan", "inf"])
+    def test_integer_key_rejects_non_integer(self, key, value):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + f"{key} = {value}\n")
+        assert key in str(exc.value)
+        assert "line 13" in str(exc.value)
+
     def test_unknown_mode(self):
         bad = MINIMAL + "modes = sideways\n"
         with pytest.raises(ConfigError) as exc:
@@ -175,6 +183,14 @@ modes = small_delta
 """)
         result = self.run("compute", "--config", str(cfg))
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("entry", ["tau_points = 4.9", "n_max = nan",
+                                       "n_max = inf"])
+    def test_non_integer_key_exit_code(self, tmp_path, entry):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL + entry + "\n")
+        result = self.run("curve", "--config", str(cfg))
+        assert result.exit_code == 2
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "c.ini"

@@ -4,18 +4,37 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from spinzeno import (BathKernel, DiscreteBath, ExactEvolution,
                       SpectralDensity, SurvivalMode, SystemParams,
                       TruncatedBathSpec, build_lab_hamiltonian,
                       discretize_bath, exact_survival, initial_state_lab,
-                      survival_prob)
+                      initial_vector_lab, survival_prob)
 from spinzeno.errors import (DimensionBudgetError, DomainError,
                              TruncationError)
 from spinzeno.oracle import _coherent_vector
-from spinzeno.polaron import SIGMA_Z
+from spinzeno.polaron import SIGMA_X, SIGMA_Z
 
 TWO_MODE = DiscreteBath(((1.0, 0.2), (3.0, 0.3)))
+
+
+def density_matrix_survival(sys, spec, tau, removed=False):
+    """Reference: propagate the density matrix with dense propagators.
+
+    rho(tau) = U rho0 U^dag with U = expm(-i H tau); for removed modes
+    rho -> (U_S^dag x I) rho (U_S x I); the result is trace(P_up rho).
+    """
+    h = build_lab_hamiltonian(sys, spec)
+    u = expm(-1j * tau * h)
+    rho = u @ initial_state_lab(sys, spec) @ u.conj().T
+    dim_b = spec.dimension // 2
+    if removed:
+        h_s = 0.5 * sys.epsilon * SIGMA_Z + 0.5 * sys.delta * SIGMA_X
+        u_rm = np.kron(expm(1j * tau * h_s), np.eye(dim_b))
+        rho = u_rm @ rho @ u_rm.conj().T
+    proj_up = np.kron(np.diag([1.0, 0.0]), np.eye(dim_b))
+    return float(np.real(np.trace(proj_up @ rho)))
 
 
 class TestTruncatedBathSpec:
@@ -56,7 +75,8 @@ class TestHamiltonian:
     def test_hermitian(self):
         h = build_lab_hamiltonian(SystemParams(1.0, 0.3),
                                   TruncatedBathSpec(TWO_MODE, 4))
-        assert np.max(np.abs(h - h.conj().T)) == 0.0
+        assert h.dtype == np.float64
+        assert np.max(np.abs(h - h.T)) == 0.0
 
     def test_decoupled_spectrum(self):
         # epsilon=1, delta=0, g=0, omega=1: the four lowest levels of the
@@ -96,6 +116,22 @@ class TestInitialState:
         assert abs(vec[0]) ** 2 == pytest.approx(
             math.exp(-alpha ** 2 / 4.0), abs=1e-12)
 
+    def test_coherent_vector_matches_definition(self):
+        # <n|alpha> = exp(-alpha^2/2) alpha^n / sqrt(n!), negative alpha
+        alpha = -0.7
+        vec = _coherent_vector(alpha, 12)
+        want = [math.exp(-alpha ** 2 / 2) * alpha ** n
+                / math.sqrt(math.factorial(n)) for n in range(12)]
+        assert vec.dtype == np.float64
+        assert np.max(np.abs(vec - want)) < 1e-15
+
+    def test_density_matrix_is_outer_product_of_vector(self):
+        sys, spec = SystemParams(1.0, 0.1), TruncatedBathSpec(TWO_MODE, 6)
+        vec = initial_vector_lab(sys, spec)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(initial_state_lab(sys, spec),
+                              np.outer(vec, vec))
+
     def test_truncation_loss_raises(self):
         with pytest.raises(TruncationError):
             _coherent_vector(3.0, 4)
@@ -114,11 +150,26 @@ class TestExactEvolution:
             assert evo.survival(tau) == pytest.approx(1.0, abs=1e-10)
 
     def test_unitarity(self):
+        # V^T V = I makes every V exp(-iE tau) V^T unitary
         spec = TruncatedBathSpec(TWO_MODE, 5)
         evo = ExactEvolution(SystemParams(1.0, 0.3), spec)
-        u = evo._propagator(1.7)
-        dim = spec.dimension
-        assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) < 1e-10
+        v = evo.evecs
+        assert np.max(np.abs(v.T @ v - np.eye(spec.dimension))) < 1e-12
+        assert np.linalg.norm(evo.state(1.7)) == pytest.approx(1.0,
+                                                               abs=1e-12)
+
+    @pytest.mark.parametrize("bath, n_max", [
+        (TWO_MODE, 6),
+        (DiscreteBath(((0.8, 0.5),)), 6),
+    ])
+    @pytest.mark.parametrize("removed", [False, True])
+    def test_matches_density_matrix_reference(self, bath, n_max, removed):
+        sys = SystemParams(1.0, 0.3)
+        spec = TruncatedBathSpec(bath, n_max)
+        evo = ExactEvolution(sys, spec)
+        for tau in (0.0, 0.3, 1.7, 5.0):
+            want = density_matrix_survival(sys, spec, tau, removed)
+            assert abs(evo.survival(tau, removed) - want) < 1e-12
 
     def test_truncation_convergence(self):
         sys = SystemParams(1.0, 0.02)
