@@ -218,6 +218,77 @@ modes = small_delta
             parse_config(path.read_text())
 
 
+GOLDEN = REPO / "tests" / "golden"
+
+_SMALL_RUN = "tau_min = 0.1\ntau_max = 1.0\ntau_points = 3\n"
+_DISCRETE = MINIMAL.replace("g = 1.0\nomega_c = 10.0",
+                            "modes = 1.0:0.2 3.0:0.3")
+
+# (golden name, subcommand, config) with at most five tau points each; the
+# finite-T two-mode compare pins the kernel table that its modes share
+GOLDEN_CASES = [
+    ("compute", "compute",
+     MINIMAL + "tau = 0.7\n"
+     "modes = full small_delta removed_full removed_small_delta\n"),
+    ("curve", "curve",                 # sub-Ohmic note, validity warning
+     MINIMAL.replace("delta = 0.2", "delta = 0.7")
+     .replace("g = 1.0", "g = 0.2\ns = 0.5").replace("10.0", "2.0")
+     + "tau_points = 4\nspacing = linear\nmodes = full removed_full\n"),
+    ("sweep", "sweep",
+     MINIMAL.replace("tau_min = 0.05\ntau_max = 3.0\n", _SMALL_RUN)
+     + "sweep = g: 0.5 0.95\n"),
+    ("compare_finite_t", "compare",
+     MINIMAL.replace("delta = 0.2", "delta = 0.2\nbeta = 2.0")
+     .replace("tau_min = 0.05\ntau_max = 3.0\n", _SMALL_RUN)
+     + "modes = full small_delta\n"),
+    ("oracle_check", "oracle-check",
+     _DISCRETE.replace("tau_min = 0.05\ntau_max = 3.0\n", _SMALL_RUN)
+     + "n_max = 4\nspacing = linear\nmodes = full removed_full\n"),
+]
+
+CONFIG_ERROR_CASES = [
+    ("sweep", MINIMAL),                                   # no sweep key
+    ("compare", MINIMAL),                                 # one mode
+    ("oracle-check", MINIMAL),                            # continuous bath
+    ("oracle-check", _DISCRETE.replace("delta = 0.2",
+                                       "delta = 0.2\nbeta = 2.0")),
+    ("compute", MINIMAL),                                 # no tau
+]
+
+
+def _invoke(*argv):
+    runner = CliRunner(mix_stderr=False) if _mix_supported() else CliRunner()
+    return runner.invoke(main, argv)
+
+
+class TestCliGolden:
+    """Byte-exact output of every subcommand against committed files."""
+
+    @pytest.mark.parametrize("name, command, text", GOLDEN_CASES,
+                             ids=[c[0] for c in GOLDEN_CASES])
+    def test_matches_golden(self, tmp_path, name, command, text):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        result = _invoke(command, "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 0, result.stderr
+        assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+        assert result.stderr == (GOLDEN / f"{name}.stderr").read_text()
+
+    @pytest.mark.parametrize("command, text", CONFIG_ERROR_CASES,
+                             ids=["sweep-without-sweep", "compare-one-mode",
+                                  "oracle-continuous", "oracle-finite-t",
+                                  "compute-without-tau"])
+    def test_config_error(self, tmp_path, command, text):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        result = _invoke(command, "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 2
+        assert result.stderr.startswith("config error: ")
+        assert not out.exists()
+
+
 def _mix_supported():
     import inspect
     return "mix_stderr" in inspect.signature(CliRunner.__init__).parameters
