@@ -15,7 +15,6 @@ from .oracle import (ExactEvolution, TruncatedBathSpec, build_lab_hamiltonian,
 from .polaron import (PolaronParams, SystemParams, fgh, renormalize,
                       rot_coeffs, u_s_matrix)
 from .quadrature import integrate_semiinfinite, integrate_triangle
-from .reconstruct import reconstruct_survival
 from .regimes import (DecayCurve, RegimeLabel, RegimeReport, classify,
                       sample_curve, validity_metric)
 from .survival import (SurvivalMode, SurvivalResult, decay_rate,

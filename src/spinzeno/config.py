@@ -25,14 +25,14 @@ Configs are INI documents with three sections::
     kernel_tol = 1e-10
     n_max = 6           ; Fock truncation for oracle-check
 
-Unknown keys, missing required keys, non-numeric values and non-integer
-``tau_points`` or ``n_max`` are rejected with the offending key and line
-number.
+Unknown keys, missing required keys, non-numeric values, non-integer
+``tau_points`` or ``n_max`` and out-of-range values are rejected with the
+offending key and line number.
 """
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .bath import DiscreteBath, SpectralDensity
 from .errors import ConfigError
@@ -57,6 +57,7 @@ class RunConfig:
     system: SystemParams
     source: object            # SpectralDensity or DiscreteBath
     modes: tuple              # SurvivalMode values, order preserved
+    beta: float = None        # inverse temperature; None = zero T
     tau: float = None         # single point, for `compute`
     tau_min: float = None
     tau_max: float = None
@@ -101,6 +102,11 @@ def _integer(text, section, raw, key):
         return int(raw)
     except ValueError:
         _fail(text, section, key, f"must be an integer, got {raw!r}")
+
+
+def finite_positive(value):
+    """True for a finite value above zero (False for nan)."""
+    return 0.0 < value < math.inf
 
 
 def parse_config(text):
@@ -149,7 +155,7 @@ def parse_config(text):
         beta = _number(text, "system", beta_raw, "beta")
         if beta <= 0.0:
             _fail(text, "system", "beta", "must be positive (or inf)")
-    system = SystemParams(epsilon, delta, beta)
+    system = SystemParams(epsilon, delta)
 
     notes = []
     modes_raw = get("bath", "modes")
@@ -171,7 +177,7 @@ def parse_config(text):
             notes.append("note: bath is Ohmic/sub-Ohmic (B = 0), so the full "
                          "mode coincides with the small-delta mode")
 
-    mode_names = get("run", "modes", "full") if parser.has_section("run") else "full"
+    mode_names = get("run", "modes", "full")
     modes = []
     for token in mode_names.replace(",", " ").split():
         try:
@@ -181,24 +187,31 @@ def parse_config(text):
     if not modes:
         raise ConfigError("[run] modes: at least one mode required")
 
-    tau = get_num("run", "tau") if parser.has_section("run") else None
-    tau_min = get_num("run", "tau_min") if parser.has_section("run") else None
-    tau_max = get_num("run", "tau_max") if parser.has_section("run") else None
-    tau_points = get_int("run", "tau_points", DEFAULTS["tau_points"]) \
-        if parser.has_section("run") else DEFAULTS["tau_points"]
-    spacing = get("run", "spacing", DEFAULTS["spacing"]) \
-        if parser.has_section("run") else DEFAULTS["spacing"]
+    def check(key, value, ok, reason):
+        if value is not None and not ok(value):
+            _fail(text, "run", key, reason)
+
+    tau = get_num("run", "tau")
+    check("tau", tau, lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
+    tau_min = get_num("run", "tau_min")
+    check("tau_min", tau_min, finite_positive, "must be finite and > 0")
+    tau_max = get_num("run", "tau_max")
+    check("tau_max", tau_max, lambda v: (tau_min or 0.0) < v < math.inf,
+          "must be finite and > tau_min")
+    tau_points = get_int("run", "tau_points", DEFAULTS["tau_points"])
+    check("tau_points", tau_points, lambda v: v >= 2, "must be at least 2")
+    spacing = get("run", "spacing", DEFAULTS["spacing"])
     if spacing not in ("geometric", "linear"):
         _fail(text, "run", "spacing", f"must be geometric or linear, got {spacing!r}")
-    tol = get_num("run", "tol", DEFAULTS["tol"]) \
-        if parser.has_section("run") else DEFAULTS["tol"]
-    kernel_tol = get_num("run", "kernel_tol", DEFAULTS["kernel_tol"]) \
-        if parser.has_section("run") else DEFAULTS["kernel_tol"]
-    n_max = get_int("run", "n_max", DEFAULTS["n_max"]) \
-        if parser.has_section("run") else DEFAULTS["n_max"]
+    tol = get_num("run", "tol", DEFAULTS["tol"])
+    check("tol", tol, finite_positive, "must be finite and > 0")
+    kernel_tol = get_num("run", "kernel_tol", DEFAULTS["kernel_tol"])
+    check("kernel_tol", kernel_tol, finite_positive, "must be finite and > 0")
+    n_max = get_int("run", "n_max", DEFAULTS["n_max"])
+    check("n_max", n_max, lambda v: v >= 3, "must be at least 3")
 
     sweep_key, sweep_values = None, ()
-    sweep_raw = get("run", "sweep") if parser.has_section("run") else None
+    sweep_raw = get("run", "sweep")
     if sweep_raw is not None:
         if ":" not in sweep_raw:
             _fail(text, "run", "sweep", "expected 'key: v1 v2 ...'")
@@ -238,7 +251,7 @@ def parse_config(text):
     echo.append(("run.n_max", str(n_max)))
 
     return RunConfig(system=system, source=source, modes=tuple(modes),
-                     tau=tau, tau_min=tau_min, tau_max=tau_max,
+                     beta=beta, tau=tau, tau_min=tau_min, tau_max=tau_max,
                      tau_points=tau_points, spacing=spacing,
                      sweep_key=sweep_key, sweep_values=sweep_values,
                      tol=tol, kernel_tol=kernel_tol, n_max=n_max,
@@ -249,15 +262,11 @@ def apply_sweep(cfg, value):
     """System/bath objects with the sweep variable replaced by `value`."""
     system, source = cfg.system, cfg.source
     if cfg.sweep_key in ("epsilon", "delta"):
-        kwargs = {"epsilon": system.epsilon, "delta": system.delta,
-                  "beta": system.beta}
-        kwargs[cfg.sweep_key] = value
-        system = SystemParams(**kwargs)
+        system = replace(system, **{cfg.sweep_key: value})
     elif cfg.sweep_key is not None:
         if isinstance(source, DiscreteBath):
             raise ConfigError("cannot sweep spectral-density parameters of "
                               "a discrete bath")
-        kwargs = {"G": source.G, "s": source.s, "omega_c": source.omega_c}
-        kwargs[{"g": "G"}.get(cfg.sweep_key, cfg.sweep_key)] = value
-        source = SpectralDensity(**kwargs)
+        field_name = {"g": "G"}.get(cfg.sweep_key, cfg.sweep_key)
+        source = replace(source, **{field_name: value})
     return system, source

@@ -19,11 +19,13 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Two-level-system parameters: bias eps, tunneling delta, inverse T."""
+    """Two-level-system parameters: bias eps and tunneling delta.
+
+    The temperature belongs to the bath: see BathKernel.beta.
+    """
 
     epsilon: float
     delta: float
-    beta: float = None  # None = zero temperature, shared with BathKernel
 
     def __post_init__(self):
         if self.delta < 0.0:

@@ -8,14 +8,12 @@ in tau) and in the anti-Zeno regime where it increases as tau decreases
 
 import enum
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathKernel
 from .errors import SpinZenoError
-from .survival import (SurvivalMode, decay_rate, survival_prob,
-                       validity_value)
+from .survival import SurvivalMode, survival_prob, validity_value
 
 SLOPE_NOISE_FLOOR = 1e-6  # relative to max |Gamma|
 
@@ -62,12 +60,14 @@ def tau_grid(tau_min, tau_max, n_points, spacing="geometric"):
     raise ValueError(f"unknown grid spacing {spacing!r}")
 
 
-def sample_curve(mode, sys, source, beta, tau_min, tau_max, n_points, *,
-                 spacing="geometric", tol=1e-8, kernel_tol=1e-10,
-                 threads=None):
-    """Sample Gamma(tau) on a grid; failed points become gaps, not holes."""
+def sample_curve(mode, sys, kernel, tau_min, tau_max, n_points, *,
+                 spacing="geometric", tol=1e-8, threads=None):
+    """Sample Gamma(tau) on a grid; failed points become gaps, not holes.
+
+    `kernel` is the BathKernel of one (bath, beta) pair; every mode sampled
+    with the same kernel shares its caches and its table.
+    """
     mode = SurvivalMode(mode)
-    kernel = BathKernel(source, beta, tol=kernel_tol)
     grid = tau_grid(tau_min, tau_max, n_points, spacing)
     table = kernel.tabulate(tau_max) if kernel.needs_table else None
     gammas = np.full(n_points, np.nan)
@@ -96,7 +96,7 @@ def sample_curve(mode, sys, source, beta, tau_min, tau_max, n_points, *,
     if not np.any(np.isfinite(gammas)):
         raise SpinZenoError("every grid point failed; empty curve")
     return DecayCurve(grid, gammas, svals, mode,
-                      {"system": sys, "source": source, "beta": beta},
+                      {"system": sys, "kernel": kernel},
                       validity_value(sys, kernel), tuple(errors))
 
 

@@ -4,17 +4,13 @@ Four variants are supported: the full polaron-frame second-order result,
 its small-delta reduction (delta_r = 0 inside every coefficient), and
 both with the free system evolution removed before each measurement.
 
-The default integrand ("derived") comes straight from the second-order
-perturbation expansion: with |u> = U_S(tau)^dag |down>,
-m_mu(t) = <down|sigma~_mu(t)|up> and v_mu(t) = <u|sigma~_mu(t)|up>, the
-deficit 1 - s(tau) is a double integral of scalar contractions against
-the stable correlation combinations
-Ctil_mu(x) = B^2 * (e^phi +- e^-phi [- 2]).  Fully trig-expanded closed
-forms of the same expressions are kept as audit styles: "expanded" (the
-equivalent expansion) and "expanded_legacy" (an older hand-expanded
-variant with a different coefficient product and conjugation structure);
-tests arbitrate between them by comparing against an independent matrix
-reconstruction, which sides with "derived"/"expanded".
+The integrands come straight from the second-order perturbation
+expansion: with |u> = U_S(tau)^dag |down>, m_mu(t) = <down|sigma~_mu(t)|up>
+and v_mu(t) = <u|sigma~_mu(t)|up>, the deficit 1 - s(tau) is a double
+integral of scalar contractions against the stable correlation
+combinations Ctil_mu(x) = B^2 * (e^phi +- e^-phi [- 2]).  The test suite
+checks them against trig-expanded closed forms and an independent matrix
+reconstruction (tests/reference/).
 """
 
 import enum
@@ -25,7 +21,7 @@ import numpy as np
 
 from .bath import DiscreteBath
 from .errors import OutOfRegimeError
-from .polaron import renormalize, fgh, rot_coeffs
+from .polaron import renormalize, rot_coeffs
 from .quadrature import integrate_triangle
 
 SURVIVAL_SLACK = 1e-6  # tolerated truncation excursion of s outside [0, 1]
@@ -84,13 +80,8 @@ def _corr_combos(kernel, x, table):
     return e_plus + e_minus - 2.0 * b2, e_plus - e_minus
 
 
-def _coeff_params(mode, sys, kernel):
-    p = renormalize(sys, kernel)
-    return p.with_small_delta() if mode.small_delta else p
-
-
 # ---------------------------------------------------------------------------
-# derived integrands
+# integrands
 # ---------------------------------------------------------------------------
 
 def _full_deficit_integrand(pc, tau, kernel, table):
@@ -150,86 +141,10 @@ def _removed_deficit_integrand(pc, tau, kernel, table):
 
 
 # ---------------------------------------------------------------------------
-# trig-expanded closed forms (audit styles)
-# ---------------------------------------------------------------------------
-
-def _full_expanded_integrand(pc, tau, kernel, table, legacy):
-    """Trig-expanded closed-form integrand of the non-removed variants.
-
-    legacy=True keeps the b_y(t) b_y(t-t') product of the older
-    hand-expanded variant; legacy=False uses b_y(t) b_x(t-t'), the
-    reading implied by the antisymmetric pattern of the sibling terms
-    (and confirmed by the matrix reconstruction).
-    """
-    f_tau, g_tau, h_tau = fgh(pc, tau)
-    b2 = kernel.coherence_b() ** 2
-
-    def f(t, tp):
-        e_plus, e_minus = kernel.scaled_exponentials(tp, table=table)
-        ep_cos, ep_sin = np.real(e_plus), -np.imag(e_plus)
-        em_cos, em_sin = np.real(e_minus), np.imag(e_minus)
-        ax, ay, az, bx, by, bz = rot_coeffs(pc, t)
-        axs, ays, azs, bxs, bys, bzs = rot_coeffs(pc, t - tp)
-        y_last = bys if legacy else bxs
-        sym_f = ax * axs + ay * ays + bx * bxs + by * bys
-        sym_g = az * axs + bz * bxs
-        sym_h = az * ays + bz * bys
-        asym_f = ax * ays - ay * axs + bx * bys - by * y_last
-        asym_g = az * ays - ay * azs + bz * bys - by * bzs
-        asym_h = ax * azs - az * axs + bx * bzs - bz * bxs
-        dif_f = ax * axs + ay * ays - bx * bxs - by * bys
-        dif_g = az * axs - bz * bxs
-        dif_h = az * ays - bz * bys
-        adif_f = ax * ays - ay * axs - bx * bys + by * y_last
-        adif_g = az * ays - ay * azs - bz * bys + by * bzs
-        adif_h = ax * azs - az * axs - bx * bzs + bz * bxs
-        term_plus = ep_cos * (f_tau * sym_f + g_tau * sym_g + h_tau * sym_h) \
-            + ep_sin * (f_tau * asym_f + g_tau * asym_g + h_tau * asym_h)
-        term_minus = em_cos * (f_tau * dif_f + g_tau * dif_g + h_tau * dif_h) \
-            - em_sin * (f_tau * adif_f + g_tau * adif_g + h_tau * adif_h)
-        term_const = -2.0 * b2 * (f_tau * (ax * axs + ay * ays)
-                                  + g_tau * (az * axs) + h_tau * (az * ays))
-        return term_plus + term_minus + term_const
-
-    return f
-
-
-def _removed_legacy_integrand(pc, tau, kernel, table):
-    """Older hand-expanded integrand of the removed variants (audit only).
-
-    Kept verbatim; its conjugation/sign structure disagrees with the
-    derivation and the matrix reconstruction.
-    """
-
-    def m_pair(t):
-        a_x, a_y, _, b_x, b_y, _ = rot_coeffs(pc, t)
-        return a_x + 1j * a_y, b_x + 1j * b_y
-
-    ep0, em0 = kernel.scaled_exponentials(0.0, table=table)
-
-    def f(t, tp):
-        m1_t, m2_t = m_pair(t)
-        m1_s, m2_s = m_pair(t - tp)
-        p_plus = m1_t * np.conj(m1_s) + m2_t * np.conj(m2_s)
-        p_minus = m1_t * np.conj(m1_s) - m2_t * np.conj(m2_s)
-        ep_a, em_a = kernel.scaled_exponentials(tp, table=table)
-        ep_b, em_b = kernel.scaled_exponentials(t - tau, table=table)
-        ep_c, em_c = kernel.scaled_exponentials(t - tp - tau, table=table)
-        val = (ep_a - ep_b + ep0) * p_plus \
-            + (em_a - em_b + em0) * p_minus \
-            + ep_c * np.conj(p_plus) \
-            - em_c * np.conj(p_minus)
-        return np.real(val)
-
-    return f
-
-
-# ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
-def survival_prob(mode, sys, kernel, tau, *, tol=1e-8,
-                  integrand_style="derived", table=None):
+def survival_prob(mode, sys, kernel, tau, *, tol=1e-8, table=None):
     """Survival probability s(tau) for one measurement interval."""
     mode = SurvivalMode(mode)
     validity = validity_value(sys, kernel)
@@ -247,22 +162,10 @@ def survival_prob(mode, sys, kernel, tau, *, tol=1e-8,
                          f"shorter than tau = {tau:g}")
 
     if mode.removed:
-        if integrand_style == "derived":
-            f = _removed_deficit_integrand(pc, tau, kernel, table)
-        elif integrand_style == "expanded_legacy":
-            f = _removed_legacy_integrand(pc, tau, kernel, table)
-        else:
-            raise ValueError(f"unknown integrand style {integrand_style!r} "
-                             "for removed modes")
+        f = _removed_deficit_integrand(pc, tau, kernel, table)
         zeroth = 0.0
     else:
-        if integrand_style == "derived":
-            f = _full_deficit_integrand(pc, tau, kernel, table)
-        elif integrand_style in ("expanded", "expanded_legacy"):
-            f = _full_expanded_integrand(pc, tau, kernel, table,
-                                         legacy=integrand_style == "expanded_legacy")
-        else:
-            raise ValueError(f"unknown integrand style {integrand_style!r}")
+        f = _full_deficit_integrand(pc, tau, kernel, table)
         # The oscillation term is itself O(delta_r^2), so the small-delta
         # reduction keeps its amplitude and only sends omega_r -> |epsilon|.
         amp_x = p_full.delta_r / pc.omega_r if mode.small_delta else pc.nx

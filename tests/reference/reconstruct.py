@@ -2,16 +2,16 @@
 
 This path rebuilds the survival expressions directly from the operator
 expansion (explicit 2x2 propagators, operator products, bath correlation
-functions) without using the closed-form scalar integrands.  It exists to
-arbitrate between the closed-form integrand variants and as a
-cross-check in the test suite; production code uses survival.survival_prob.
+functions) without using the closed-form scalar integrands.  The tests
+use it to arbitrate between the closed-form integrand variants and as a
+cross-check of spinzeno.survival.survival_prob.
 """
 
 import numpy as np
 
-from .polaron import SIGMA_X, SIGMA_Y, SIGMA_Z, renormalize
-from .quadrature import _gl_nodes
-from .survival import SurvivalMode, _coeff_params
+from spinzeno.polaron import SIGMA_X, SIGMA_Y, SIGMA_Z, renormalize
+from spinzeno.quadrature import _gl_nodes
+from spinzeno.survival import SurvivalMode
 
 UP = np.array([1.0, 0.0], dtype=complex)
 DOWN = np.array([0.0, 1.0], dtype=complex)
@@ -36,7 +36,8 @@ class _FreeEvolution:
 def reconstruct_survival(mode, sys, kernel, tau, order=96, table=None):
     """Survival probability by direct operator assembly (reference path)."""
     mode = SurvivalMode(mode)
-    pc = _coeff_params(mode, sys, kernel)
+    p_full = renormalize(sys, kernel)
+    pc = p_full.with_small_delta() if mode.small_delta else p_full
     evo = _FreeEvolution(pc.epsilon, pc.delta_r)
     half_delta = 0.5 * sys.delta
     rho0 = np.outer(UP, UP.conj())
@@ -78,7 +79,6 @@ def reconstruct_survival(mode, sys, kernel, tau, order=96, table=None):
         if mode.small_delta:
             # oscillation term of the reduction: true delta_r amplitude,
             # frequency collapsed to |epsilon|
-            p_full = renormalize(sys, kernel)
             deficit = deficit + (p_full.delta_r / pc.omega_r) ** 2 \
                 * np.sin(0.5 * pc.omega_r * tau) ** 2
         return float(1.0 - np.real(deficit))

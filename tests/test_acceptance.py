@@ -30,8 +30,9 @@ def _report(num, ok, text):
 
 
 def _curves(mode_a, mode_b, sys, source, tau_min, tau_max, n):
-    a = sample_curve(mode_a, sys, source, None, tau_min, tau_max, n)
-    b = sample_curve(mode_b, sys, source, None, tau_min, tau_max, n)
+    kernel = BathKernel(source, None)
+    a = sample_curve(mode_a, sys, kernel, tau_min, tau_max, n)
+    b = sample_curve(mode_b, sys, kernel, tau_min, tau_max, n)
     return a, b
 
 
@@ -67,7 +68,8 @@ def test_criterion_03_coupling_ordering():
 
     def curve(g):
         J = SpectralDensity(G=g, s=3.0, omega_c=10.0)
-        return sample_curve(SurvivalMode.FULL, sys, J, None, 0.05, 1.5, 30)
+        return sample_curve(SurvivalMode.FULL, sys, BathKernel(J, None),
+                            0.05, 1.5, 30)
 
     c05, c95 = curve(0.5), curve(0.95)
     c001, c005 = curve(0.01), curve(0.05)
@@ -84,8 +86,8 @@ def test_criterion_04_removed_ordering():
 
     def curve(g):
         J = SpectralDensity(G=g, s=3.0, omega_c=10.0)
-        return sample_curve(SurvivalMode.REMOVED_FULL, sys, J, None,
-                            0.05, 3.0, 30)
+        return sample_curve(SurvivalMode.REMOVED_FULL, sys,
+                            BathKernel(J, None), 0.05, 3.0, 30)
 
     c = {g: curve(g) for g in (0.01, 0.05, 0.5, 0.95)}
     low = bool(np.all(c[0.05].gamma >= c[0.01].gamma - 1e-12))
@@ -100,8 +102,8 @@ def test_criterion_05_ohmic_ordering():
 
     def curve(g):
         J = SpectralDensity(G=g, s=1.0, omega_c=10.0)
-        return sample_curve(SurvivalMode.SMALL_DELTA, sys, J, None,
-                            0.05, 3.0, 30)
+        return sample_curve(SurvivalMode.SMALL_DELTA, sys,
+                            BathKernel(J, None), 0.05, 3.0, 30)
 
     c15, c20 = curve(1.5), curve(2.0)
     ordered = bool(np.all(c20.gamma <= c15.gamma + 1e-12))

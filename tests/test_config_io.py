@@ -33,7 +33,7 @@ class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.source.s == 3.0
-        assert cfg.system.beta is None
+        assert cfg.beta is None
         assert cfg.modes == (SurvivalMode.FULL,)
         assert cfg.tol == 1e-8
         assert cfg.tau_points == 50
@@ -63,6 +63,27 @@ class TestParseConfig:
             parse_config(MINIMAL + f"{key} = {value}\n")
         assert key in str(exc.value)
         assert "line 13" in str(exc.value)
+
+    def test_no_run_section_gives_defaults(self):
+        cfg = parse_config(MINIMAL.split("[run]")[0])
+        assert cfg.modes == (SurvivalMode.FULL,)
+        assert (cfg.tau, cfg.tau_min, cfg.tau_max) == (None, None, None)
+        assert (cfg.tau_points, cfg.spacing, cfg.n_max) == (50, "geometric", 6)
+        assert (cfg.tol, cfg.kernel_tol) == (1e-8, 1e-10)
+        assert (cfg.sweep_key, cfg.sweep_values) == (None, ())
+        assert cfg.beta is None
+
+    @pytest.mark.parametrize("entry", [
+        "tau = -1", "tau = inf", "tau = nan", "tau_min = 0", "tau_min = -0.5",
+        "tau_min = nan", "tau_max = 0.05", "tau_max = 0.01", "tau_max = inf",
+        "tau_points = 1", "tau_points = 0", "n_max = 2", "tol = 0",
+        "tol = -1e-8", "tol = nan", "kernel_tol = 0", "kernel_tol = inf"])
+    def test_out_of_range_value_rejected(self, entry):
+        text, line = _with_run_entry(MINIMAL, entry)
+        key = entry.split(" = ")[0]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert f"{key} (line {line})" in str(exc.value)
 
     def test_unknown_mode(self):
         bad = MINIMAL + "modes = sideways\n"
@@ -104,6 +125,19 @@ class TestParseConfig:
         for old, new in mutations:
             mutated = dict(parse_config(MINIMAL.replace(old, new)).echo)
             assert mutated != base, f"echo missed mutation {new!r}"
+
+
+def _with_run_entry(text, entry):
+    """`text` with `key = value` set in [run], and the line it is on."""
+    key = entry.split(" = ")[0]
+    lines = text.split("\n")
+    hits = [i for i, raw in enumerate(lines) if raw.startswith(f"{key} =")]
+    if hits:
+        lines[hits[0]] = entry
+    else:
+        lines.insert(len(lines) - 1, entry)
+        hits = [len(lines) - 2]
+    return "\n".join(lines), hits[0] + 1
 
 
 def sample_table():
@@ -191,6 +225,26 @@ modes = small_delta
         cfg.write_text(MINIMAL + entry + "\n")
         result = self.run("curve", "--config", str(cfg))
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command, entry", [
+        ("compute", "tau = -1"), ("curve", "tau_points = 1"),
+        ("curve", "tau_min = 0"), ("curve", "tau_max = inf"),
+        ("oracle-check", "n_max = 2")])
+    def test_out_of_range_value_exit_code(self, tmp_path, command, entry):
+        cfg = tmp_path / "c.ini"
+        text = _DISCRETE if command == "oracle-check" else MINIMAL
+        cfg.write_text(_with_run_entry(text, entry)[0])
+        result = self.run(command, "--config", str(cfg))
+        assert result.exit_code == 2
+        assert entry.split(" = ")[0] in result.stderr
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf"])
+    def test_out_of_range_tol_option_exit_code(self, tmp_path, tol):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL + "tau_points = 2\n")
+        result = self.run("curve", "--config", str(cfg), "--tol", tol)
+        assert result.exit_code == 2
+        assert "--tol" in result.stderr
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "c.ini"

@@ -10,6 +10,7 @@ from spinzeno.errors import SpinZenoError
 from spinzeno.regimes import tau_grid
 
 J3 = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
+K3 = BathKernel(J3, None)
 
 
 def synthetic_curve(tau, gamma):
@@ -75,8 +76,8 @@ class TestClassify:
 
 class TestSampleCurve:
     def test_delta_zero_flat(self):
-        curve = sample_curve(SurvivalMode.FULL, SystemParams(1.0, 0.0), J3,
-                             None, 0.1, 2.0, 5)
+        curve = sample_curve(SurvivalMode.FULL, SystemParams(1.0, 0.0), K3,
+                             0.1, 2.0, 5)
         assert np.allclose(curve.gamma, 0.0)
         report = classify(curve)
         assert report.segments[0][1] is RegimeLabel.ZENO
@@ -84,7 +85,7 @@ class TestSampleCurve:
     def test_gaps_recorded_not_dropped(self):
         # large tau drives the small-delta reduction out of regime
         curve = sample_curve(SurvivalMode.SMALL_DELTA,
-                             SystemParams(0.25, 1.0), J3, None, 0.5, 8.0, 8)
+                             SystemParams(0.25, 1.0), K3, 0.5, 8.0, 8)
         assert curve.tau_grid.size == 8
         assert len(curve.errors) > 0
         assert not np.all(curve.finite_mask())
@@ -92,13 +93,13 @@ class TestSampleCurve:
     def test_all_failed_raises(self):
         with pytest.raises(SpinZenoError):
             sample_curve(SurvivalMode.SMALL_DELTA, SystemParams(0.25, 1.0),
-                         J3, None, 5.0, 8.0, 3)
+                         K3, 5.0, 8.0, 3)
 
     def test_threads_match_serial(self):
-        serial = sample_curve(SurvivalMode.FULL, SystemParams(1.0, 0.2), J3,
-                              None, 0.1, 2.0, 8)
+        serial = sample_curve(SurvivalMode.FULL, SystemParams(1.0, 0.2), K3,
+                              0.1, 2.0, 8)
         parallel = sample_curve(SurvivalMode.FULL, SystemParams(1.0, 0.2),
-                                J3, None, 0.1, 2.0, 8, threads=4)
+                                K3, 0.1, 2.0, 8, threads=4)
         assert np.array_equal(serial.gamma, parallel.gamma)
 
 

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference.integrands import expanded_survival
+from reference.reconstruct import reconstruct_survival
 from spinzeno import (BathKernel, SpectralDensity, SurvivalMode,
-                      SystemParams, decay_rate, reconstruct_survival,
-                      survival_after_N, survival_prob)
+                      SystemParams, decay_rate, survival_after_N,
+                      survival_prob)
 from spinzeno.errors import OutOfRegimeError
 
 J3 = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
@@ -58,17 +60,16 @@ class TestRegression:
 
 class TestArbitration:
     """The derived integrands against the trig-expanded closed forms and
-    the independent matrix reconstruction.  The expanded form of the
-    non-removed expression (b_y(t) b_x(t-t') in the antisymmetric
-    brackets) matches the reconstruction; the legacy variants do not,
-    for either mode family."""
+    the independent matrix reconstruction, both in tests/reference/.  The
+    expanded form of the non-removed expression (b_y(t) b_x(t-t') in the
+    antisymmetric brackets) matches the reconstruction; the legacy
+    variants do not, for either mode family."""
 
     @pytest.mark.parametrize("sys", [SYS_A, SYS_B], ids=["smallD", "largeD"])
     @pytest.mark.parametrize("tau", [0.5, 2.0])
     def test_full_derived_matches_expanded_and_reconstruction(self, sys, tau):
         d = survival_prob(SurvivalMode.FULL, sys, KERNEL, tau).s
-        c = survival_prob(SurvivalMode.FULL, sys, KERNEL, tau,
-                          integrand_style="expanded").s
+        c = expanded_survival(SurvivalMode.FULL, sys, KERNEL, tau)
         r = reconstruct_survival(SurvivalMode.FULL, sys, KERNEL, tau,
                                  order=96)
         assert d == pytest.approx(c, abs=1e-10)
@@ -76,8 +77,8 @@ class TestArbitration:
 
     def test_full_legacy_variant_deviates(self):
         d = survival_prob(SurvivalMode.FULL, SYS_B, KERNEL, 1.0).s
-        p = survival_prob(SurvivalMode.FULL, SYS_B, KERNEL, 1.0,
-                          integrand_style="expanded_legacy").s
+        p = expanded_survival(SurvivalMode.FULL, SYS_B, KERNEL, 1.0,
+                              legacy=True)
         assert abs(d - p) > 1e-3
 
     @pytest.mark.parametrize("sys", [SYS_A, SYS_B], ids=["smallD", "largeD"])
@@ -89,8 +90,8 @@ class TestArbitration:
 
     def test_removed_legacy_variant_deviates(self):
         d = survival_prob(SurvivalMode.REMOVED_FULL, SYS_B, KERNEL, 1.0).s
-        p = survival_prob(SurvivalMode.REMOVED_FULL, SYS_B, KERNEL, 1.0,
-                          integrand_style="expanded_legacy").s
+        p = expanded_survival(SurvivalMode.REMOVED_FULL, SYS_B, KERNEL, 1.0,
+                              legacy=True)
         assert abs(d - p) > 1e-3
 
     @pytest.mark.parametrize("mode", [SurvivalMode.SMALL_DELTA,
@@ -99,11 +100,6 @@ class TestArbitration:
         d = survival_prob(mode, SYS_B, KERNEL, 1.0).s
         r = reconstruct_survival(mode, SYS_B, KERNEL, 1.0, order=96)
         assert d == pytest.approx(r, abs=1e-7)
-
-    def test_unknown_style_rejected(self):
-        with pytest.raises(ValueError):
-            survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, 1.0,
-                          integrand_style="bogus")
 
 
 class TestInvariants:
