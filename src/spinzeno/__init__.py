@@ -16,8 +16,8 @@ from .polaron import (PolaronParams, SystemParams, fgh, renormalize,
                       rot_coeffs, u_s_matrix)
 from .quadrature import integrate_semiinfinite, integrate_triangle
 from .regimes import (DecayCurve, RegimeLabel, RegimeReport, classify,
-                      sample_curve, validity_metric)
+                      sample_curve)
 from .survival import (SurvivalMode, SurvivalResult, decay_rate,
-                       survival_after_N, survival_prob)
+                       survival_after_N, survival_prob, validity_value)
 
 __version__ = "0.1.0"

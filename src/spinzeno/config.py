@@ -25,7 +25,8 @@ Configs are INI documents with three sections::
     kernel_tol = 1e-10
     n_max = 6           ; Fock truncation for oracle-check
 
-Unknown keys, missing required keys, non-numeric values, non-integer
+Unknown keys, missing required keys, non-numeric or non-finite values
+(``beta = inf`` is the one spelling of zero temperature), non-integer
 ``tau_points`` or ``n_max`` and out-of-range values are rejected with the
 offending key and line number.
 """
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .bath import DiscreteBath, SpectralDensity
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .polaron import SystemParams
 from .survival import SurvivalMode
 
@@ -48,6 +49,20 @@ _KNOWN_KEYS = {
     "run": {"modes", "tau", "tau_min", "tau_max", "tau_points", "spacing",
             "sweep", "tol", "kernel_tol", "n_max"},
 }
+
+# Ranges of the (finite) numeric keys; the bath and system ones also apply
+# to sweep values.  tau_max, tau_points and n_max are checked in place.
+_RANGES = {
+    "delta": (lambda v: v >= 0.0, "must be >= 0"),
+    "g": (lambda v: v >= 0.0, "must be >= 0"),
+    "s": (lambda v: v > 0.0, "must be > 0"),
+    "omega_c": (lambda v: v > 0.0, "must be > 0"),
+    "tau": (lambda v: v >= 0.0, "must be >= 0"),
+    "tau_min": (lambda v: v > 0.0, "must be > 0"),
+    "tol": (lambda v: v > 0.0, "must be > 0"),
+    "kernel_tol": (lambda v: v > 0.0, "must be > 0"),
+}
+_ANY = (lambda v: True, None)
 
 VALIDITY_WARN_THRESHOLD = 0.1
 
@@ -92,9 +107,12 @@ def _fail(text, section, key, reason):
 
 def _number(text, section, raw, key):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         _fail(text, section, key, f"non-numeric value {raw!r}")
+    if not math.isfinite(value):
+        _fail(text, section, key, f"must be finite, got {raw!r}")
+    return value
 
 
 def _integer(text, section, raw, key):
@@ -136,7 +154,11 @@ def parse_config(text):
             if required:
                 raise ConfigError(f"[{section}] missing required key {key!r}")
             return default
-        return _number(text, section, raw, key)
+        value = _number(text, section, raw, key)
+        ok, reason = _RANGES.get(key, _ANY)
+        if not ok(value):
+            _fail(text, section, key, reason)
+        return value
 
     def get_int(section, key, default):
         raw = get(section, key)
@@ -167,7 +189,10 @@ def parse_config(text):
             w_raw, g_raw = token.split(":", 1)
             pairs.append((_number(text, "bath", w_raw, "modes"),
                           _number(text, "bath", g_raw, "modes")))
-        source = DiscreteBath(tuple(pairs))
+        try:
+            source = DiscreteBath(tuple(pairs))
+        except DomainError as exc:
+            _fail(text, "bath", "modes", str(exc))
     else:
         g = get_num("bath", "g", required=True)
         s = get_num("bath", "s", DEFAULTS["s"])
@@ -192,21 +217,16 @@ def parse_config(text):
             _fail(text, "run", key, reason)
 
     tau = get_num("run", "tau")
-    check("tau", tau, lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
     tau_min = get_num("run", "tau_min")
-    check("tau_min", tau_min, finite_positive, "must be finite and > 0")
     tau_max = get_num("run", "tau_max")
-    check("tau_max", tau_max, lambda v: (tau_min or 0.0) < v < math.inf,
-          "must be finite and > tau_min")
+    check("tau_max", tau_max, lambda v: v > (tau_min or 0.0), "must be > tau_min")
     tau_points = get_int("run", "tau_points", DEFAULTS["tau_points"])
     check("tau_points", tau_points, lambda v: v >= 2, "must be at least 2")
     spacing = get("run", "spacing", DEFAULTS["spacing"])
     if spacing not in ("geometric", "linear"):
         _fail(text, "run", "spacing", f"must be geometric or linear, got {spacing!r}")
     tol = get_num("run", "tol", DEFAULTS["tol"])
-    check("tol", tol, finite_positive, "must be finite and > 0")
     kernel_tol = get_num("run", "kernel_tol", DEFAULTS["kernel_tol"])
-    check("kernel_tol", kernel_tol, finite_positive, "must be finite and > 0")
     n_max = get_int("run", "n_max", DEFAULTS["n_max"])
     check("n_max", n_max, lambda v: v >= 3, "must be at least 3")
 
@@ -223,8 +243,9 @@ def parse_config(text):
                              for v in values_raw.replace(",", " ").split())
         if not sweep_values:
             _fail(text, "run", "sweep", "no sweep values given")
-        if not all(math.isfinite(v) for v in sweep_values):
-            _fail(text, "run", "sweep", "sweep values must be finite")
+        ok, reason = _RANGES.get(sweep_key, _ANY)
+        if not all(ok(v) for v in sweep_values):
+            _fail(text, "run", "sweep", f"{sweep_key} {reason}")
 
     echo = []
     echo.append(("system.epsilon", repr(epsilon)))

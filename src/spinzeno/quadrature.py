@@ -97,12 +97,14 @@ def integrate_semiinfinite(f, tol=1e-10, *, cutoff=None, osc_freq=0.0,
     return total
 
 
-def integrate_triangle(f, tau, tol=1e-8, *, start_order=64, max_order=1024):
+def integrate_triangle(f, tau, tol=1e-8, *, start_order=8, max_order=1024):
     """Integrate f(t, t') over the triangle 0 <= t' <= t <= tau.
 
     Iterated Gauss-Legendre (outer t, inner t' mapped onto [0, t]) with
-    order doubling until two successive estimates agree within tol.
-    f must broadcast over same-shape 2-D arrays of (t, t').
+    order doubling from start_order until two successive estimates agree
+    within tol; the finer one is returned.  f must broadcast over
+    same-shape 2-D arrays of (t, t'); t is constant along each row, so
+    factors of t alone may be evaluated on the column t[:, :1].
 
     Returns (value, error_estimate, order_used).
     """

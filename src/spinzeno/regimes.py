@@ -1,4 +1,4 @@
-"""Decay-rate curves, Zeno/anti-Zeno classification and validity metric.
+"""Decay-rate curves and Zeno/anti-Zeno classification.
 
 Classification follows the derivative convention: the system is in the
 Zeno regime where Gamma(tau) decreases as tau decreases (positive slope
@@ -41,11 +41,6 @@ class DecayCurve:
 class RegimeReport:
     crossovers: tuple  # (tau_star, direction) pairs
     segments: tuple    # ((tau_lo, tau_hi), RegimeLabel) pairs
-
-
-def validity_metric(sys, kernel):
-    """(delta/omega_c)^2 (1 - B^4); compare against the warn threshold 0.1."""
-    return validity_value(sys, kernel)
 
 
 def tau_grid(tau_min, tau_max, n_points, spacing="geometric"):

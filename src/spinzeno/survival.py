@@ -96,7 +96,7 @@ def _full_deficit_integrand(pc, tau, kernel, table):
 
     def f(t, tp):
         ct1, ct2 = _corr_combos(kernel, tp, table)
-        k_t = rot_coeffs(pc, t)
+        k_t = rot_coeffs(pc, t[:, :1])      # t alone: once per outer node
         k_s = rot_coeffs(pc, t - tp)
         total = 0.0
         for mu, ct in ((0, ct1), (1, ct2)):
@@ -127,11 +127,12 @@ def _removed_deficit_integrand(pc, tau, kernel, table):
     ct1_0, ct2_0 = _corr_combos(kernel, 0.0, table)
 
     def f(t, tp):
-        m1_t, m2_t = m_pair(t)
+        t_col = t[:, :1]                    # t alone: once per outer node
+        m1_t, m2_t = m_pair(t_col)
         m1_s, m2_s = m_pair(t - tp)
         ct1_a, ct2_a = _corr_combos(kernel, tp, table)
         ct1_b, ct2_b = _corr_combos(kernel, t - tp - tau, table)
-        ct1_c, ct2_c = _corr_combos(kernel, tau - t, table)
+        ct1_c, ct2_c = _corr_combos(kernel, tau - t_col, table)
         bracket1 = np.conj(ct1_a) + ct1_0 - ct1_b - ct1_c
         bracket2 = np.conj(ct2_a) + ct2_0 - ct2_b - ct2_c
         return (np.real(m1_t * np.conj(m1_s) * bracket1)
@@ -171,7 +172,9 @@ def survival_prob(mode, sys, kernel, tau, *, tol=1e-8, table=None):
         amp_x = p_full.delta_r / pc.omega_r if mode.small_delta else pc.nx
         zeroth = (amp_x * np.sin(0.5 * pc.omega_r * tau)) ** 2
 
-    integral, quad_err, order = integrate_triangle(f, tau, tol=tol)
+    # start_order is passed explicitly so traces can count the nodes.
+    integral, quad_err, order = integrate_triangle(f, tau, tol=tol,
+                                                   start_order=8)
     s = 1.0 - zeroth - 0.25 * sys.delta ** 2 * float(integral)
     gamma = math.nan
     if 0.0 < s <= 1.0 + SURVIVAL_SLACK:

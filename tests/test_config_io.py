@@ -85,6 +85,30 @@ class TestParseConfig:
             parse_config(text)
         assert f"{key} (line {line})" in str(exc.value)
 
+    @pytest.mark.parametrize("old, new", [
+        ("delta = 0.2", "delta = 0.2\nbeta = nan"),
+        ("epsilon = 1.0", "epsilon = inf"),
+        ("delta = 0.2", "delta = nan"),
+        ("delta = 0.2", "delta = -0.2"),
+        ("g = 1.0", "g = nan"),
+        ("g = 1.0", "g = -1.0"),
+        ("g = 1.0", "g = 1.0\ns = inf"),
+        ("g = 1.0", "g = 1.0\ns = 0"),
+        ("omega_c = 10.0", "omega_c = inf"),
+        ("omega_c = 10.0", "omega_c = 0"),
+        ("g = 1.0\nomega_c = 10.0", "modes = 1.0:nan 3.0:0.3"),
+        ("g = 1.0\nomega_c = 10.0", "modes = inf:0.2"),
+        ("g = 1.0\nomega_c = 10.0", "modes = 3.0:0.3 1.0:0.2"),
+        ("tau_max = 3.0", "tau_max = 3.0\nsweep = g: 0.5 -0.5"),
+        ("tau_max = 3.0", "tau_max = 3.0\nsweep = omega_c: 10 0")])
+    def test_out_of_range_system_or_bath_value_rejected(self, old, new):
+        text = MINIMAL.replace(old, new)
+        entry = new.split("\n")[-1]
+        line = text.split("\n").index(entry) + 1
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert f"{entry.split(' = ')[0]} (line {line})" in str(exc.value)
+
     def test_unknown_mode(self):
         bad = MINIMAL + "modes = sideways\n"
         with pytest.raises(ConfigError) as exc:
@@ -237,6 +261,16 @@ modes = small_delta
         result = self.run(command, "--config", str(cfg))
         assert result.exit_code == 2
         assert entry.split(" = ")[0] in result.stderr
+
+    @pytest.mark.parametrize("old, new", [
+        ("delta = 0.2", "delta = 0.2\nbeta = nan"), ("g = 1.0", "g = nan"),
+        ("omega_c = 10.0", "omega_c = inf"), ("g = 1.0", "g = -1.0")])
+    def test_out_of_range_system_or_bath_exit_code(self, tmp_path, old, new):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL.replace(old, new) + "tau = 0.7\n")
+        result = self.run("compute", "--config", str(cfg))
+        assert result.exit_code == 2
+        assert new.split("\n")[-1].split(" = ")[0] in result.stderr
 
     @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf"])
     def test_out_of_range_tol_option_exit_code(self, tmp_path, tol):

@@ -59,6 +59,13 @@ class TestTriangle:
         val, _, _ = integrate_triangle(lambda t, tp: tp, 1.0)
         assert val == pytest.approx(1.0 / 6.0, abs=1e-12)
 
+    def test_doubling_starts_at_order_eight(self):
+        # orders 8 and 16 are both exact for t', so the first pair agrees
+        val, err, order = integrate_triangle(lambda t, tp: tp, 1.0)
+        assert order == 16
+        assert val == pytest.approx(1.0 / 6.0, abs=1e-15)
+        assert err <= 1e-15
+
     def test_difference_kernel(self):
         # integral over the triangle of cos(t - t') with tau = pi is
         # int_0^pi sin(t) dt = 2 (computed by hand)

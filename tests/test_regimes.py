@@ -5,7 +5,7 @@ import pytest
 
 from spinzeno import (BathKernel, DecayCurve, RegimeLabel, SpectralDensity,
                       SurvivalMode, SystemParams, classify, sample_curve,
-                      validity_metric)
+                      validity_value)
 from spinzeno.errors import SpinZenoError
 from spinzeno.regimes import tau_grid
 
@@ -109,10 +109,10 @@ class TestValidity:
         sys = SystemParams(1.0, 0.2)
         b = kern.coherence_b()
         want = (0.2 / 10.0) ** 2 * (1.0 - b ** 4)
-        assert validity_metric(sys, kern) == pytest.approx(want, abs=1e-12)
+        assert validity_value(sys, kern) == pytest.approx(want, abs=1e-12)
 
     def test_divergent_kernel_limit(self):
         kern = BathKernel(SpectralDensity(G=1.0, s=1.0, omega_c=10.0), None)
         sys = SystemParams(1.0, 0.5)
-        assert validity_metric(sys, kern) == pytest.approx((0.5 / 10.0) ** 2,
-                                                           abs=1e-12)
+        assert validity_value(sys, kern) == pytest.approx((0.5 / 10.0) ** 2,
+                                                          abs=1e-12)

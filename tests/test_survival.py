@@ -1,7 +1,9 @@
 """Survival probability tests: trivial limits, regression values,
 arbitration of the closed-form integrand variants, and invariants."""
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from reference.integrands import expanded_survival
 from reference.reconstruct import reconstruct_survival
-from spinzeno import (BathKernel, SpectralDensity, SurvivalMode,
+from spinzeno import (BathKernel, DiscreteBath, SpectralDensity, SurvivalMode,
                       SystemParams, decay_rate, survival_after_N,
                       survival_prob)
+from spinzeno import survival as survival_module
 from spinzeno.errors import OutOfRegimeError
 
 J3 = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
@@ -148,6 +151,77 @@ class TestInvariants:
         # |m_mu|^2 and cross phases are therefore bias-sign blind
         m1, m1f = ax + 1j * ay, ax2 + 1j * ay2
         assert np.allclose(np.abs(m1), np.abs(m1f), atol=1e-12)
+
+
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)
+
+
+def _triangle_at_order(f, tau, order):
+    """Iterated Gauss-Legendre over the triangle at one fixed order."""
+    x, w = _leggauss(order)
+    u = 0.5 * (x + 1.0)
+    t = tau * u
+    tp = t[:, None] * u[None, :]
+    vals = f(np.broadcast_to(t[:, None], tp.shape), tp)
+    return 0.5 * tau * ((0.5 * t * (vals @ w)) @ w)
+
+
+_discrete_baths = st.lists(
+    st.tuples(st.floats(0.3, 6.0), st.floats(0.05, 0.3)),
+    min_size=1, max_size=4, unique_by=lambda m: round(m[0], 3),
+).map(lambda ms: DiscreteBath(tuple(sorted(ms))))
+
+
+@st.composite
+def _kernels(draw):
+    beta = draw(st.one_of(st.none(), st.floats(0.5, 5.0)))
+    if draw(st.booleans()):
+        return BathKernel(draw(_discrete_baths), beta)
+    if beta is None:
+        source = SpectralDensity(G=draw(st.floats(0.05, 1.0)),
+                                 s=draw(st.floats(0.5, 4.0)),
+                                 omega_c=draw(st.floats(1.0, 10.0)))
+    else:   # finite-T continuum tabulates, which grows with omega_c * tau
+        source = SpectralDensity(G=draw(st.floats(0.05, 1.0)),
+                                 s=draw(st.floats(2.5, 4.0)),
+                                 omega_c=draw(st.floats(1.0, 2.0)))
+    return BathKernel(source, beta)
+
+
+class TestQuadratureSchedule:
+    """The triangle rule stops at the first pair of orders that agree,
+    starting from order 8; a false early agreement would leave s away
+    from the same integrand evaluated at a fixed high order."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(mode=st.sampled_from(ALL_MODES), kernel=_kernels(),
+           epsilon=st.floats(0.25, 2.0), delta=st.floats(0.02, 1.0),
+           tau=st.floats(0.01, 8.0))
+    def test_matches_fixed_order_512(self, mode, kernel, epsilon, delta, tau):
+        tol = 1e-8
+        sys = SystemParams(epsilon, delta)
+        seen = []
+        real = survival_module.integrate_triangle
+
+        def recording(f, tau, **kw):
+            seen.append(f)
+            return real(f, tau, **kw)
+
+        with mock.patch.object(survival_module, "integrate_triangle",
+                               recording):
+            res = survival_prob(mode, sys, kernel, tau, tol=tol)
+        fixed = _triangle_at_order(seen[0], tau, 512)
+        s_fixed = (1.0 - res.diagnostics["zeroth_order"]
+                   - 0.25 * delta ** 2 * float(fixed))
+        assert abs(res.s - s_fixed) <= 0.25 * delta ** 2 * tol
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_short_interval_stops_below_order_64(self, mode):
+        bath = DiscreteBath(((0.5, 0.1), (1.0, 0.2), (2.0, 0.25),
+                             (3.0, 0.3), (4.5, 0.3), (6.0, 0.2)))
+        res = survival_prob(mode, SystemParams(1.0, 0.1),
+                            BathKernel(bath, None), 0.05)
+        assert res.diagnostics["order"] < 64
 
 
 class TestDerivedQuantities:
