@@ -7,17 +7,16 @@ from .bath import (BathKernel, DiscreteBath, KernelTable, SpectralDensity,
 from .config import RunConfig, apply_sweep, parse_config
 from .tables import ResultTable, emit_csv, emit_json, parse_json
 from .errors import (ConfigError, DegenerateSystemError, DimensionBudgetError,
-                     DivergentKernelError, DomainError, OutOfRegimeError,
-                     QuadratureError, SpinZenoError, TruncationError)
+                     DivergentKernelError, DomainError, QuadratureError,
+                     SpinZenoError, TruncationError)
 from .oracle import (ExactEvolution, TruncatedBathSpec, build_lab_hamiltonian,
-                     discretize_bath, exact_survival, initial_state_lab,
-                     initial_vector_lab)
-from .polaron import (PolaronParams, SystemParams, fgh, renormalize,
-                      rot_coeffs, u_s_matrix)
+                     discretize_bath, initial_vector_lab)
+from .polaron import (PolaronParams, SystemParams, renormalize, rot_coeffs,
+                      u_s_matrix)
 from .quadrature import integrate_semiinfinite, integrate_triangle
 from .regimes import (DecayCurve, RegimeLabel, RegimeReport, classify,
                       sample_curve)
-from .survival import (SurvivalMode, SurvivalResult, decay_rate,
-                       survival_after_N, survival_prob, validity_value)
+from .survival import (SurvivalMode, SurvivalResult, survival_prob,
+                       validity_value)
 
 __version__ = "0.1.0"

@@ -38,6 +38,7 @@ from .errors import DivergentKernelError, DomainError
 from .quadrature import _integrate_interval
 
 ZERO_TEMPERATURE = None
+MAX_DEPTH = 48  # bisection depth of a half-line quadrature panel
 
 
 def coth(x):
@@ -140,7 +141,6 @@ class BathKernel:
     source: object
     beta: float = ZERO_TEMPERATURE
     tol: float = 1e-10
-    max_depth: int = 48
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -214,7 +214,7 @@ class BathKernel:
             return env * wgt
 
         top = _integrate_interval(f, split, w_top, tol, osc_freq,
-                                  self.max_depth, 16)
+                                  MAX_DEPTH, 16)
 
         power = 3
 
@@ -228,7 +228,7 @@ class BathKernel:
 
         low = _integrate_interval(f_sub, 0.0, 1.0, tol,
                                   power * split * osc_freq,
-                                  self.max_depth, 16)
+                                  MAX_DEPTH, 16)
         return top + low
 
     # -- zero-temperature closed form ---------------------------------------
@@ -330,20 +330,6 @@ class BathKernel:
         if np.isinf(r0):
             e_minus = np.zeros_like(e_plus)
         return e_plus, e_minus
-
-    def correlation(self, index_pair, t, table=None):
-        """Environment correlation C_11 or C_22 at time t.
-
-        C11 = (B^2/2)(e^phi + e^-phi - 2) and C22 = (B^2/2)(e^phi - e^-phi),
-        assembled from the scaled exponentials so the B -> 0 limit is exact.
-        """
-        if index_pair not in (11, 22):
-            raise DomainError("index_pair must be 11 or 22")
-        e_plus, e_minus = self.scaled_exponentials(t, table=table)
-        if index_pair == 11:
-            b2 = self.coherence_b() ** 2
-            return 0.5 * (e_plus + e_minus - 2.0 * b2)
-        return 0.5 * (e_plus - e_minus)
 
     # -- tabulation -----------------------------------------------------------
 

@@ -13,6 +13,7 @@ table, and map errors to exit codes.  A body builds one BathKernel per
 
 import dataclasses
 import math
+import os
 import sys
 from functools import partial
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .bath import BathKernel, DiscreteBath
 from .config import (VALIDITY_WARN_THRESHOLD, apply_sweep, finite_positive,
-                     parse_config)
+                     header_lines, parse_config)
 from .errors import ConfigError, QuadratureError, SpinZenoError
 from .oracle import ExactEvolution, TruncatedBathSpec
 from .regimes import classify, sample_curve, tau_grid
@@ -38,15 +39,12 @@ def _load(config_path, tol):
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
     if tol is not None:
         if not finite_positive(tol):
             raise ConfigError(f"--tol: must be finite and > 0, got {tol!r}")
-        cfg = dataclasses.replace(
-            cfg, tol=tol, echo=tuple(("run.tol", repr(tol))
-                                     if k == "run.tol" else (k, v)
-                                     for k, v in cfg.echo))
+        cfg = dataclasses.replace(cfg, tol=tol)
     for note in cfg.notes:
         click.echo(note, err=True)
     return cfg
@@ -85,7 +83,7 @@ def _row(mode, tau, gamma, s, validity, sweep=None, regime="", error=""):
             "validity": validity, "regime": regime, "error": error}
 
 
-def _compute(cfg, meta, threads):
+def _compute(cfg, meta):
     kernel, validity = _kernel(cfg, cfg.system, cfg.source)
     rows = []
     for mode in cfg.modes:
@@ -101,7 +99,7 @@ def _compute(cfg, meta, threads):
     return rows
 
 
-def _curves(cfg, meta, threads, sweep=False, compare=False):
+def _curves(cfg, meta, sweep=False, compare=False):
     """Rows of curve, sweep (one cell per sweep value) and compare."""
     if sweep and cfg.sweep_key is None:
         raise ConfigError("[run] missing required key 'sweep'")
@@ -114,8 +112,8 @@ def _curves(cfg, meta, threads, sweep=False, compare=False):
         kernel, _ = _kernel(cfg, system, source)
         curves = [sample_curve(mode, system, kernel, cfg.tau_min,
                                cfg.tau_max, cfg.tau_points,
-                               spacing=cfg.spacing, tol=cfg.tol,
-                               threads=threads) for mode in cfg.modes]
+                               spacing=cfg.spacing, tol=cfg.tol)
+                  for mode in cfg.modes]
         for mode, cv in zip(cfg.modes, curves):
             labels = _regime_labels(cv)
             errmap = dict(cv.errors)
@@ -135,7 +133,7 @@ def _curves(cfg, meta, threads, sweep=False, compare=False):
     return rows
 
 
-def _oracle_check(cfg, meta, threads):
+def _oracle_check(cfg, meta):
     if not isinstance(cfg.source, DiscreteBath):
         raise ConfigError("[bath] oracle-check requires discrete 'modes'")
     if cfg.beta is not None:
@@ -159,21 +157,29 @@ def _oracle_check(cfg, meta, threads):
     return rows
 
 
-def _run(command, body, required, config_path, format_, out, tol, threads):
-    """Load, run `body(cfg, meta, threads)`, write, and exit with its code."""
+def _run(command, body, required, config_path, format_, out, tol):
+    """Load, run `body(cfg, meta)`, write, and exit with its code."""
     try:
+        # fail before the solve, not after it
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise ConfigError(f"--out: directory {os.path.dirname(out)} "
+                              "does not exist")
         cfg = _load(config_path, tol)
         for name in required:
             if getattr(cfg, name) is None:
                 raise ConfigError(f"[run] missing required key {name!r} "
                                   "for this command")
         meta = [("spinzeno.version", __version__), ("command", command),
-                *cfg.echo]
-        rows = body(cfg, meta, threads)
+                *header_lines(cfg)]
+        rows = body(cfg, meta)
         text = emit(ResultTable(tuple(meta), tuple(rows)), format_)
         if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"--out: cannot write {out}: {exc}") \
+                    from exc
         else:
             click.echo(text, nl=False)
     except ConfigError as exc:
@@ -201,7 +207,6 @@ def main():
 
 def _command(name, body, required, doc):
     @main.command(name=name, help=doc)
-    @click.option("--threads", default=None, type=int)
     @click.option("--tol", default=None, type=float,
                   help="override survival tolerance")
     @click.option("--out", default=None, type=click.Path())
@@ -209,8 +214,8 @@ def _command(name, body, required, doc):
                   type=click.Choice(["csv", "json"]))
     @click.option("--config", "config_path", required=True,
                   type=click.Path(), help="INI run configuration")
-    def command(config_path, format_, out, tol, threads):
-        _run(name, body, required, config_path, format_, out, tol, threads)
+    def command(config_path, format_, out, tol):
+        _run(name, body, required, config_path, format_, out, tol)
 
     return command
 

@@ -84,7 +84,6 @@ class RunConfig:
     kernel_tol: float = DEFAULTS["kernel_tol"]
     n_max: int = DEFAULTS["n_max"]
     notes: tuple = field(default_factory=tuple, compare=False)
-    echo: tuple = ()          # (key, value-string) pairs for output headers
 
 
 def _line_of(text, section, key):
@@ -247,36 +246,39 @@ def parse_config(text):
         if not all(ok(v) for v in sweep_values):
             _fail(text, "run", "sweep", f"{sweep_key} {reason}")
 
-    echo = []
-    echo.append(("system.epsilon", repr(epsilon)))
-    echo.append(("system.delta", repr(delta)))
-    echo.append(("system.beta", "inf" if beta is None else repr(beta)))
-    if isinstance(source, DiscreteBath):
-        echo.append(("bath.modes", " ".join(
-            f"{w!r}:{gk!r}" for w, gk in source.modes)))
-    else:
-        echo.append(("bath.g", repr(source.G)))
-        echo.append(("bath.s", repr(source.s)))
-        echo.append(("bath.omega_c", repr(source.omega_c)))
-    echo.append(("run.modes", " ".join(m.value for m in modes)))
-    for key, val in (("tau", tau), ("tau_min", tau_min), ("tau_max", tau_max)):
-        if val is not None:
-            echo.append((f"run.{key}", repr(val)))
-    echo.append(("run.tau_points", str(tau_points)))
-    echo.append(("run.spacing", spacing))
-    if sweep_key:
-        echo.append(("run.sweep", f"{sweep_key}: "
-                     + " ".join(repr(v) for v in sweep_values)))
-    echo.append(("run.tol", repr(tol)))
-    echo.append(("run.kernel_tol", repr(kernel_tol)))
-    echo.append(("run.n_max", str(n_max)))
-
     return RunConfig(system=system, source=source, modes=tuple(modes),
                      beta=beta, tau=tau, tau_min=tau_min, tau_max=tau_max,
                      tau_points=tau_points, spacing=spacing,
                      sweep_key=sweep_key, sweep_values=sweep_values,
                      tol=tol, kernel_tol=kernel_tol, n_max=n_max,
-                     notes=tuple(notes), echo=tuple(echo))
+                     notes=tuple(notes))
+
+
+def header_lines(cfg):
+    """(key, value-string) pairs echoing every parameter of `cfg`."""
+    lines = [("system.epsilon", repr(cfg.system.epsilon)),
+             ("system.delta", repr(cfg.system.delta)),
+             ("system.beta", "inf" if cfg.beta is None else repr(cfg.beta))]
+    if isinstance(cfg.source, DiscreteBath):
+        lines.append(("bath.modes", " ".join(
+            f"{w!r}:{gk!r}" for w, gk in cfg.source.modes)))
+    else:
+        lines.append(("bath.g", repr(cfg.source.G)))
+        lines.append(("bath.s", repr(cfg.source.s)))
+        lines.append(("bath.omega_c", repr(cfg.source.omega_c)))
+    lines.append(("run.modes", " ".join(m.value for m in cfg.modes)))
+    for key in ("tau", "tau_min", "tau_max"):
+        if getattr(cfg, key) is not None:
+            lines.append((f"run.{key}", repr(getattr(cfg, key))))
+    lines.append(("run.tau_points", str(cfg.tau_points)))
+    lines.append(("run.spacing", cfg.spacing))
+    if cfg.sweep_key:
+        lines.append(("run.sweep", f"{cfg.sweep_key}: "
+                      + " ".join(repr(v) for v in cfg.sweep_values)))
+    lines.append(("run.tol", repr(cfg.tol)))
+    lines.append(("run.kernel_tol", repr(cfg.kernel_tol)))
+    lines.append(("run.n_max", str(cfg.n_max)))
+    return tuple(lines)
 
 
 def apply_sweep(cfg, value):

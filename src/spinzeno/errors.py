@@ -26,14 +26,6 @@ class DegenerateSystemError(SpinZenoError):
     """epsilon = delta_r = 0 leaves the effective Rabi frequency undefined."""
 
 
-class OutOfRegimeError(SpinZenoError):
-    """Perturbation theory broke down (nonphysical survival probability)."""
-
-    def __init__(self, message, validity=None):
-        super().__init__(message)
-        self.validity = validity
-
-
 class TruncationError(SpinZenoError):
     """Fock-space truncation lost too much weight."""
 

@@ -19,6 +19,7 @@ from .errors import DimensionBudgetError, DomainError, TruncationError
 from .polaron import SIGMA_X, SIGMA_Z
 
 DEFAULT_DIM_BUDGET = 4096
+TRUNCATION_TOL = 1e-6  # largest weight a truncated coherent state may lose
 
 
 @dataclass(frozen=True)
@@ -27,15 +28,14 @@ class TruncatedBathSpec:
 
     bath: DiscreteBath
     n_max: int
-    dim_budget: int = DEFAULT_DIM_BUDGET
 
     def __post_init__(self):
         if self.n_max < 3:
             raise DomainError("n_max must be at least 3")
-        if self.dimension > self.dim_budget:
+        if self.dimension > DEFAULT_DIM_BUDGET:
             raise DimensionBudgetError(
                 f"total dimension {self.dimension} exceeds budget "
-                f"{self.dim_budget}")
+                f"{DEFAULT_DIM_BUDGET}")
 
     @property
     def dimension(self):
@@ -88,7 +88,7 @@ def build_lab_hamiltonian(sys, spec):
     return h
 
 
-def _coherent_vector(alpha, n_max, tol=1e-6):
+def _coherent_vector(alpha, n_max):
     """Truncated coherent state |alpha> for real alpha (a real vector)."""
     n = np.arange(n_max)
     if alpha == 0:
@@ -99,14 +99,14 @@ def _coherent_vector(alpha, n_max, tol=1e-6):
         coeff = np.sign(alpha) ** n * np.exp(
             -0.5 * alpha ** 2 + n * np.log(abs(alpha)) - 0.5 * log_fact)
     loss = 1.0 - np.sum(np.abs(coeff) ** 2)
-    if loss > tol:
+    if loss > TRUNCATION_TOL:
         raise TruncationError(
             f"coherent state |alpha|={abs(alpha):.3g} loses weight "
-            f"{loss:.3g} > {tol:g} at n_max={n_max}")
+            f"{loss:.3g} > {TRUNCATION_TOL:g} at n_max={n_max}")
     return coeff
 
 
-def initial_vector_lab(sys, spec, truncation_tol=1e-6):
+def initial_vector_lab(sys, spec):
     """Lab-frame state vector of |up> x polaron vacuum at T = 0.
 
     The polaron-frame product state maps to |up> times coherent
@@ -115,16 +115,9 @@ def initial_vector_lab(sys, spec, truncation_tol=1e-6):
     """
     vec = np.array([1.0])
     for alpha in spec.bath.alphas:
-        vec = np.kron(vec, _coherent_vector(-0.5 * alpha, spec.n_max,
-                                            truncation_tol))
+        vec = np.kron(vec, _coherent_vector(-0.5 * alpha, spec.n_max))
     full = np.kron(np.array([1.0, 0.0]), vec)
     return full / np.linalg.norm(full)
-
-
-def initial_state_lab(sys, spec, truncation_tol=1e-6):
-    """Lab-frame density matrix of the pure state `initial_vector_lab`."""
-    vec = initial_vector_lab(sys, spec, truncation_tol)
-    return np.outer(vec, vec)
 
 
 class ExactEvolution:
@@ -161,8 +154,3 @@ class ExactEvolution:
             u_s_dag = (self._hs_evecs * phase) @ self._hs_evecs.conj().T
             psi = u_s_dag @ psi
         return float(np.sum(np.abs(psi[0]) ** 2))
-
-
-def exact_survival(sys, spec, tau, removed=False):
-    """One-shot exact survival probability (see ExactEvolution for sweeps)."""
-    return ExactEvolution(sys, spec).survival(tau, removed=removed)

@@ -69,16 +69,6 @@ def renormalize(sys, kernel):
     return PolaronParams(sys.epsilon, delta_r, omega_r, b)
 
 
-def fgh(p, tau):
-    """Measurement-projection weights (f, g, h) at interval tau."""
-    half = 0.5 * p.omega_r * np.asarray(tau, dtype=float)
-    s2 = np.sin(half) ** 2
-    f = np.cos(half) ** 2 + (p.epsilon ** 2 - p.delta_r ** 2) / p.omega_r ** 2 * s2
-    g = -2.0 * p.epsilon * p.delta_r / p.omega_r ** 2 * s2
-    h = -(p.delta_r / p.omega_r) * np.sin(2.0 * half)
-    return f, g, h
-
-
 def rot_coeffs(p, t):
     """Coefficients of U_S^dag sigma_{x,y} U_S in the Pauli basis.
 

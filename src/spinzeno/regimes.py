@@ -7,7 +7,6 @@ in tau) and in the anti-Zeno regime where it increases as tau decreases
 """
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ class DecayCurve:
     gamma: np.ndarray
     s_values: np.ndarray
     mode: SurvivalMode
-    params: dict
     validity: float
     errors: tuple = ()  # (index, message) pairs for gap points
 
@@ -56,7 +54,7 @@ def tau_grid(tau_min, tau_max, n_points, spacing="geometric"):
 
 
 def sample_curve(mode, sys, kernel, tau_min, tau_max, n_points, *,
-                 spacing="geometric", tol=1e-8, threads=None):
+                 spacing="geometric", tol=1e-8):
     """Sample Gamma(tau) on a grid; failed points become gaps, not holes.
 
     `kernel` is the BathKernel of one (bath, beta) pair; every mode sampled
@@ -68,20 +66,11 @@ def sample_curve(mode, sys, kernel, tau_min, tau_max, n_points, *,
     gammas = np.full(n_points, np.nan)
     svals = np.full(n_points, np.nan)
     errors = []
-
-    def evaluate(i):
-        return survival_prob(mode, sys, kernel, grid[i], tol=tol, table=table)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: _safe(evaluate, i),
-                                    range(n_points)))
-    else:
-        results = [_safe(evaluate, i) for i in range(n_points)]
-
-    for i, (res, err) in enumerate(results):
-        if err is not None:
-            errors.append((i, err))
+    for i, tau in enumerate(grid):
+        try:
+            res = survival_prob(mode, sys, kernel, tau, tol=tol, table=table)
+        except SpinZenoError as exc:
+            errors.append((i, str(exc)))
             continue
         svals[i] = res.s
         gammas[i] = res.gamma
@@ -90,16 +79,8 @@ def sample_curve(mode, sys, kernel, tau_min, tau_max, n_points, *,
 
     if not np.any(np.isfinite(gammas)):
         raise SpinZenoError("every grid point failed; empty curve")
-    return DecayCurve(grid, gammas, svals, mode,
-                      {"system": sys, "kernel": kernel},
-                      validity_value(sys, kernel), tuple(errors))
-
-
-def _safe(fn, i):
-    try:
-        return fn(i), None
-    except SpinZenoError as exc:
-        return None, str(exc)
+    return DecayCurve(grid, gammas, svals, mode, validity_value(sys, kernel),
+                      tuple(errors))
 
 
 def classify(curve):

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import DiscreteBath
-from .errors import OutOfRegimeError
 from .polaron import renormalize, rot_coeffs
 from .quadrature import integrate_triangle
 
@@ -183,22 +182,3 @@ def survival_prob(mode, sys, kernel, tau, *, tol=1e-8, table=None):
                    "quad_error": 0.25 * sys.delta ** 2 * quad_err,
                    "zeroth_order": zeroth}
     return SurvivalResult(float(s), gamma, validity, diagnostics)
-
-
-def decay_rate(mode, sys, kernel, tau, **kw):
-    """Effective decay rate Gamma(tau) = -ln(s)/tau."""
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    res = survival_prob(mode, sys, kernel, tau, **kw)
-    if not math.isfinite(res.gamma):
-        raise OutOfRegimeError(
-            f"survival probability {res.s:.6g} outside (0, 1+{SURVIVAL_SLACK:g}]; "
-            f"validity metric {res.validity:.3g}", validity=res.validity)
-    return res.gamma
-
-
-def survival_after_N(mode, sys, kernel, tau, n, **kw):
-    """S(N tau) = s(tau)^N, ignoring inter-measurement correlation buildup."""
-    if n < 1:
-        raise ValueError("N must be a positive integer")
-    return survival_prob(mode, sys, kernel, tau, **kw).s ** n

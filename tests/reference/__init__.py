@@ -1,2 +1,3 @@
-"""Test-only reference paths: audit integrands and the matrix
-reconstruction of the second-order survival probability."""
+"""Test-only reference paths: audit integrands, the projection weights
+fgh, the bath correlation functions and the matrix reconstruction of the
+second-order survival probability."""

@@ -10,9 +10,19 @@ that the matrix reconstruction rejects them.
 
 import numpy as np
 
-from spinzeno.polaron import fgh, renormalize, rot_coeffs
+from spinzeno.polaron import renormalize, rot_coeffs
 from spinzeno.quadrature import integrate_triangle
 from spinzeno.survival import SurvivalMode, _auto_table
+
+
+def fgh(p, tau):
+    """Measurement-projection weights (f, g, h) at interval tau."""
+    half = 0.5 * p.omega_r * np.asarray(tau, dtype=float)
+    s2 = np.sin(half) ** 2
+    f = np.cos(half) ** 2 + (p.epsilon ** 2 - p.delta_r ** 2) / p.omega_r ** 2 * s2
+    g = -2.0 * p.epsilon * p.delta_r / p.omega_r ** 2 * s2
+    h = -(p.delta_r / p.omega_r) * np.sin(2.0 * half)
+    return f, g, h
 
 
 def full_expanded_integrand(pc, tau, kernel, table, legacy):

@@ -9,12 +9,28 @@ cross-check of spinzeno.survival.survival_prob.
 
 import numpy as np
 
+from spinzeno.errors import DomainError
 from spinzeno.polaron import SIGMA_X, SIGMA_Y, SIGMA_Z, renormalize
 from spinzeno.quadrature import _gl_nodes
 from spinzeno.survival import SurvivalMode
 
 UP = np.array([1.0, 0.0], dtype=complex)
 DOWN = np.array([0.0, 1.0], dtype=complex)
+
+
+def correlation(kernel, index_pair, t, table=None):
+    """Environment correlation C_11 or C_22 of `kernel` at time t.
+
+    C11 = (B^2/2)(e^phi + e^-phi - 2) and C22 = (B^2/2)(e^phi - e^-phi),
+    assembled from the scaled exponentials so the B -> 0 limit is exact.
+    """
+    if index_pair not in (11, 22):
+        raise DomainError("index_pair must be 11 or 22")
+    e_plus, e_minus = kernel.scaled_exponentials(t, table=table)
+    if index_pair == 11:
+        b2 = kernel.coherence_b() ** 2
+        return 0.5 * (e_plus + e_minus - 2.0 * b2)
+    return 0.5 * (e_plus - e_minus)
 
 
 class _FreeEvolution:
@@ -50,7 +66,7 @@ def reconstruct_survival(mode, sys, kernel, tau, order=96, table=None):
         table = kernel.tabulate(tau)
 
     def corr(idx, t):
-        return complex(kernel.correlation(idx, t, table=table))
+        return complex(correlation(kernel, idx, t, table=table))
 
     f_ops = {}
 

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from spinzeno import (DiscreteBath, ResultTable, SurvivalMode, emit_csv,
                       emit_json, parse_config, parse_json)
 from spinzeno.cli import main
+from spinzeno.config import header_lines
 from spinzeno.errors import ConfigError
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -137,7 +138,7 @@ class TestParseConfig:
 
     def test_echo_covers_every_parameter(self):
         """Mutating any numeric parameter must change the header echo."""
-        base = dict(parse_config(MINIMAL).echo)
+        base = dict(header_lines(parse_config(MINIMAL)))
         mutations = [
             ("epsilon = 1.0", "epsilon = 1.5"),
             ("delta = 0.2", "delta = 0.3"),
@@ -147,7 +148,8 @@ class TestParseConfig:
             ("tau_max = 3.0", "tau_max = 4.0"),
         ]
         for old, new in mutations:
-            mutated = dict(parse_config(MINIMAL.replace(old, new)).echo)
+            cfg = parse_config(MINIMAL.replace(old, new))
+            mutated = dict(header_lines(cfg))
             assert mutated != base, f"echo missed mutation {new!r}"
 
 
@@ -279,6 +281,32 @@ modes = small_delta
         result = self.run("curve", "--config", str(cfg), "--tol", tol)
         assert result.exit_code == 2
         assert "--tol" in result.stderr
+
+    def test_tol_option_is_echoed_in_header(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL + "tau = 1.0\n")
+        result = self.run("compute", "--config", str(cfg), "--tol", "1e-6")
+        assert result.exit_code == 0
+        assert "# run.tol = 1e-06\n" in result.output
+        assert "1e-08" not in result.output
+
+    def test_missing_out_directory_exit_code(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL + "tau_points = 2\n")
+        out = tmp_path / "missing" / "r.csv"
+        result = self.run("curve", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 2
+        assert result.stderr.count("\n") == 1
+        assert "--out" in result.stderr
+
+    def test_non_utf8_config_exit_code(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_bytes(MINIMAL.replace("g = 1.0", "g = 1.0 ; \xb5").encode(
+            "latin-1") + b"tau = 1.0\n")
+        result = self.run("compute", "--config", str(cfg))
+        assert result.exit_code == 2
+        assert result.stderr.count("\n") == 1
+        assert "cannot read config" in result.stderr
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "c.ini"

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference.integrands import fgh
 from spinzeno import (BathKernel, PolaronParams, SpectralDensity,
-                      SystemParams, fgh, renormalize, rot_coeffs, u_s_matrix)
+                      SystemParams, renormalize, rot_coeffs, u_s_matrix)
 from spinzeno.errors import DegenerateSystemError, DomainError
 from spinzeno.polaron import SIGMA_X, SIGMA_Y, SIGMA_Z
 

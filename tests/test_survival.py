@@ -12,10 +12,8 @@ from hypothesis import given, settings, strategies as st
 from reference.integrands import expanded_survival
 from reference.reconstruct import reconstruct_survival
 from spinzeno import (BathKernel, DiscreteBath, SpectralDensity, SurvivalMode,
-                      SystemParams, decay_rate, survival_after_N,
-                      survival_prob)
+                      SystemParams, survival_prob)
 from spinzeno import survival as survival_module
-from spinzeno.errors import OutOfRegimeError
 
 J3 = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
 KERNEL = BathKernel(J3, None)
@@ -225,22 +223,6 @@ class TestQuadratureSchedule:
 
 
 class TestDerivedQuantities:
-    def test_decay_rate_raises_out_of_regime(self):
-        # large tau drives the second-order s negative for SYS_B
-        with pytest.raises(OutOfRegimeError):
-            decay_rate(SurvivalMode.SMALL_DELTA, SYS_B, KERNEL, 5.0)
-
-    def test_decay_rate_positive_tau_required(self):
-        with pytest.raises(ValueError):
-            decay_rate(SurvivalMode.FULL, SYS_A, KERNEL, 0.0)
-
-    def test_survival_after_n(self):
-        s1 = survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, 1.0).s
-        assert survival_after_N(SurvivalMode.FULL, SYS_A, KERNEL, 1.0, 5) \
-            == pytest.approx(s1 ** 5, rel=1e-12)
-        with pytest.raises(ValueError):
-            survival_after_N(SurvivalMode.FULL, SYS_A, KERNEL, 1.0, 0)
-
     def test_diagnostics_present(self):
         res = survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, 1.0)
         assert res.diagnostics["order"] >= 64
