@@ -13,7 +13,7 @@ from .oracle import (ExactEvolution, TruncatedBathSpec, build_lab_hamiltonian,
                      discretize_bath, initial_vector_lab)
 from .polaron import (PolaronParams, SystemParams, renormalize, rot_coeffs,
                       u_s_matrix)
-from .quadrature import integrate_semiinfinite, integrate_triangle
+from .quadrature import integrate_triangle
 from .regimes import (DecayCurve, RegimeLabel, RegimeReport, classify,
                       sample_curve)
 from .survival import (SurvivalMode, SurvivalResult, survival_prob,

@@ -23,22 +23,40 @@ At zero temperature the Ohmic-family kernel has a closed form
     psi(t)   = (G/2) ln(1 + w_c^2 t^2),  phi_I(t) = G arctan(w_c t)   (s = 1)
 
 for every s > 0.  1 - Re z is formed without cancellation as s -> 1.
-Discrete baths are finite sums.  Only a continuous bath at finite
-temperature needs half-line quadrature, and only it is tabulated as
-splines for reuse (BathKernel.needs_table).
+
+At finite temperature coth(beta w/2) = 1 + 2 sum_{n>=1} exp(-n beta w)
+turns each integral into a sum of zero-temperature closed forms: term n
+has the cutoff 1/a_n with a_n = 1/w_c + n beta, the weight c_n (1 for
+n = 0, 2 after) and the factor (w_c a_n)^(1-s),
+
+    psi(t) + i phi_I(t) = G Gamma(s-1) w_c^(1-s)
+                          sum_n c_n [a_n^(1-s) - (a_n + i t)^(1-s)]
+    phi_R(0)            = G Gamma(s-1) w_c^(1-s) sum_n c_n a_n^(1-s)   (s > 2)
+
+The terms n <= N are summed directly; the rest is an analytic
+Euler-Maclaurin tail (the integral over n plus end corrections up to
+B_12), and N is the smallest count whose remainder bound is below the
+kernel tolerance.  The sum carries the coth weight in phi_I too, as the
+half-line quadrature it replaced did, although the integral above has
+none; a strict xfail in tests/test_bath.py pins that known fault.  With
+the weight, phi_I diverges for s <= 1 (DivergentKernelError).
+Discrete baths are finite sums.  No path integrates over frequency.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .errors import DivergentKernelError, DomainError
-from .quadrature import _integrate_interval
+from .errors import DivergentKernelError, DomainError, QuadratureError
 
 ZERO_TEMPERATURE = None
-MAX_DEPTH = 48  # bisection depth of a half-line quadrature panel
+# B_2k / (2k)! for k = 1..6: the Euler-Maclaurin end corrections of the
+# finite-temperature sum.  The remainder after them is bounded by
+# |B_12| / 12! times the integral of the 12th derivative's magnitude.
+EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
+             1.0 / 47900160.0, -691.0 / 1307674368000.0)
+MAX_THERMAL_TERMS = 10000  # direct terms of the finite-temperature sum
 
 
 def coth(x):
@@ -49,6 +67,18 @@ def coth(x):
     out = np.where(small, 1.0 / np.where(small, x, 1.0) + x / 3.0,
                    1.0 / np.tanh(safe))
     return out
+
+
+def _one_minus_pow(scale, e, x):
+    """scale * (1 - (1 + ix)^e) as (real part, imaginary part).
+
+    With (1 + ix)^e = exp(a + ib), 1 - Re = 2 sin^2(b/2) - expm1(a) cos b
+    keeps full relative accuracy where a, b -> 0 (e -> 0 or x -> 0).
+    """
+    a = e * 0.5 * np.log1p(x * x)
+    b = e * np.arctan(x)
+    return (scale * (2.0 * np.sin(0.5 * b) ** 2 - np.expm1(a) * np.cos(b)),
+            -scale * np.exp(a) * np.sin(b))
 
 
 @dataclass(frozen=True)
@@ -112,7 +142,13 @@ class DiscreteBath:
 
 
 class KernelTable:
-    """Spline tables of psi(t) and phi_I(t) on [0, t_max] for fast reuse."""
+    """Spline tables of psi(t) and phi_I(t) on [0, t_max].
+
+    No CLI path builds one: every kernel is evaluated directly.  The class
+    stays because perfbench/tracer.py wraps its psi and phi_i lookups
+    (tests/test_benchmark_hooks.py resolves them); it goes together with
+    that hook.
+    """
 
     def __init__(self, psi_spline, phi_i_spline, t_max, phi_r0, b):
         self._psi = psi_spline
@@ -136,6 +172,8 @@ class BathKernel:
     """Evaluator for the correlation exponent of a given bath at beta.
 
     beta=None (ZERO_TEMPERATURE) means the T = 0 limit, where coth == 1.
+    tol bounds the Euler-Maclaurin remainder of the finite-temperature
+    sum of a continuous bath; the other paths are exact closed forms.
     """
 
     source: object
@@ -163,75 +201,12 @@ class BathKernel:
         limit = 1.0 if self.beta is ZERO_TEMPERATURE else 2.0
         return self.source.s <= limit
 
-    @property
-    def needs_table(self):
-        """True when lookups should go through a spline table.
-
-        Only a continuous bath at finite temperature is evaluated by
-        half-line quadrature; the T = 0 closed form and the discrete sums
-        are cheaper to evaluate directly than to interpolate.
-        """
-        return not isinstance(self.source, DiscreteBath) \
-            and self.beta is not ZERO_TEMPERATURE
-
     def _coth(self, omega):
         if self.beta is ZERO_TEMPERATURE:
             return np.ones_like(np.asarray(omega, dtype=float))
         return coth(0.5 * self.beta * np.asarray(omega, dtype=float))
 
-    # -- continuous-bath quadrature ---------------------------------------
-
-    def _envelope(self, omega):
-        """J(w)/w^2 * coth(beta w/2), the common integrand factor."""
-        J = self.source
-        with np.errstate(over="ignore"):
-            env = J.G * omega ** (J.s - 2.0) * J.omega_c ** (1.0 - J.s) \
-                * np.exp(-omega / J.omega_c)
-        return env * self._coth(omega)
-
-    def _cutoff(self):
-        J = self.source
-        return J.omega_c * (J.s * np.log(10.0) + abs(np.log(self.tol)))
-
-    def _halfline(self, weight, osc_freq):
-        """Integrate envelope * weight(omega) over [0, inf).
-
-        The bulk [split, W] runs in the plain variable with the
-        oscillation-aware panel cap.  The endpoint region [0, split] is
-        mapped through omega = split * v^3, which softens the algebraic
-        w^(s-2) behaviour for small Ohmicity.
-        """
-        J = self.source
-        split = J.omega_c / 8.0
-        w_top = self._cutoff()
-        tol = 0.5 * self.tol
-
-        def f(omega):
-            env = self._envelope(omega)
-            wgt = weight(omega)
-            if wgt.ndim > env.ndim:
-                env = env[:, None]
-            return env * wgt
-
-        top = _integrate_interval(f, split, w_top, tol, osc_freq,
-                                  MAX_DEPTH, 16)
-
-        power = 3
-
-        def f_sub(v):
-            omega = split * v ** power
-            jac = split * power * v ** (power - 1)
-            vals = f(omega)
-            if vals.ndim > 1:
-                jac = jac[:, None]
-            return vals * jac
-
-        low = _integrate_interval(f_sub, 0.0, 1.0, tol,
-                                  power * split * osc_freq,
-                                  MAX_DEPTH, 16)
-        return top + low
-
-    # -- zero-temperature closed form ---------------------------------------
+    # -- closed forms ---------------------------------------------------------
 
     def _zero_temperature_parts(self, ta):
         """Closed-form (psi, phi_I) at T = 0 for times ta >= 0."""
@@ -239,14 +214,104 @@ class BathKernel:
         x = J.omega_c * ta
         if J.s == 1.0:
             return 0.5 * J.G * np.log1p(x * x), J.G * np.arctan(x)
-        scale = J.G * math.gamma(J.s - 1.0)
-        # z = exp(a + ib); 1 - Re z = 2 sin^2(b/2) - expm1(a) cos b keeps
-        # full relative accuracy where a, b -> 0 (s -> 1 or t -> 0)
-        a = (1.0 - J.s) * 0.5 * np.log1p(x * x)
-        b = (1.0 - J.s) * np.arctan(x)
-        psi = scale * (2.0 * np.sin(0.5 * b) ** 2 - np.expm1(a) * np.cos(b))
-        phi_i = -scale * np.exp(a) * np.sin(b)
-        return psi, phi_i
+        return _one_minus_pow(J.G * math.gamma(J.s - 1.0), 1.0 - J.s, x)
+
+    def _thermal_terms(self):
+        """(a_n, c_n for n = 0..N, G Gamma(s-1) w_c^(1-s)) of the finite-T sum.
+
+        The weights are trapezoidal: c_0 = 1, c_n = 2, and c_N = 1 because
+        the tail starts at n = N with half of its term.  N is the smallest
+        count >= 1 whose Euler-Maclaurin remainder,
+        4 |B_12|/12! G Gamma(s+10) w_c^(1-s) beta^11 a_N^(-s-10), is at
+        most the kernel tolerance.
+        """
+        if "terms" not in self._cache:
+            J, beta = self.source, self.beta
+            a_min = 0.0
+            if J.G > 0.0:
+                p = len(EM_COEFFS)
+                log_bound = (math.log(4.0 * abs(EM_COEFFS[-1]) * J.G)
+                             + math.lgamma(J.s + 2 * p - 2)
+                             + (1.0 - J.s) * math.log(J.omega_c)
+                             + (2 * p - 1) * math.log(beta)
+                             - math.log(self.tol))
+                a_min = math.exp(log_bound / (J.s + 2 * p - 2))
+            n = max(1, math.ceil((a_min - 1.0 / J.omega_c) / beta))
+            if n > MAX_THERMAL_TERMS:
+                raise QuadratureError(
+                    f"kernel tolerance {self.tol:g} needs {n} thermal sum "
+                    f"terms, more than {MAX_THERMAL_TERMS}")
+            a = 1.0 / J.omega_c + beta * np.arange(n + 1)
+            c = np.full(n + 1, 2.0)
+            c[0] = c[-1] = 1.0
+            scale = J.G * math.gamma(J.s - 1.0) * J.omega_c ** (1.0 - J.s)
+            self._cache["terms"] = (a, c, scale)
+        return self._cache["terms"]
+
+    def _thermal_parts(self, ta):
+        """(psi, phi_I) at finite temperature for times ta >= 0."""
+        J, beta = self.source, self.beta
+        if J.s <= 1.0:
+            raise DivergentKernelError(
+                "divergent kernel: the coth-weighted phi_I integral does not "
+                f"converge at finite T for s <= 1 (s={J.s})")
+        a, c, scale = self._thermal_terms()
+        e = 1.0 - J.s
+        psi = phi_i = 0.0
+        for a_n, c_n in zip(a, c):
+            p, q = _one_minus_pow(c_n * scale * a_n ** e, e, ta / a_n)
+            psi = psi + p
+            phi_i = phi_i + q
+        big_a = float(a[-1])
+        x = ta / big_a
+        # integral over n >= N: k [(1 + ix)^(2-s) - 1] / (2-s), with
+        # k = (2 scale / beta) A^(2-s).  Below s = 1.5 it is written through
+        # W = 1 - (1 + ix)^(1-s), because scale ~ 1/(s-1) would amplify the
+        # rounding of the direct form; at s = 2 it is k log(1 + ix).
+        e2 = 2.0 - J.s
+        k = 2.0 * scale / beta * big_a ** e2
+        if J.s < 1.5:
+            w_r, w_i = _one_minus_pow(k / e2, e, x)
+            p, q = x * w_i - w_r, x * (k / e2) - w_i - x * w_r
+        elif e2 == 0.0:
+            p, q = k * 0.5 * np.log1p(x * x), k * np.arctan(x)
+        else:
+            p, q = _one_minus_pow(-k / e2, e2, x)
+        psi = psi + p
+        phi_i = phi_i + q
+        # end corrections with D^(m)(A) = A^(e-m) [1 - (1 + ix)^(e-m)]
+        z_inv = 1.0 / (1.0 + 1j * x)
+        z_pow = (1.0 + 1j * x) ** e * z_inv       # (1 + ix)^(e-m), m = 1
+        corr = 0.0
+        for m, coeff in self._end_corrections(e):
+            corr = corr + coeff * big_a ** (e - m) * (1.0 - z_pow)
+            z_pow = z_pow * z_inv * z_inv
+        return psi + scale * np.real(corr), phi_i + scale * np.imag(corr)
+
+    def _end_corrections(self, e):
+        """(m, -2 B_2k/(2k)! beta^m (e)_m) for m = 2k - 1, k = 1..6.
+
+        -B_2k/(2k)! F^(m)(N) is the k-th Euler-Maclaurin end correction of
+        sum_{n >= N} F(n) for F(n) = 2 D(a_n); d/dn = beta d/da, and
+        (e)_m = e (e - 1) ... (e - m + 1) comes from D(a) = a^e - (a+it)^e.
+        """
+        falling = e
+        for k, coeff in enumerate(EM_COEFFS):
+            m = 2 * k + 1
+            yield m, -2.0 * coeff * self.beta ** m * falling
+            falling *= (e - m) * (e - m - 1)
+
+    def _thermal_phi_r0(self):
+        """phi_R(0) at finite temperature (s > 2) from the same sum."""
+        J = self.source
+        a, c, scale = self._thermal_terms()
+        e = 1.0 - J.s
+        big_a = float(a[-1])
+        total = float(c @ a ** e) \
+            + 2.0 * big_a ** (2.0 - J.s) / (self.beta * (J.s - 2.0))
+        for m, coeff in self._end_corrections(e):
+            total += coeff * big_a ** (e - m)
+        return scale * total
 
     # -- kernel pieces ------------------------------------------------------
 
@@ -264,7 +329,7 @@ class BathKernel:
             elif self.beta is ZERO_TEMPERATURE:
                 val = self.source.G * math.gamma(self.source.s - 1.0)
             else:
-                val = float(self._halfline(lambda w: np.ones_like(w), 0.0))
+                val = self._thermal_phi_r0()
             self._cache["phi_r0"] = val
         return self._cache["phi_r0"]
 
@@ -275,7 +340,11 @@ class BathKernel:
         return float(np.exp(-0.5 * self.phi_r0()))
 
     def phi_parts(self, t):
-        """(psi(t), phi_I(t)) with psi = phi_R(0) - phi_R(t); always finite."""
+        """(psi(t), phi_I(t)) with psi = phi_R(0) - phi_R(t).
+
+        Both are finite, except the coth-weighted finite-T phi_I of a
+        continuous bath with s <= 1, which raises DivergentKernelError.
+        """
         t = np.asarray(t, dtype=float)
         sign = np.sign(t)
         ta = np.abs(t)
@@ -289,18 +358,7 @@ class BathKernel:
         elif self.beta is ZERO_TEMPERATURE:
             psi, phi_i = self._zero_temperature_parts(ta)
         else:
-            flat = np.atleast_1d(ta).ravel()
-            osc = float(flat.max(initial=0.0))
-
-            def weight_pair(omega):
-                wt = omega[:, None] * flat[None, :]
-                return np.concatenate(
-                    [2.0 * np.sin(0.5 * wt) ** 2, np.sin(wt)], axis=1)
-
-            both = self._halfline(weight_pair, osc)
-            n = flat.size
-            psi = both[:n].reshape(ta.shape) if ta.ndim else both[0]
-            phi_i = both[n:].reshape(ta.shape) if ta.ndim else both[1]
+            psi, phi_i = self._thermal_parts(ta)
         return psi[()] if np.ndim(psi) == 0 else psi, \
             (sign * phi_i)[()] if np.ndim(phi_i) == 0 else sign * phi_i
 
@@ -312,18 +370,14 @@ class BathKernel:
 
     # -- stable correlation combinations ------------------------------------
 
-    def scaled_exponentials(self, t, table=None):
+    def scaled_exponentials(self, t):
         """(E+, E-) with E+- = B^2 exp(+-phi(t)) computed in log space.
 
         E+ = exp(-psi(t) - i phi_I(t)) stays finite for every bath; E-
         vanishes in the B = 0 limit.
         """
-        if table is not None:
-            psi, phi_i = table.psi(t), table.phi_i(t)
-            r0 = table.phi_r0
-        else:
-            psi, phi_i = self.phi_parts(t)
-            r0 = np.inf if self.divergent else self.phi_r0()
+        psi, phi_i = self.phi_parts(t)
+        r0 = np.inf if self.divergent else self.phi_r0()
         e_plus = np.exp(-psi - 1j * phi_i)
         with np.errstate(over="ignore", under="ignore"):
             e_minus = np.exp(psi - 2.0 * r0 + 1j * phi_i)
@@ -331,10 +385,16 @@ class BathKernel:
             e_minus = np.zeros_like(e_plus)
         return e_plus, e_minus
 
-    # -- tabulation -----------------------------------------------------------
+    # -- tabulation (kept for the benchmark tracer) ---------------------------
 
     def tabulate(self, t_max, points=None):
-        """Build (or fetch) spline tables of psi and phi_I on [0, t_max]."""
+        """Build (or fetch) spline tables of psi and phi_I on [0, t_max].
+
+        No CLI path calls this; it stays, with SciPy imported here only,
+        because perfbench/tracer.py wraps it (see KernelTable).
+        """
+        from scipy.interpolate import CubicSpline
+
         key = ("table", float(t_max), points)
         if key in self._cache:
             return self._cache[key]

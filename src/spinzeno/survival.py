@@ -64,17 +64,9 @@ def validity_value(sys, kernel):
     return (sys.delta / cutoff_scale(kernel.source)) ** 2 * (1.0 - b ** 4)
 
 
-def _auto_table(kernel, tau):
-    """Shared kernel table; bucketed t_max so nearby taus reuse one table."""
-    if not kernel.needs_table:
-        return None
-    bucket = 2.0 ** math.ceil(math.log2(max(tau, 1e-3)))
-    return kernel.tabulate(bucket)
-
-
-def _corr_combos(kernel, x, table):
+def _corr_combos(kernel, x):
     """(Ctil_1, Ctil_2) at time(s) x, where Ctil_mu = 2 C_mumu."""
-    e_plus, e_minus = kernel.scaled_exponentials(x, table=table)
+    e_plus, e_minus = kernel.scaled_exponentials(x)
     b2 = kernel.coherence_b() ** 2
     return e_plus + e_minus - 2.0 * b2, e_plus - e_minus
 
@@ -83,7 +75,7 @@ def _corr_combos(kernel, x, table):
 # integrands
 # ---------------------------------------------------------------------------
 
-def _full_deficit_integrand(pc, tau, kernel, table):
+def _full_deficit_integrand(pc, tau, kernel):
     """Integrand of the second-order deficit for the non-removed variants.
 
     Carries everything except the global delta^2/4 prefactor.
@@ -94,7 +86,7 @@ def _full_deficit_integrand(pc, tau, kernel, table):
     uz = -1j * sh * pc.nx                  # <u|sigma_z|up> = <u|up>
 
     def f(t, tp):
-        ct1, ct2 = _corr_combos(kernel, tp, table)
+        ct1, ct2 = _corr_combos(kernel, tp)
         k_t = rot_coeffs(pc, t[:, :1])      # t alone: once per outer node
         k_s = rot_coeffs(pc, t - tp)
         total = 0.0
@@ -116,22 +108,22 @@ def _full_deficit_integrand(pc, tau, kernel, table):
     return f
 
 
-def _removed_deficit_integrand(pc, tau, kernel, table):
+def _removed_deficit_integrand(pc, tau, kernel):
     """Integrand of the deficit for the removed-evolution variants."""
 
     def m_pair(t):
         a_x, a_y, _, b_x, b_y, _ = rot_coeffs(pc, t)
         return a_x + 1j * a_y, b_x + 1j * b_y
 
-    ct1_0, ct2_0 = _corr_combos(kernel, 0.0, table)
+    ct1_0, ct2_0 = _corr_combos(kernel, 0.0)
 
     def f(t, tp):
         t_col = t[:, :1]                    # t alone: once per outer node
         m1_t, m2_t = m_pair(t_col)
         m1_s, m2_s = m_pair(t - tp)
-        ct1_a, ct2_a = _corr_combos(kernel, tp, table)
-        ct1_b, ct2_b = _corr_combos(kernel, t - tp - tau, table)
-        ct1_c, ct2_c = _corr_combos(kernel, tau - t_col, table)
+        ct1_a, ct2_a = _corr_combos(kernel, tp)
+        ct1_b, ct2_b = _corr_combos(kernel, t - tp - tau)
+        ct1_c, ct2_c = _corr_combos(kernel, tau - t_col)
         bracket1 = np.conj(ct1_a) + ct1_0 - ct1_b - ct1_c
         bracket2 = np.conj(ct2_a) + ct2_0 - ct2_b - ct2_c
         return (np.real(m1_t * np.conj(m1_s) * bracket1)
@@ -144,7 +136,7 @@ def _removed_deficit_integrand(pc, tau, kernel, table):
 # public operations
 # ---------------------------------------------------------------------------
 
-def survival_prob(mode, sys, kernel, tau, *, tol=1e-8, table=None):
+def survival_prob(mode, sys, kernel, tau, *, tol=1e-8):
     """Survival probability s(tau) for one measurement interval."""
     mode = SurvivalMode(mode)
     validity = validity_value(sys, kernel)
@@ -155,17 +147,12 @@ def survival_prob(mode, sys, kernel, tau, *, tol=1e-8, table=None):
 
     p_full = renormalize(sys, kernel)
     pc = p_full.with_small_delta() if mode.small_delta else p_full
-    if table is None:
-        table = _auto_table(kernel, tau)
-    elif table.t_max < tau:
-        raise ValueError(f"kernel table covers t <= {table.t_max:g}, "
-                         f"shorter than tau = {tau:g}")
 
     if mode.removed:
-        f = _removed_deficit_integrand(pc, tau, kernel, table)
+        f = _removed_deficit_integrand(pc, tau, kernel)
         zeroth = 0.0
     else:
-        f = _full_deficit_integrand(pc, tau, kernel, table)
+        f = _full_deficit_integrand(pc, tau, kernel)
         # The oscillation term is itself O(delta_r^2), so the small-delta
         # reduction keeps its amplitude and only sends omega_r -> |epsilon|.
         amp_x = p_full.delta_r / pc.omega_r if mode.small_delta else pc.nx

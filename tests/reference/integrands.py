@@ -12,7 +12,7 @@ import numpy as np
 
 from spinzeno.polaron import renormalize, rot_coeffs
 from spinzeno.quadrature import integrate_triangle
-from spinzeno.survival import SurvivalMode, _auto_table
+from spinzeno.survival import SurvivalMode
 
 
 def fgh(p, tau):
@@ -25,7 +25,7 @@ def fgh(p, tau):
     return f, g, h
 
 
-def full_expanded_integrand(pc, tau, kernel, table, legacy):
+def full_expanded_integrand(pc, tau, kernel, legacy):
     """Trig-expanded closed-form integrand of the non-removed variants.
 
     legacy=True keeps the b_y(t) b_y(t-t') product of the older
@@ -37,7 +37,7 @@ def full_expanded_integrand(pc, tau, kernel, table, legacy):
     b2 = kernel.coherence_b() ** 2
 
     def f(t, tp):
-        e_plus, e_minus = kernel.scaled_exponentials(tp, table=table)
+        e_plus, e_minus = kernel.scaled_exponentials(tp)
         ep_cos, ep_sin = np.real(e_plus), -np.imag(e_plus)
         em_cos, em_sin = np.real(e_minus), np.imag(e_minus)
         ax, ay, az, bx, by, bz = rot_coeffs(pc, t)
@@ -66,7 +66,7 @@ def full_expanded_integrand(pc, tau, kernel, table, legacy):
     return f
 
 
-def removed_legacy_integrand(pc, tau, kernel, table):
+def removed_legacy_integrand(pc, tau, kernel):
     """Older hand-expanded integrand of the removed variants.
 
     Kept verbatim; its conjugation/sign structure disagrees with the
@@ -77,16 +77,16 @@ def removed_legacy_integrand(pc, tau, kernel, table):
         a_x, a_y, _, b_x, b_y, _ = rot_coeffs(pc, t)
         return a_x + 1j * a_y, b_x + 1j * b_y
 
-    ep0, em0 = kernel.scaled_exponentials(0.0, table=table)
+    ep0, em0 = kernel.scaled_exponentials(0.0)
 
     def f(t, tp):
         m1_t, m2_t = m_pair(t)
         m1_s, m2_s = m_pair(t - tp)
         p_plus = m1_t * np.conj(m1_s) + m2_t * np.conj(m2_s)
         p_minus = m1_t * np.conj(m1_s) - m2_t * np.conj(m2_s)
-        ep_a, em_a = kernel.scaled_exponentials(tp, table=table)
-        ep_b, em_b = kernel.scaled_exponentials(t - tau, table=table)
-        ep_c, em_c = kernel.scaled_exponentials(t - tp - tau, table=table)
+        ep_a, em_a = kernel.scaled_exponentials(tp)
+        ep_b, em_b = kernel.scaled_exponentials(t - tau)
+        ep_c, em_c = kernel.scaled_exponentials(t - tp - tau)
         val = (ep_a - ep_b + ep0) * p_plus \
             + (em_a - em_b + em0) * p_minus \
             + ep_c * np.conj(p_plus) \
@@ -105,14 +105,13 @@ def expanded_survival(mode, sys, kernel, tau, *, legacy=False, tol=1e-8):
     mode = SurvivalMode(mode)
     p_full = renormalize(sys, kernel)
     pc = p_full.with_small_delta() if mode.small_delta else p_full
-    table = _auto_table(kernel, tau)
     if mode.removed:
         if not legacy:
             raise ValueError("removed modes have only the legacy audit form")
-        f = removed_legacy_integrand(pc, tau, kernel, table)
+        f = removed_legacy_integrand(pc, tau, kernel)
         zeroth = 0.0
     else:
-        f = full_expanded_integrand(pc, tau, kernel, table, legacy)
+        f = full_expanded_integrand(pc, tau, kernel, legacy)
         amp_x = p_full.delta_r / pc.omega_r if mode.small_delta else pc.nx
         zeroth = (amp_x * np.sin(0.5 * pc.omega_r * tau)) ** 2
     integral, _, _ = integrate_triangle(f, tau, tol=tol)

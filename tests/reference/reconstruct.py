@@ -18,7 +18,7 @@ UP = np.array([1.0, 0.0], dtype=complex)
 DOWN = np.array([0.0, 1.0], dtype=complex)
 
 
-def correlation(kernel, index_pair, t, table=None):
+def correlation(kernel, index_pair, t):
     """Environment correlation C_11 or C_22 of `kernel` at time t.
 
     C11 = (B^2/2)(e^phi + e^-phi - 2) and C22 = (B^2/2)(e^phi - e^-phi),
@@ -26,7 +26,7 @@ def correlation(kernel, index_pair, t, table=None):
     """
     if index_pair not in (11, 22):
         raise DomainError("index_pair must be 11 or 22")
-    e_plus, e_minus = kernel.scaled_exponentials(t, table=table)
+    e_plus, e_minus = kernel.scaled_exponentials(t)
     if index_pair == 11:
         b2 = kernel.coherence_b() ** 2
         return 0.5 * (e_plus + e_minus - 2.0 * b2)
@@ -49,7 +49,7 @@ class _FreeEvolution:
         return u.conj().T @ op @ u
 
 
-def reconstruct_survival(mode, sys, kernel, tau, order=96, table=None):
+def reconstruct_survival(mode, sys, kernel, tau, order=96):
     """Survival probability by direct operator assembly (reference path)."""
     mode = SurvivalMode(mode)
     p_full = renormalize(sys, kernel)
@@ -62,11 +62,8 @@ def reconstruct_survival(mode, sys, kernel, tau, order=96, table=None):
     t1 = 0.5 * tau * (x + 1.0)
     w1 = 0.5 * tau * w
 
-    if table is None and kernel.needs_table:
-        table = kernel.tabulate(tau)
-
     def corr(idx, t):
-        return complex(correlation(kernel, idx, t, table=table))
+        return complex(correlation(kernel, idx, t))
 
     f_ops = {}
 

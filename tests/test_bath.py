@@ -10,7 +10,8 @@ from scipy.special import gamma as gamma_fn
 
 from reference.reconstruct import correlation
 from spinzeno import BathKernel, DiscreteBath, SpectralDensity
-from spinzeno.errors import DivergentKernelError, DomainError
+from spinzeno.errors import (DivergentKernelError, DomainError,
+                             QuadratureError)
 
 SUPER_OHMIC = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
 _SHARED_KERNEL = BathKernel(SUPER_OHMIC, None)
@@ -23,34 +24,75 @@ def phi_closed_form(J, t):
         * (1.0 / J.omega_c + 1j * t) ** (1.0 - J.s)
 
 
-def reference_parts(J, t):
-    """(psi, phi_I) at T = 0 for t > 0 by QUADPACK, independent of bath.py.
+def _w_coth(w, beta):
+    """w coth(beta w / 2), smooth through its limit 2 / beta at w = 0."""
+    x = 0.5 * beta * w
+    safe = np.where(x < 1e-8, 1.0, x)
+    return 2.0 / beta * np.where(x < 1e-8, 1.0 + x * x / 3.0,
+                                 safe / np.tanh(safe))
+
+
+def _reference_weights(J, beta):
+    """(damp, shift): the bath's smooth factor and the power-law shift.
+
+    J(w)/w^2 coth(beta w/2) = damp(w) w^(s-2+shift); at finite T the
+    smooth w coth(beta w/2) moves into damp and the power drops by one.
+    """
+    c = J.G * J.omega_c ** (1.0 - J.s)
+    if beta is None:
+        return (lambda w: c * np.exp(-w / J.omega_c)), 0.0
+    return (lambda w: c * np.exp(-w / J.omega_c) * _w_coth(w, beta)), -1.0
+
+
+def reference_parts(J, t, beta=None):
+    """(psi, phi_I) for t >= 0 by QUADPACK, independent of bath.py.
 
     Below w = omega_c the algebraic weight w^alpha carries the endpoint
     behaviour (QAWS); above it the Fourier weight handles the oscillation
-    (QAWF).
+    (QAWF).  At finite T both integrands carry coth(beta w/2), phi_I
+    included, as bath.py does (see the strict xfail below).
     """
-    c = J.G * J.omega_c ** (1.0 - J.s)
-
-    def damp(w):
-        return c * np.exp(-w / J.omega_c)
+    if t == 0.0:
+        return 0.0, 0.0
+    damp, shift = _reference_weights(J, beta)
 
     def env(w):
-        return damp(w) * w ** (J.s - 2.0)
+        return damp(w) * w ** (J.s - 2.0 + shift)
 
     split = J.omega_c
     low = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
     # (1 - cos wt)/w^2 and sin(wt)/w written with sinc stay smooth at w = 0
     psi_low = quad(lambda w: damp(w) * 0.5 * t * t
                    * np.sinc(w * t / (2.0 * np.pi)) ** 2,
-                   0.0, split, weight="alg", wvar=(J.s, 0.0), **low)[0]
+                   0.0, split, weight="alg", wvar=(J.s + shift, 0.0), **low)[0]
     phi_low = quad(lambda w: damp(w) * t * np.sinc(w * t / np.pi),
-                   0.0, split, weight="alg", wvar=(J.s - 1.0, 0.0), **low)[0]
+                   0.0, split, weight="alg", wvar=(J.s - 1.0 + shift, 0.0),
+                   **low)[0]
+    if t * J.omega_c < 1.0:
+        # under one oscillation per cutoff: QAWF loses the small difference
+        # 1 - cos wt, while the plain rule sees a smooth integrand
+        plain = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
+        psi_high = quad(lambda w: env(w) * 2.0 * np.sin(0.5 * w * t) ** 2,
+                        split, np.inf, **plain)[0]
+        phi_high = quad(lambda w: env(w) * np.sin(w * t), split, np.inf,
+                        **plain)[0]
+        return psi_low + psi_high, phi_low + phi_high
     high = dict(epsabs=1e-12, limlst=200)
     psi_high = quad(env, split, np.inf, epsabs=1e-13, epsrel=1e-13)[0] \
         - quad(env, split, np.inf, weight="cos", wvar=t, **high)[0]
     phi_high = quad(env, split, np.inf, weight="sin", wvar=t, **high)[0]
     return psi_low + psi_high, phi_low + phi_high
+
+
+def reference_phi_r0(J, beta):
+    """phi_R(0) at finite T (s > 2) by QUADPACK, like reference_parts."""
+    damp, shift = _reference_weights(J, beta)
+    split = J.omega_c
+    low = quad(damp, 0.0, split, weight="alg", wvar=(J.s - 2.0 + shift, 0.0),
+               epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+    high = quad(lambda w: damp(w) * w ** (J.s - 2.0 + shift), split, np.inf,
+                epsabs=1e-13, epsrel=1e-13)[0]
+    return low + high
 
 
 class TestSpectralDensity:
@@ -135,6 +177,52 @@ class TestClosedFormKernel:
         assert phi_i == pytest.approx(phi_i_ref, abs=1e-8)
 
 
+class TestFiniteTemperatureSum:
+    """The finite-T sum against QUADPACK with the coth weight in phi_I."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.one_of(st.floats(1.0, 4.0, exclude_min=True), st.just(2.0),
+                       st.floats(2.0 - 1e-6, 2.0 + 1e-6)),
+           omega_c=st.floats(1.0, 10.0), beta=st.floats(0.2, 5.0),
+           G=st.floats(0.1, 2.0), t=st.floats(0.0, 8.0))
+    @example(s=2.0, omega_c=10.0, beta=0.2, G=2.0, t=8.0)
+    @example(s=2.0 + 1e-9, omega_c=1.0, beta=5.0, G=1.0, t=0.5)
+    @example(s=1.0 + 1e-6, omega_c=5.0, beta=1.0, G=1.0, t=6.0)
+    @example(s=4.0, omega_c=1.0, beta=5.0, G=0.95, t=0.0)
+    def test_matches_quadrature(self, s, omega_c, beta, G, t):
+        # 1e-8 absolute; phi_I ~ 1/(s-1) and phi_R(0) ~ 1/(s-2) near their
+        # divergences outgrow what doubles hold to 1e-8, hence rel=1e-12
+        J = SpectralDensity(G=G, s=s, omega_c=omega_c)
+        kern = BathKernel(J, beta)
+        psi, phi_i = kern.phi_parts(t)
+        psi_ref, phi_i_ref = reference_parts(J, t, beta)
+        assert psi == pytest.approx(psi_ref, abs=1e-8, rel=1e-12)
+        assert phi_i == pytest.approx(phi_i_ref, abs=1e-8, rel=1e-12)
+        if s > 2.0:
+            assert kern.phi_r0() == pytest.approx(reference_phi_r0(J, beta),
+                                                  abs=1e-8, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.7, 1.0])
+    def test_phi_i_diverges_for_s_at_most_one(self, s):
+        kern = BathKernel(SpectralDensity(G=0.5, s=s, omega_c=3.0), beta=2.0)
+        with pytest.raises(DivergentKernelError, match="phi_I"):
+            kern.phi_parts(0.5)
+
+    def test_looser_tolerance_sums_fewer_terms(self):
+        J = SpectralDensity(G=0.95, s=3.0, omega_c=10.0)
+        loose, tight = (BathKernel(J, beta=2.0, tol=tol)
+                        for tol in (1e-4, 1e-14))
+        assert loose._thermal_terms()[0].size < tight._thermal_terms()[0].size
+        assert loose.phi_parts(1.5)[0] == pytest.approx(
+            tight.phi_parts(1.5)[0], abs=1e-4)
+
+    def test_unreachable_tolerance_is_a_quadrature_error(self):
+        kern = BathKernel(SpectralDensity(G=1.0, s=1.5, omega_c=10.0),
+                          beta=2.0, tol=1e-300)
+        with pytest.raises(QuadratureError, match="thermal sum terms"):
+            kern.phi_parts(1.0)
+
+
 class TestDivergenceDetection:
     @pytest.mark.parametrize("s", [0.5, 1.0])
     def test_b_is_zero_at_zero_temperature(self, s):
@@ -191,26 +279,16 @@ class TestScaledExponentials:
     @given(t=st.floats(0.01, 5.0))
     def test_conjugation_symmetry(self, t):
         kern = _SHARED_KERNEL
-        table = kern.tabulate(5.0)
         for idx in (11, 22):
-            left = correlation(kern, idx, -t, table=table)
-            right = np.conj(correlation(kern, idx, t, table=table))
+            left = correlation(kern, idx, -t)
+            right = np.conj(correlation(kern, idx, t))
             assert left == pytest.approx(right, abs=1e-12)
 
 
 class TestKernelTable:
-    @pytest.mark.parametrize("source, beta, expected", [
-        (SUPER_OHMIC, None, False),
-        (SUPER_OHMIC, 2.0, True),
-        (DiscreteBath(((1.0, 0.2), (3.0, 0.3))), None, False),
-        (DiscreteBath(((1.0, 0.2), (3.0, 0.3))), 2.0, False),
-    ])
-    def test_only_finite_temperature_continuum_needs_table(
-            self, source, beta, expected):
-        assert BathKernel(source, beta).needs_table is expected
-
-    def test_table_accuracy(self):
-        kern = BathKernel(SUPER_OHMIC, None)
+    @pytest.mark.parametrize("beta", [None, 2.0])
+    def test_table_accuracy(self, beta):
+        kern = BathKernel(SUPER_OHMIC, beta)
         table = kern.tabulate(4.0)
         t = np.linspace(0.0, 4.0, 37)
         psi_ref, phi_i_ref = kern.phi_parts(t)

@@ -1,8 +1,12 @@
 """Config parsing, serialization and CLI behaviour tests."""
 
+import csv
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -208,6 +212,30 @@ class TestEmit:
         assert doc["rows"][0][3] == "nan"
 
 
+OUT_OF_REGIME_CURVE = """
+[system]
+epsilon = 0.25
+delta = 0.2
+
+[bath]
+g = 1.0
+s = 3.0
+omega_c = 10.0
+
+[run]
+modes = small_delta
+tau_min = 5.0
+tau_max = 8.0
+tau_points = 4
+"""
+
+
+def _data_rows(text):
+    """The CSV data rows of a CLI table as dicts (header comments dropped)."""
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
 class TestCli:
     def run(self, *argv):
         return CliRunner(mix_stderr=False).invoke(main, argv) \
@@ -243,6 +271,74 @@ modes = small_delta
 """)
         result = self.run("compute", "--config", str(cfg))
         assert result.exit_code == 3
+
+    def test_sweep_keeps_cells_beside_a_failed_cell(self, tmp_path):
+        # every tau of the delta = 1.0 cell leaves the small-delta regime;
+        # the delta = 0.2 cell's rows are still written and the run succeeds
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(OUT_OF_REGIME_CURVE + "sweep = delta: 0.2 1.0\n")
+        result = self.run("sweep", "--config", str(cfg))
+        assert result.exit_code == 0, result.stderr
+        rows = _data_rows(result.stdout)
+        good = [r for r in rows if r["sweep"] == "0.2"]
+        gaps = [r for r in rows if r["sweep"] == "1"]
+        assert len(good) == len(gaps) == 4
+        assert all(math.isfinite(float(r["gamma"])) and not r["error"]
+                   for r in good)
+        assert all(r["gamma"] == "nan" and "out of regime" in r["error"]
+                   for r in gaps)
+
+    def test_curve_whose_every_point_fails_exits_nonzero(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(OUT_OF_REGIME_CURVE.replace("delta = 0.2",
+                                                   "delta = 1.0"))
+        result = self.run("curve", "--config", str(cfg))
+        assert result.exit_code == 3
+        rows = _data_rows(result.stdout)
+        assert len(rows) == 4 and all(r["error"] for r in rows)
+
+    @pytest.mark.parametrize("s, code", [(0.7, 3), (1.0, 3), (1.2, 0)])
+    def test_finite_temperature_low_ohmicity_exit_code(self, tmp_path, s,
+                                                       code):
+        # the coth-weighted phi_I diverges for s <= 1: every point is a
+        # flagged gap naming it; s = 1.2 converges
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[system]\nepsilon = 1.0\ndelta = 0.2\nbeta = 2.0\n"
+                       f"[bath]\ng = 0.5\ns = {s}\nomega_c = 3.0\n"
+                       "[run]\ntau_min = 0.1\ntau_max = 1.0\ntau_points = 3\n")
+        result = self.run("curve", "--config", str(cfg))
+        assert result.exit_code == code, result.stderr
+        rows = _data_rows(result.stdout)
+        assert len(rows) == 3
+        if code:
+            assert all("phi_I" in r["error"] for r in rows)
+        else:
+            assert all(0.0 < float(r["s"]) < 1.0 and not r["error"]
+                       for r in rows)
+
+    def test_finite_temperature_compute_loads_no_scipy(self, tmp_path):
+        # a fresh interpreter: importing the CLI and solving at finite T
+        # must not pull in SciPy, whose import dominates start-up time
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL.replace("delta = 0.2",
+                                       "delta = 0.2\nbeta = 2.0")
+                       + "tau = 0.7\n")
+        script = ("import sys\n"
+                  "from click.testing import CliRunner\n"
+                  "from spinzeno.cli import main\n"
+                  "res = CliRunner().invoke(main, ['compute', '--config', "
+                  "sys.argv[1]])\n"
+                  "assert res.exit_code == 0, res.output\n"
+                  "print(sorted(m for m in sys.modules "
+                  "if m.split('.')[0] == 'scipy'))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", script, str(cfg)],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("entry", ["tau_points = 4.9", "n_max = nan",
                                        "n_max = inf"])

@@ -1,53 +1,11 @@
-"""Quadrature engine tests against closed forms and scipy."""
+"""Triangle quadrature tests against closed forms."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 
 from spinzeno.errors import QuadratureError
-from spinzeno.quadrature import integrate_semiinfinite, integrate_triangle
-
-
-class TestSemiInfinite:
-    def test_plain_exponential(self):
-        val = integrate_semiinfinite(lambda w: np.exp(-w))
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_gamma_moment(self):
-        # integral of w^3 e^-w = Gamma(4) = 6
-        val = integrate_semiinfinite(lambda w: w ** 3 * np.exp(-w))
-        assert val == pytest.approx(6.0, abs=1e-10)
-
-    def test_oscillatory_against_closed_form(self):
-        # integral of w e^{-w/10} cos(w) = Re[(0.1 - i)^-2]
-        target = np.real((0.1 - 1j) ** -2.0)
-        val = integrate_semiinfinite(
-            lambda w: w * np.exp(-w / 10.0) * np.cos(w), osc_freq=1.0,
-            cutoff=400.0)
-        assert val == pytest.approx(target, abs=1e-10)
-
-    def test_against_scipy(self):
-        f = lambda w: np.exp(-0.3 * w) * np.cos(2.0 * w) / (1.0 + w)
-        ref, _ = quad(f, 0.0, np.inf, limit=400)
-        val = integrate_semiinfinite(f, osc_freq=2.0)
-        assert val == pytest.approx(ref, abs=1e-8)
-
-    def test_joint_integrands_trailing_axis(self):
-        def f(w):
-            return np.stack([np.exp(-w), w * np.exp(-w)], axis=-1)
-
-        val = integrate_semiinfinite(f)
-        assert np.allclose(val, [1.0, 1.0], atol=1e-10)
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            integrate_semiinfinite(lambda w: np.exp(-w), tol=0.0)
-
-    def test_nonconvergent_tail_raises(self):
-        with pytest.raises(QuadratureError):
-            integrate_semiinfinite(lambda w: 1.0 / (1.0 + w),
-                                   max_extensions=2)
+from spinzeno.quadrature import integrate_triangle
 
 
 class TestTriangle:

@@ -6,7 +6,6 @@ import pytest
 from spinzeno import (BathKernel, DecayCurve, RegimeLabel, SpectralDensity,
                       SurvivalMode, SystemParams, classify, sample_curve,
                       validity_value)
-from spinzeno.errors import SpinZenoError
 from spinzeno.regimes import tau_grid
 
 J3 = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
@@ -90,10 +89,11 @@ class TestSampleCurve:
         assert len(curve.errors) > 0
         assert not np.all(curve.finite_mask())
 
-    def test_all_failed_raises(self):
-        with pytest.raises(SpinZenoError):
-            sample_curve(SurvivalMode.SMALL_DELTA, SystemParams(0.25, 1.0),
-                         K3, 5.0, 8.0, 3)
+    def test_all_failed_is_a_curve_of_gaps(self):
+        curve = sample_curve(SurvivalMode.SMALL_DELTA,
+                             SystemParams(0.25, 1.0), K3, 5.0, 8.0, 3)
+        assert not np.any(curve.finite_mask())
+        assert [i for i, _ in curve.errors] == [0, 1, 2]
 
 
 class TestValidity:
