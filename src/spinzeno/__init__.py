@@ -7,15 +7,15 @@ from .bath import (BathKernel, DiscreteBath, KernelTable, SpectralDensity,
 from .config import RunConfig, apply_sweep, parse_config
 from .tables import ResultTable, emit_csv, emit_json, parse_json
 from .errors import (ConfigError, DegenerateSystemError, DimensionBudgetError,
-                     DivergentKernelError, DomainError, QuadratureError,
-                     SpinZenoError, TruncationError)
+                     DivergentKernelError, DomainError, OutOfRegimeError,
+                     QuadratureError, SpinZenoError, TruncationError)
 from .oracle import (ExactEvolution, TruncatedBathSpec, build_lab_hamiltonian,
                      discretize_bath, initial_vector_lab)
 from .polaron import (PolaronParams, SystemParams, renormalize, rot_coeffs,
                       u_s_matrix)
 from .quadrature import integrate_triangle
 from .regimes import (DecayCurve, RegimeLabel, RegimeReport, classify,
-                      sample_curve)
+                      sample_curve, tau_grid)
 from .survival import (SurvivalMode, SurvivalResult, survival_prob,
                        validity_value)
 

@@ -59,16 +59,6 @@ EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
 MAX_THERMAL_TERMS = 10000  # direct terms of the finite-temperature sum
 
 
-def coth(x):
-    """Stable coth for positive arguments (series below 1e-4)."""
-    x = np.asarray(x, dtype=float)
-    small = x < 1e-4
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 / np.where(small, x, 1.0) + x / 3.0,
-                   1.0 / np.tanh(safe))
-    return out
-
-
 def _one_minus_pow(scale, e, x):
     """scale * (1 - (1 + ix)^e) as (real part, imaginary part).
 
@@ -202,9 +192,11 @@ class BathKernel:
         return self.source.s <= limit
 
     def _coth(self, omega):
+        # tanh keeps full relative accuracy at small arguments
+        omega = np.asarray(omega, dtype=float)
         if self.beta is ZERO_TEMPERATURE:
-            return np.ones_like(np.asarray(omega, dtype=float))
-        return coth(0.5 * self.beta * np.asarray(omega, dtype=float))
+            return np.ones_like(omega)
+        return 1.0 / np.tanh(0.5 * self.beta * omega)
 
     # -- closed forms ---------------------------------------------------------
 

@@ -8,7 +8,10 @@ error, 3 out-of-regime / all-cells-failed, 4 quadrature failure.
 Every subcommand goes through one runner (`_run`): load the config, run
 the subcommand's body to get rows and extra header lines, write the
 table, and map errors to exit codes.  A body builds one BathKernel per
-(bath, beta) cell and shares it across modes and taus.
+(bath, beta) cell, shares it across modes and taus, and evaluates every
+point through `regimes.sample_curve`: a failed point is a gap row, and
+the run exits 3 or 4 only when every row is a gap (4 if any of them is a
+QuadratureError).
 """
 
 import dataclasses
@@ -27,7 +30,10 @@ from .config import (VALIDITY_WARN_THRESHOLD, apply_sweep, finite_positive,
 from .errors import ConfigError, QuadratureError, SpinZenoError
 from .oracle import ExactEvolution, TruncatedBathSpec
 from .regimes import classify, sample_curve, tau_grid
-from .survival import survival_prob, validity_value
+# survival_prob is unused here but stays importable from this module:
+# perfbench/tracer.py wraps spinzeno.cli.survival_prob, and
+# tests/test_benchmark_hooks.py checks that every such hook resolves.
+from .survival import survival_prob, validity_value  # noqa: F401
 from .tables import ResultTable, emit
 
 EXIT_CONFIG = 2
@@ -45,20 +51,28 @@ def _load(config_path, tol):
         if not finite_positive(tol):
             raise ConfigError(f"--tol: must be finite and > 0, got {tol!r}")
         cfg = dataclasses.replace(cfg, tol=tol)
-    for note in cfg.notes:
-        click.echo(note, err=True)
     return cfg
 
 
 def _kernel(cfg, system, source):
-    """The cell's shared kernel; warns when the validity metric is large."""
+    """The cell's shared kernel; notes B = 0 and warns when the validity
+    metric is large."""
     kernel = BathKernel(source, cfg.beta, tol=cfg.kernel_tol)
+    if kernel.divergent:
+        bath = "is Ohmic/sub-Ohmic" if cfg.beta is None \
+            else "has s <= 2 at finite temperature"
+        click.echo(f"note: bath {bath} (B = 0), so the full mode coincides "
+                   "with the small-delta mode", err=True)
     v = validity_value(system, kernel)
     if v >= VALIDITY_WARN_THRESHOLD:
         click.echo(f"warning: validity metric {v:.3g} >= "
                    f"{VALIDITY_WARN_THRESHOLD}; results may be out of the "
                    "method's regime", err=True)
-    return kernel, v
+    return kernel
+
+
+def _grid(cfg):
+    return tau_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points, cfg.spacing)
 
 
 def _regime_labels(curve):
@@ -79,52 +93,42 @@ def _regime_labels(curve):
 
 
 def _row(mode, tau, gamma, s, validity, sweep=None, regime="", error=""):
+    """One output row; a gap's `error` is its exception until `_run`."""
     return {"mode": mode, "sweep": sweep, "tau": tau, "gamma": gamma, "s": s,
             "validity": validity, "regime": regime, "error": error}
 
 
-def _compute(cfg, meta):
-    kernel, validity = _kernel(cfg, cfg.system, cfg.source)
-    rows = []
-    for mode in cfg.modes:
-        try:
-            res = survival_prob(mode, cfg.system, kernel, cfg.tau,
-                                tol=cfg.tol)
-            err = "" if math.isfinite(res.gamma) else "out_of_regime"
-            rows.append(_row(mode.value, cfg.tau, res.gamma, res.s, validity,
-                             error=err))
-        except QuadratureError as exc:
-            rows.append(_row(mode.value, cfg.tau, math.nan, math.nan,
-                             validity, error=f"quadrature: {exc}"))
-    return rows
+def _curve_rows(cv, sweep=None, labels=None):
+    errors = dict(cv.errors)
+    labels = labels or [""] * cv.tau_grid.size
+    return [_row(cv.mode.value, float(tau), float(cv.gamma[i]),
+                 float(cv.s_values[i]), cv.validity, sweep, labels[i],
+                 errors.get(i, ""))
+            for i, tau in enumerate(cv.tau_grid)]
 
 
-def _curves(cfg, meta, sweep=False, compare=False):
-    """Rows of curve, sweep (one cell per sweep value) and compare."""
+def _curves(cfg, meta, point=False, sweep=False, compare=False):
+    """Rows of compute (the one-point grid at `tau`), curve, sweep (one
+    cell per sweep value) and compare."""
     if sweep and cfg.sweep_key is None:
         raise ConfigError("[run] missing required key 'sweep'")
     if compare and len(cfg.modes) < 2:
         raise ConfigError("[run] modes: compare needs at least two modes")
+    taus = (cfg.tau,) if point else _grid(cfg)
     cells = ((value, *apply_sweep(cfg, value)) for value in cfg.sweep_values) \
         if sweep else [(None, cfg.system, cfg.source)]
     rows = []
     for value, system, source in cells:
-        kernel, _ = _kernel(cfg, system, source)
-        curves = [sample_curve(mode, system, kernel, cfg.tau_min,
-                               cfg.tau_max, cfg.tau_points,
-                               spacing=cfg.spacing, tol=cfg.tol)
+        kernel = _kernel(cfg, system, source)
+        curves = [sample_curve(mode, system, kernel, taus, tol=cfg.tol)
                   for mode in cfg.modes]
-        for mode, cv in zip(cfg.modes, curves):
-            labels = _regime_labels(cv)
-            errmap = dict(cv.errors)
-            rows.extend(_row(mode.value, float(tau), float(cv.gamma[i]),
-                             float(cv.s_values[i]), cv.validity, value,
-                             labels[i], errmap.get(i, ""))
-                        for i, tau in enumerate(cv.tau_grid))
+        for cv in curves:
+            rows.extend(_curve_rows(cv, value, _regime_labels(cv)))
     if compare:
         base = curves[0]
         for mode, cv in zip(cfg.modes[1:], curves[1:]):
-            both = base.finite_mask() & cv.finite_mask()
+            # a zero base rate has no relative gap
+            both = base.finite_mask() & cv.finite_mask() & (base.gamma != 0.0)
             if np.any(both):
                 rel = np.max(np.abs(cv.gamma[both] - base.gamma[both])
                              / np.abs(base.gamma[both]))
@@ -134,26 +138,26 @@ def _curves(cfg, meta, sweep=False, compare=False):
 
 
 def _oracle_check(cfg, meta):
+    """Perturbative rows, each followed by the exact row at its tau."""
     if not isinstance(cfg.source, DiscreteBath):
         raise ConfigError("[bath] oracle-check requires discrete 'modes'")
     if cfg.beta is not None:
         raise ConfigError("[system] oracle-check requires zero temperature")
-    kernel, validity = _kernel(cfg, cfg.system, cfg.source)
+    kernel = _kernel(cfg, cfg.system, cfg.source)
     evo = ExactEvolution(cfg.system, TruncatedBathSpec(cfg.source, cfg.n_max))
     rows = []
-    worst = 0.0
     for mode in cfg.modes:
-        for tau in tau_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points,
-                            cfg.spacing):
-            tau = float(tau)
-            res = survival_prob(mode, cfg.system, kernel, tau, tol=cfg.tol)
-            s_exact = evo.survival(tau, removed=mode.removed)
-            worst = max(worst, abs(res.s - s_exact))
-            rows.append(_row(mode.value, tau, res.gamma, res.s, validity))
-            rows.append(_row(f"{mode.value}:exact", tau, math.nan, s_exact,
-                             validity))
+        cv = sample_curve(mode, cfg.system, kernel, _grid(cfg), tol=cfg.tol)
+        for row in _curve_rows(cv):
+            s_exact = evo.survival(row["tau"], removed=mode.removed)
+            rows += [row, _row(f"{mode.value}:exact", row["tau"], math.nan,
+                               s_exact, cv.validity)]
     meta.append(("oracle.n_max", str(cfg.n_max)))
-    meta.append(("oracle.max_abs_error", format(worst, ".12g")))
+    # a point whose solve raised has no s
+    diffs = [abs(p["s"] - e["s"]) for p, e in zip(rows[::2], rows[1::2])
+             if math.isfinite(p["s"])]
+    if diffs:
+        meta.append(("oracle.max_abs_error", format(max(diffs), ".12g")))
     return rows
 
 
@@ -172,7 +176,9 @@ def _run(command, body, required, config_path, format_, out, tol):
         meta = [("spinzeno.version", __version__), ("command", command),
                 *header_lines(cfg)]
         rows = body(cfg, meta)
-        text = emit(ResultTable(tuple(meta), tuple(rows)), format_)
+        failed = [r["error"] for r in rows if r["error"]]
+        rows = tuple(dict(r, error=str(r["error"])) for r in rows)
+        text = emit(ResultTable(tuple(meta), rows), format_)
         if out:
             try:
                 with open(out, "w", encoding="utf-8") as fh:
@@ -191,11 +197,10 @@ def _run(command, body, required, config_path, format_, out, tol):
     except SpinZenoError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_OUT_OF_REGIME)
-    failed = [r for r in rows if r["error"]]
     if rows and len(failed) == len(rows):
-        if any("quadrature" in r["error"] for r in failed):
-            sys.exit(EXIT_QUADRATURE)
-        sys.exit(EXIT_OUT_OF_REGIME)
+        sys.exit(EXIT_QUADRATURE if any(isinstance(e, QuadratureError)
+                                        for e in failed)
+                 else EXIT_OUT_OF_REGIME)
     sys.exit(0)
 
 
@@ -221,7 +226,7 @@ def _command(name, body, required, doc):
 
 
 TAU_RANGE = ("tau_min", "tau_max")
-compute = _command("compute", _compute, ("tau",),
+compute = _command("compute", partial(_curves, point=True), ("tau",),
                    "Evaluate s and Gamma at a single tau for each "
                    "configured mode.")
 curve = _command("curve", _curves, TAU_RANGE,

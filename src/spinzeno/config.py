@@ -33,7 +33,7 @@ offending key and line number.
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .bath import DiscreteBath, SpectralDensity
 from .errors import ConfigError, DomainError
@@ -83,7 +83,6 @@ class RunConfig:
     tol: float = DEFAULTS["tol"]
     kernel_tol: float = DEFAULTS["kernel_tol"]
     n_max: int = DEFAULTS["n_max"]
-    notes: tuple = field(default_factory=tuple, compare=False)
 
 
 def _line_of(text, section, key):
@@ -178,7 +177,6 @@ def parse_config(text):
             _fail(text, "system", "beta", "must be positive (or inf)")
     system = SystemParams(epsilon, delta)
 
-    notes = []
     modes_raw = get("bath", "modes")
     if modes_raw is not None:
         pairs = []
@@ -197,9 +195,6 @@ def parse_config(text):
         s = get_num("bath", "s", DEFAULTS["s"])
         omega_c = get_num("bath", "omega_c", required=True)
         source = SpectralDensity(G=g, s=s, omega_c=omega_c)
-        if s <= 1.0:
-            notes.append("note: bath is Ohmic/sub-Ohmic (B = 0), so the full "
-                         "mode coincides with the small-delta mode")
 
     mode_names = get("run", "modes", "full")
     modes = []
@@ -250,8 +245,7 @@ def parse_config(text):
                      beta=beta, tau=tau, tau_min=tau_min, tau_max=tau_max,
                      tau_points=tau_points, spacing=spacing,
                      sweep_key=sweep_key, sweep_values=sweep_values,
-                     tol=tol, kernel_tol=kernel_tol, n_max=n_max,
-                     notes=tuple(notes))
+                     tol=tol, kernel_tol=kernel_tol, n_max=n_max)
 
 
 def header_lines(cfg):

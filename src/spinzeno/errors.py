@@ -26,6 +26,10 @@ class DegenerateSystemError(SpinZenoError):
     """epsilon = delta_r = 0 leaves the effective Rabi frequency undefined."""
 
 
+class OutOfRegimeError(SpinZenoError):
+    """The survival probability left (0, 1], so the point has no rate."""
+
+
 class TruncationError(SpinZenoError):
     """Fock-space truncation lost too much weight."""
 

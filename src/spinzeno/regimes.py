@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpinZenoError
+from .errors import OutOfRegimeError, SpinZenoError
 from .survival import SurvivalMode, survival_prob, validity_value
 
 SLOPE_NOISE_FLOOR = 1e-6  # relative to max |Gamma|
@@ -29,7 +29,7 @@ class DecayCurve:
     s_values: np.ndarray
     mode: SurvivalMode
     validity: float
-    errors: tuple = ()  # (index, message) pairs for gap points
+    errors: tuple = ()  # (index, exception) pairs for gap points
 
     def finite_mask(self):
         return np.isfinite(self.gamma)
@@ -53,32 +53,32 @@ def tau_grid(tau_min, tau_max, n_points, spacing="geometric"):
     raise ValueError(f"unknown grid spacing {spacing!r}")
 
 
-def sample_curve(mode, sys, kernel, tau_min, tau_max, n_points, *,
-                 spacing="geometric", tol=1e-8):
-    """Sample Gamma(tau) on a grid; failed points become gaps, not holes.
+def sample_curve(mode, sys, kernel, taus, *, tol=1e-8):
+    """Sample Gamma at each tau of `taus`; failed points become gaps.
 
     `kernel` is the BathKernel of one (bath, beta) pair; every mode sampled
     with the same kernel shares its caches.  A point whose survival call
-    raises, or whose s leaves (0, 1], is NaN in `gamma` with its message
-    in `errors`; a curve may consist of gaps only, and the caller decides
-    what that means (the CLI exits non-zero only when every row failed).
+    raises, or whose s leaves (0, 1] (OutOfRegimeError), is NaN in `gamma`
+    with its exception in `errors`; a curve may consist of gaps only, and
+    the caller decides what that means.
     """
     mode = SurvivalMode(mode)
-    grid = tau_grid(tau_min, tau_max, n_points, spacing)
-    gammas = np.full(n_points, np.nan)
-    svals = np.full(n_points, np.nan)
+    taus = np.asarray(taus, dtype=float)
+    gammas = np.full(taus.size, np.nan)
+    svals = np.full(taus.size, np.nan)
     errors = []
-    for i, tau in enumerate(grid):
+    for i, tau in enumerate(taus):
         try:
             res = survival_prob(mode, sys, kernel, tau, tol=tol)
         except SpinZenoError as exc:
-            errors.append((i, str(exc)))
+            errors.append((i, exc))
             continue
         svals[i] = res.s
         gammas[i] = res.gamma
         if not np.isfinite(res.gamma):
-            errors.append((i, f"survival {res.s:.6g} out of regime"))
-    return DecayCurve(grid, gammas, svals, mode, validity_value(sys, kernel),
+            errors.append((i, OutOfRegimeError(
+                f"survival {res.s:.6g} out of regime")))
+    return DecayCurve(taus, gammas, svals, mode, validity_value(sys, kernel),
                       tuple(errors))
 
 

@@ -15,7 +15,7 @@ from scipy.special import gamma as gamma_fn
 from spinzeno import (BathKernel, DiscreteBath, ExactEvolution,
                       SpectralDensity, SurvivalMode, SystemParams,
                       TruncatedBathSpec, classify, parse_json, sample_curve,
-                      survival_prob, u_s_matrix)
+                      survival_prob, tau_grid, u_s_matrix)
 from spinzeno.cli import main
 from spinzeno.polaron import (SIGMA_X, SIGMA_Y, SIGMA_Z, PolaronParams,
                               renormalize, rot_coeffs)
@@ -31,8 +31,8 @@ def _report(num, ok, text):
 
 def _curves(mode_a, mode_b, sys, source, tau_min, tau_max, n):
     kernel = BathKernel(source, None)
-    a = sample_curve(mode_a, sys, kernel, tau_min, tau_max, n)
-    b = sample_curve(mode_b, sys, kernel, tau_min, tau_max, n)
+    a = sample_curve(mode_a, sys, kernel, tau_grid(tau_min, tau_max, n))
+    b = sample_curve(mode_b, sys, kernel, tau_grid(tau_min, tau_max, n))
     return a, b
 
 
@@ -69,7 +69,7 @@ def test_criterion_03_coupling_ordering():
     def curve(g):
         J = SpectralDensity(G=g, s=3.0, omega_c=10.0)
         return sample_curve(SurvivalMode.FULL, sys, BathKernel(J, None),
-                            0.05, 1.5, 30)
+                            tau_grid(0.05, 1.5, 30))
 
     c05, c95 = curve(0.5), curve(0.95)
     c001, c005 = curve(0.01), curve(0.05)
@@ -87,7 +87,7 @@ def test_criterion_04_removed_ordering():
     def curve(g):
         J = SpectralDensity(G=g, s=3.0, omega_c=10.0)
         return sample_curve(SurvivalMode.REMOVED_FULL, sys,
-                            BathKernel(J, None), 0.05, 3.0, 30)
+                            BathKernel(J, None), tau_grid(0.05, 3.0, 30))
 
     c = {g: curve(g) for g in (0.01, 0.05, 0.5, 0.95)}
     low = bool(np.all(c[0.05].gamma >= c[0.01].gamma - 1e-12))
@@ -103,7 +103,7 @@ def test_criterion_05_ohmic_ordering():
     def curve(g):
         J = SpectralDensity(G=g, s=1.0, omega_c=10.0)
         return sample_curve(SurvivalMode.SMALL_DELTA, sys,
-                            BathKernel(J, None), 0.05, 3.0, 30)
+                            BathKernel(J, None), tau_grid(0.05, 3.0, 30))
 
     c15, c20 = curve(1.5), curve(2.0)
     ordered = bool(np.all(c20.gamma <= c15.gamma + 1e-12))

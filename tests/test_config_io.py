@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from spinzeno import (DiscreteBath, ResultTable, SurvivalMode, emit_csv,
-                      emit_json, parse_config, parse_json)
+                      emit_json, parse_config, parse_json, tau_grid)
 from spinzeno.cli import main
 from spinzeno.config import header_lines
 from spinzeno.errors import ConfigError
@@ -119,10 +119,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(bad)
         assert "sideways" in str(exc.value)
-
-    def test_sub_ohmic_note(self):
-        cfg = parse_config(MINIMAL.replace("g = 1.0", "g = 1.0\ns = 0.5"))
-        assert any("small-delta" in note for note in cfg.notes)
 
     def test_discrete_modes(self):
         text = MINIMAL.replace("g = 1.0\nomega_c = 10.0",
@@ -315,6 +311,124 @@ modes = small_delta
         else:
             assert all(0.0 < float(r["s"]) < 1.0 and not r["error"]
                        for r in rows)
+
+    @pytest.mark.parametrize("s, beta, noted", [
+        (0.5, "inf", True), (3.0, "inf", False), (1.5, "2.0", True),
+        (2.5, "2.0", False)])
+    def test_sub_ohmic_note(self, tmp_path, s, beta, noted):
+        # B = 0 wherever the kernel's phi_R(0) diverges: s <= 1 at T = 0,
+        # s <= 2 at finite T; the note goes to stderr once per sweep cell
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL.replace("delta = 0.2",
+                                       f"delta = 0.2\nbeta = {beta}")
+                       .replace("g = 1.0", f"g = 0.5\ns = {s}")
+                       .replace("10.0", "3.0")
+                       + "tau_points = 2\nmodes = full small_delta\n"
+                       "sweep = g: 0.5 0.6\n")
+        result = self.run("sweep", "--config", str(cfg))
+        assert result.exit_code == 0, result.stderr
+        assert result.stderr.count("note: ") == (2 if noted else 0)
+        assert result.stderr.count("small-delta mode") == (2 if noted else 0)
+
+    def test_point_failures_are_gap_rows_in_compute_and_oracle(self,
+                                                                tmp_path):
+        # epsilon = 0 leaves the small-delta reduction undefined; the full
+        # rows are still written and the run succeeds
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(_DISCRETE.replace("epsilon = 1.0", "epsilon = 0.0")
+                       .replace("tau_min = 0.05\ntau_max = 3.0\n", _SMALL_RUN)
+                       + "tau = 0.5\nn_max = 4\nmodes = full small_delta\n")
+        for command, n_rows in (("compute", 2), ("oracle-check", 12)):
+            result = self.run(command, "--config", str(cfg))
+            assert result.exit_code == 0, result.stderr
+            rows = _data_rows(result.stdout)
+            assert len(rows) == n_rows
+            full = [r for r in rows if r["mode"] == "full"]
+            gaps = [r for r in rows if r["mode"] == "small_delta"]
+            assert len(full) == len(gaps) == n_rows // 2 // (
+                1 if command == "compute" else 2)
+            assert all(math.isfinite(float(r["gamma"])) and not r["error"]
+                       for r in full)
+            assert all(r["gamma"] == r["s"] == "nan" and "epsilon" in
+                       r["error"] for r in gaps)
+        exact = {r["tau"]: float(r["s"]) for r in rows
+                 if r["mode"] == "full:exact"}
+        worst = max(abs(float(r["s"]) - exact[r["tau"]]) for r in full)
+        header = dict(ln[2:].split(" = ") for ln in result.stdout.splitlines()
+                      if ln.startswith("# "))
+        # taken over the full rows only; s is printed to 12 digits
+        assert float(header["oracle.max_abs_error"]) == pytest.approx(
+            worst, abs=1e-11)
+
+    def test_oracle_flags_out_of_regime_point(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(_DISCRETE.replace("epsilon = 1.0", "epsilon = 0.25")
+                       .replace("delta = 0.2", "delta = 1.0")
+                       .replace("tau_min = 0.05\ntau_max = 3.0\n",
+                                "tau_min = 2.0\ntau_max = 8.0\n")
+                       + "tau_points = 3\nn_max = 4\nmodes = small_delta\n")
+        result = self.run("oracle-check", "--config", str(cfg))
+        assert result.exit_code == 0, result.stderr
+        pert = [r for r in _data_rows(result.stdout)
+                if r["mode"] == "small_delta"]
+        assert [bool(r["error"]) for r in pert] == [False, True, True]
+        assert all(r["gamma"] == "nan" and float(r["s"]) < 0.0
+                   and "out of regime" in r["error"] for r in pert[1:])
+
+    @pytest.mark.parametrize("command", ["curve", "compute"])
+    def test_quadrature_failure_exit_code(self, tmp_path, command):
+        # the thermal sum cannot reach this kernel tolerance at any point;
+        # the exit code comes from the error's type, not its text
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[system]\nepsilon = 1.0\ndelta = 0.2\nbeta = 2.0\n"
+                       "[bath]\ng = 0.5\ns = 1.5\nomega_c = 3.0\n"
+                       "[run]\ntau = 0.5\n" + _SMALL_RUN
+                       + "kernel_tol = 1e-300\n")
+        result = self.run(command, "--config", str(cfg))
+        assert result.exit_code == 4, result.stderr
+        rows = _data_rows(result.stdout)
+        assert rows and all("thermal sum terms" in r["error"] for r in rows)
+
+    def test_compute_divergent_kernel_is_a_gap_row(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[system]\nepsilon = 1.0\ndelta = 0.2\nbeta = 2.0\n"
+                       "[bath]\ng = 0.5\ns = 0.7\nomega_c = 3.0\n"
+                       "[run]\ntau = 0.5\n")
+        result = self.run("compute", "--config", str(cfg))
+        assert result.exit_code == 3, result.stderr
+        rows = _data_rows(result.stdout)
+        assert len(rows) == 1
+        assert rows[0]["gamma"] == "nan" and "phi_I" in rows[0]["error"]
+
+    def test_compare_with_zero_base_rate(self, tmp_path):
+        # delta = 0: Gamma = 0 everywhere, so no relative gap is defined
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL.replace("delta = 0.2", "delta = 0.0")
+                       .replace("tau_min = 0.05\ntau_max = 3.0\n", _SMALL_RUN)
+                       + "modes = full small_delta\n")
+        result = self.run("compare", "--config", str(cfg))
+        assert result.exit_code == 0, result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert "nan" not in result.stderr
+        assert "compare.max_rel_gamma" not in result.stdout
+        assert "nan" not in "".join(ln for ln in result.stdout.splitlines()
+                                    if ln.startswith("#"))
+
+    def test_compute_matches_curve_at_each_tau(self, tmp_path):
+        text = (MINIMAL.replace("tau_min = 0.05\ntau_max = 3.0\n", _SMALL_RUN)
+                + "modes = full small_delta removed_full\n")
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        result = self.run("curve", "--config", str(cfg))
+        assert result.exit_code == 0, result.stderr
+        curve_rows = _data_rows(result.stdout)
+        assert any(r["regime"] for r in curve_rows)
+        for i, tau in enumerate(tau_grid(0.1, 1.0, 3)):
+            cfg.write_text(text + f"tau = {float(tau)!r}\n")
+            result = self.run("compute", "--config", str(cfg))
+            assert result.exit_code == 0, result.stderr
+            assert _data_rows(result.stdout) == [
+                dict(r, regime="") for r in curve_rows[i::3]]
 
     def test_finite_temperature_compute_loads_no_scipy(self, tmp_path):
         # a fresh interpreter: importing the CLI and solving at finite T

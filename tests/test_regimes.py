@@ -5,8 +5,7 @@ import pytest
 
 from spinzeno import (BathKernel, DecayCurve, RegimeLabel, SpectralDensity,
                       SurvivalMode, SystemParams, classify, sample_curve,
-                      validity_value)
-from spinzeno.regimes import tau_grid
+                      tau_grid, validity_value)
 
 J3 = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
 K3 = BathKernel(J3, None)
@@ -76,7 +75,7 @@ class TestClassify:
 class TestSampleCurve:
     def test_delta_zero_flat(self):
         curve = sample_curve(SurvivalMode.FULL, SystemParams(1.0, 0.0), K3,
-                             0.1, 2.0, 5)
+                             tau_grid(0.1, 2.0, 5))
         assert np.allclose(curve.gamma, 0.0)
         report = classify(curve)
         assert report.segments[0][1] is RegimeLabel.ZENO
@@ -84,14 +83,16 @@ class TestSampleCurve:
     def test_gaps_recorded_not_dropped(self):
         # large tau drives the small-delta reduction out of regime
         curve = sample_curve(SurvivalMode.SMALL_DELTA,
-                             SystemParams(0.25, 1.0), K3, 0.5, 8.0, 8)
+                             SystemParams(0.25, 1.0), K3,
+                             tau_grid(0.5, 8.0, 8))
         assert curve.tau_grid.size == 8
         assert len(curve.errors) > 0
         assert not np.all(curve.finite_mask())
 
     def test_all_failed_is_a_curve_of_gaps(self):
         curve = sample_curve(SurvivalMode.SMALL_DELTA,
-                             SystemParams(0.25, 1.0), K3, 5.0, 8.0, 3)
+                             SystemParams(0.25, 1.0), K3,
+                             tau_grid(5.0, 8.0, 3))
         assert not np.any(curve.finite_mask())
         assert [i for i, _ in curve.errors] == [0, 1, 2]
 
