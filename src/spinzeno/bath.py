@@ -5,9 +5,10 @@ The kernel exponent is split as phi(t) = phi_R(t) - i*phi_I(t) with
     phi_R(t) = int_0^inf dw J(w)/w^2 cos(w t) coth(beta w / 2)
     phi_I(t) = int_0^inf dw J(w)/w^2 sin(w t)
 
-For Ohmic and sub-Ohmic environments phi_R diverges at t = 0 and the
-coherence factor B = exp(-phi_R(0)/2) vanishes.  The combinations that
-enter downstream formulas stay finite, so the kernel always exposes
+For Ohmic and sub-Ohmic environments phi_R diverges at t = 0: phi_r0()
+is then +inf, so the coherence factor B = exp(-phi_R(0)/2) is exactly 0
+by plain arithmetic.  The combinations that enter downstream formulas
+stay finite, so the kernel always exposes
 
     psi(t)   = phi_R(0) - phi_R(t)        (convergent for every s > 0)
     phi_I(t)
@@ -50,7 +51,6 @@ import numpy as np
 
 from .errors import DivergentKernelError, DomainError, QuadratureError
 
-ZERO_TEMPERATURE = None
 # B_2k / (2k)! for k = 1..6: the Euler-Maclaurin end corrections of the
 # finite-temperature sum.  The remainder after them is bounded by
 # |B_12| / 12! times the integral of the 12th derivative's magnitude.
@@ -161,13 +161,13 @@ class KernelTable:
 class BathKernel:
     """Evaluator for the correlation exponent of a given bath at beta.
 
-    beta=None (ZERO_TEMPERATURE) means the T = 0 limit, where coth == 1.
+    beta=None means the T = 0 limit, where coth == 1.
     tol bounds the Euler-Maclaurin remainder of the finite-temperature
     sum of a continuous bath; the other paths are exact closed forms.
     """
 
     source: object
-    beta: float = ZERO_TEMPERATURE
+    beta: float = None
     tol: float = 1e-10
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -188,13 +188,13 @@ class BathKernel:
         """
         if isinstance(self.source, DiscreteBath):
             return False
-        limit = 1.0 if self.beta is ZERO_TEMPERATURE else 2.0
+        limit = 1.0 if self.beta is None else 2.0
         return self.source.s <= limit
 
     def _coth(self, omega):
         # tanh keeps full relative accuracy at small arguments
         omega = np.asarray(omega, dtype=float)
-        if self.beta is ZERO_TEMPERATURE:
+        if self.beta is None:
             return np.ones_like(omega)
         return 1.0 / np.tanh(0.5 * self.beta * omega)
 
@@ -308,17 +308,14 @@ class BathKernel:
     # -- kernel pieces ------------------------------------------------------
 
     def phi_r0(self):
-        """phi_R(0); raises DivergentKernelError for Ohmic/sub-Ohmic baths."""
-        if self.divergent:
-            raise DivergentKernelError(
-                "divergent kernel: phi_R(0) integral does not converge "
-                f"(s={getattr(self.source, 's', None)}, "
-                f"{'T=0' if self.beta is ZERO_TEMPERATURE else 'finite T'})")
+        """phi_R(0); +inf where the integral diverges (see `divergent`)."""
         if "phi_r0" not in self._cache:
-            if isinstance(self.source, DiscreteBath):
+            if self.divergent:
+                val = math.inf
+            elif isinstance(self.source, DiscreteBath):
                 a2 = self.source.alphas ** 2
                 val = float(np.sum(a2 * self._coth(self.source.omegas)))
-            elif self.beta is ZERO_TEMPERATURE:
+            elif self.beta is None:
                 val = self.source.G * math.gamma(self.source.s - 1.0)
             else:
                 val = self._thermal_phi_r0()
@@ -327,8 +324,6 @@ class BathKernel:
 
     def coherence_b(self):
         """B = exp(-phi_R(0)/2), exactly 0 for divergent kernels."""
-        if self.divergent:
-            return 0.0
         return float(np.exp(-0.5 * self.phi_r0()))
 
     def phi_parts(self, t):
@@ -347,18 +342,12 @@ class BathKernel:
             psi = (2.0 * np.sin(0.5 * wt) ** 2) @ a2
             a2i = self.source.alphas ** 2
             phi_i = np.sin(wt) @ a2i
-        elif self.beta is ZERO_TEMPERATURE:
+        elif self.beta is None:
             psi, phi_i = self._zero_temperature_parts(ta)
         else:
             psi, phi_i = self._thermal_parts(ta)
         return psi[()] if np.ndim(psi) == 0 else psi, \
             (sign * phi_i)[()] if np.ndim(phi_i) == 0 else sign * phi_i
-
-    def phi(self, t):
-        """phi(t) = phi_R(t) - i*phi_I(t) for convergent kernels."""
-        r0 = self.phi_r0()
-        psi, phi_i = self.phi_parts(t)
-        return (r0 - psi) - 1j * phi_i
 
     # -- stable correlation combinations ------------------------------------
 
@@ -366,15 +355,12 @@ class BathKernel:
         """(E+, E-) with E+- = B^2 exp(+-phi(t)) computed in log space.
 
         E+ = exp(-psi(t) - i phi_I(t)) stays finite for every bath; E-
-        vanishes in the B = 0 limit.
+        is exactly 0 in the B = 0 limit, where phi_R(0) = +inf.
         """
         psi, phi_i = self.phi_parts(t)
-        r0 = np.inf if self.divergent else self.phi_r0()
         e_plus = np.exp(-psi - 1j * phi_i)
         with np.errstate(over="ignore", under="ignore"):
-            e_minus = np.exp(psi - 2.0 * r0 + 1j * phi_i)
-        if np.isinf(r0):
-            e_minus = np.zeros_like(e_plus)
+            e_minus = np.exp(psi - 2.0 * self.phi_r0() + 1j * phi_i)
         return e_plus, e_minus
 
     # -- tabulation (kept for the benchmark tracer) ---------------------------
@@ -382,8 +368,9 @@ class BathKernel:
     def tabulate(self, t_max, points=None):
         """Build (or fetch) spline tables of psi and phi_I on [0, t_max].
 
-        No CLI path calls this; it stays, with SciPy imported here only,
-        because perfbench/tracer.py wraps it (see KernelTable).
+        No CLI path calls this; it stays because perfbench/tracer.py wraps
+        it (see KernelTable).  It imports SciPy, which only the `test`
+        extra installs.
         """
         from scipy.interpolate import CubicSpline
 
@@ -407,9 +394,8 @@ class BathKernel:
             psi_vals[lo:lo + chunk], phi_i_vals[lo:lo + chunk] = self.phi_parts(sel)
         psi_vals[0] = 0.0
         phi_i_vals[0] = 0.0
-        r0 = np.inf if self.divergent else self.phi_r0()
         table = KernelTable(CubicSpline(grid, psi_vals),
                             CubicSpline(grid, phi_i_vals),
-                            t_max, r0, self.coherence_b())
+                            t_max, self.phi_r0(), self.coherence_b())
         self._cache[key] = table
         return table

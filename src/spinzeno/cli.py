@@ -54,18 +54,18 @@ def _load(config_path, tol):
     return cfg
 
 
-def _kernel(cfg, system, source):
+def _kernel(cfg, system, source, cell=""):
     """The cell's shared kernel; notes B = 0 and warns when the validity
-    metric is large."""
+    metric is large, naming the sweep cell (`cell`, e.g. "[g = 1.5] ")."""
     kernel = BathKernel(source, cfg.beta, tol=cfg.kernel_tol)
     if kernel.divergent:
         bath = "is Ohmic/sub-Ohmic" if cfg.beta is None \
             else "has s <= 2 at finite temperature"
-        click.echo(f"note: bath {bath} (B = 0), so the full mode coincides "
-                   "with the small-delta mode", err=True)
+        click.echo(f"note: {cell}bath {bath} (B = 0), so the full mode "
+                   "coincides with the small-delta mode", err=True)
     v = validity_value(system, kernel)
     if v >= VALIDITY_WARN_THRESHOLD:
-        click.echo(f"warning: validity metric {v:.3g} >= "
+        click.echo(f"warning: {cell}validity metric {v:.3g} >= "
                    f"{VALIDITY_WARN_THRESHOLD}; results may be out of the "
                    "method's regime", err=True)
     return kernel
@@ -119,7 +119,8 @@ def _curves(cfg, meta, point=False, sweep=False, compare=False):
         if sweep else [(None, cfg.system, cfg.source)]
     rows = []
     for value, system, source in cells:
-        kernel = _kernel(cfg, system, source)
+        cell = f"[{cfg.sweep_key} = {value:.12g}] " if sweep else ""
+        kernel = _kernel(cfg, system, source, cell)
         curves = [sample_curve(mode, system, kernel, taus, tol=cfg.tol)
                   for mode in cfg.modes]
         for cv in curves:

@@ -50,8 +50,8 @@ _KNOWN_KEYS = {
             "sweep", "tol", "kernel_tol", "n_max"},
 }
 
-# Ranges of the (finite) numeric keys; the bath and system ones also apply
-# to sweep values.  tau_max, tau_points and n_max are checked in place.
+# Ranges of the (finite) numeric and integer keys; the bath and system ones
+# also apply to sweep values.  tau_max is checked against tau_min in place.
 _RANGES = {
     "delta": (lambda v: v >= 0.0, "must be >= 0"),
     "g": (lambda v: v >= 0.0, "must be >= 0"),
@@ -61,6 +61,8 @@ _RANGES = {
     "tau_min": (lambda v: v > 0.0, "must be > 0"),
     "tol": (lambda v: v > 0.0, "must be > 0"),
     "kernel_tol": (lambda v: v > 0.0, "must be > 0"),
+    "tau_points": (lambda v: v >= 2, "must be at least 2"),
+    "n_max": (lambda v: v >= 3, "must be at least 3"),
 }
 _ANY = (lambda v: True, None)
 
@@ -146,21 +148,24 @@ def parse_config(text):
             return parser.get(section, key)
         return default
 
+    def in_range(section, key, value):
+        ok, reason = _RANGES.get(key, _ANY)
+        if not ok(value):
+            _fail(text, section, key, reason)
+        return value
+
     def get_num(section, key, default=None, required=False):
         raw = get(section, key)
         if raw is None:
             if required:
                 raise ConfigError(f"[{section}] missing required key {key!r}")
             return default
-        value = _number(text, section, raw, key)
-        ok, reason = _RANGES.get(key, _ANY)
-        if not ok(value):
-            _fail(text, section, key, reason)
-        return value
+        return in_range(section, key, _number(text, section, raw, key))
 
     def get_int(section, key, default):
         raw = get(section, key)
-        return default if raw is None else _integer(text, section, raw, key)
+        return default if raw is None \
+            else in_range(section, key, _integer(text, section, raw, key))
 
     if not parser.has_section("system"):
         raise ConfigError("missing required section [system]")
@@ -206,23 +211,18 @@ def parse_config(text):
     if not modes:
         raise ConfigError("[run] modes: at least one mode required")
 
-    def check(key, value, ok, reason):
-        if value is not None and not ok(value):
-            _fail(text, "run", key, reason)
-
     tau = get_num("run", "tau")
     tau_min = get_num("run", "tau_min")
     tau_max = get_num("run", "tau_max")
-    check("tau_max", tau_max, lambda v: v > (tau_min or 0.0), "must be > tau_min")
+    if tau_max is not None and not tau_max > (tau_min or 0.0):
+        _fail(text, "run", "tau_max", "must be > tau_min")
     tau_points = get_int("run", "tau_points", DEFAULTS["tau_points"])
-    check("tau_points", tau_points, lambda v: v >= 2, "must be at least 2")
     spacing = get("run", "spacing", DEFAULTS["spacing"])
     if spacing not in ("geometric", "linear"):
         _fail(text, "run", "spacing", f"must be geometric or linear, got {spacing!r}")
     tol = get_num("run", "tol", DEFAULTS["tol"])
     kernel_tol = get_num("run", "kernel_tol", DEFAULTS["kernel_tol"])
     n_max = get_int("run", "n_max", DEFAULTS["n_max"])
-    check("n_max", n_max, lambda v: v >= 3, "must be at least 3")
 
     sweep_key, sweep_values = None, ()
     sweep_raw = get("run", "sweep")

@@ -10,16 +10,11 @@ class DomainError(SpinZenoError, ValueError):
 
 
 class DivergentKernelError(SpinZenoError):
-    """The phi_R integral diverges; callers should take the B=0 branch."""
+    """The coth-weighted finite-temperature phi_I sum diverges (s <= 1)."""
 
 
 class QuadratureError(SpinZenoError):
     """Quadrature did not converge within the refinement budget."""
-
-    def __init__(self, message, last_estimate=None, previous_estimate=None):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-        self.previous_estimate = previous_estimate
 
 
 class DegenerateSystemError(SpinZenoError):

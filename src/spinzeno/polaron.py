@@ -13,7 +13,6 @@ import numpy as np
 from .errors import DegenerateSystemError, DomainError
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
@@ -34,12 +33,11 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class PolaronParams:
-    """Derived polaron-frame quantities (delta_r, Omega_r, B)."""
+    """Derived polaron-frame quantities (delta_r, Omega_r)."""
 
     epsilon: float
     delta_r: float
     omega_r: float
-    b_factor: float
 
     @property
     def nx(self):
@@ -54,19 +52,17 @@ class PolaronParams:
         if self.epsilon == 0.0:
             raise DegenerateSystemError(
                 "small-delta reduction needs epsilon != 0")
-        return PolaronParams(self.epsilon, 0.0, abs(self.epsilon),
-                             self.b_factor)
+        return PolaronParams(self.epsilon, 0.0, abs(self.epsilon))
 
 
 def renormalize(sys, kernel):
     """Polaron parameters for a system coupled through the given kernel."""
-    b = kernel.coherence_b()
-    delta_r = sys.delta * b
+    delta_r = sys.delta * kernel.coherence_b()
     omega_r = float(np.hypot(sys.epsilon, delta_r))
     if omega_r == 0.0:
         raise DegenerateSystemError(
             "epsilon = delta_r = 0: effective Rabi frequency vanishes")
-    return PolaronParams(sys.epsilon, delta_r, omega_r, b)
+    return PolaronParams(sys.epsilon, delta_r, omega_r)
 
 
 def rot_coeffs(p, t):
@@ -85,10 +81,3 @@ def rot_coeffs(p, t):
     b_y = np.cos(w * t)
     b_z = -(p.delta_r / w) * sn
     return a_x, a_y, a_z, b_x, b_y, b_z
-
-
-def u_s_matrix(p, tau):
-    """Free polaron-frame propagator U_S(tau) as an explicit 2x2 unitary."""
-    half = 0.5 * p.omega_r * tau
-    return (np.cos(half) * np.eye(2, dtype=complex)
-            - 1j * np.sin(half) * (p.nx * SIGMA_X + p.nz * SIGMA_Z))

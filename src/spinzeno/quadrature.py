@@ -57,7 +57,4 @@ def integrate_triangle(f, tau, tol=1e-8, *, start_order=8, max_order=1024):
         prev = cur
         order *= 2
     raise QuadratureError(
-        f"triangle quadrature did not converge below {tol:g} by order {max_order}",
-        last_estimate=cur,
-        previous_estimate=prev,
-    )
+        f"triangle quadrature did not converge below {tol:g} by order {max_order}")

@@ -155,8 +155,8 @@ def survival_prob(mode, sys, kernel, tau, *, tol=1e-8):
         f = _full_deficit_integrand(pc, tau, kernel)
         # The oscillation term is itself O(delta_r^2), so the small-delta
         # reduction keeps its amplitude and only sends omega_r -> |epsilon|.
-        amp_x = p_full.delta_r / pc.omega_r if mode.small_delta else pc.nx
-        zeroth = (amp_x * np.sin(0.5 * pc.omega_r * tau)) ** 2
+        zeroth = (p_full.delta_r / pc.omega_r
+                  * np.sin(0.5 * pc.omega_r * tau)) ** 2
 
     # start_order is passed explicitly so traces can count the nodes.
     integral, quad_err, order = integrate_triangle(f, tau, tol=tol,

@@ -3,7 +3,7 @@
 CSV output starts with '#'-prefixed header lines echoing every parameter
 that affects the numbers, then a column-name row, then data rows with 12
 significant digits.  JSON output carries the same metadata plus full-
-precision row values so that a parse/emit round trip is numerically exact.
+precision row values, with NaN written as the string "nan".
 """
 
 import json
@@ -54,21 +54,6 @@ def emit_json(table):
                  for row in table.rows],
     }
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def parse_json(text):
-    """Inverse of emit_json; numeric fields round-trip exactly."""
-    doc = json.loads(text)
-    meta = tuple(sorted(doc["meta"].items()))
-    rows = []
-    for values in doc["rows"]:
-        row = {}
-        for col, val in zip(doc["columns"], values):
-            if val == "nan" and col in ("tau", "gamma", "s", "validity", "sweep"):
-                val = math.nan
-            row[col] = val
-        rows.append(row)
-    return ResultTable(meta=meta, rows=tuple(rows))
 
 
 def emit(table, format):

@@ -1,3 +1,5 @@
 """Test-only reference paths: audit integrands, the projection weights
-fgh, the bath correlation functions and the matrix reconstruction of the
-second-order survival probability."""
+fgh, the kernel exponent phi and the bath correlation functions, the
+closed-form propagator u_s_matrix, the matrix reconstruction of the
+second-order survival probability, and the JSON table reader
+parse_json."""

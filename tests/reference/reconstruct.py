@@ -4,18 +4,34 @@ This path rebuilds the survival expressions directly from the operator
 expansion (explicit 2x2 propagators, operator products, bath correlation
 functions) without using the closed-form scalar integrands.  The tests
 use it to arbitrate between the closed-form integrand variants and as a
-cross-check of spinzeno.survival.survival_prob.
+cross-check of spinzeno.survival.survival_prob.  The kernel exponent
+`phi` and the closed-form propagator `u_s_matrix` are the references the
+kernel and rotation-coefficient tests compare against.
 """
 
 import numpy as np
 
 from spinzeno.errors import DomainError
-from spinzeno.polaron import SIGMA_X, SIGMA_Y, SIGMA_Z, renormalize
+from spinzeno.polaron import SIGMA_X, SIGMA_Z, renormalize
 from spinzeno.quadrature import _gl_nodes
 from spinzeno.survival import SurvivalMode
 
 UP = np.array([1.0, 0.0], dtype=complex)
 DOWN = np.array([0.0, 1.0], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+
+def phi(kernel, t):
+    """phi(t) = phi_R(t) - i*phi_I(t) of a convergent `kernel`."""
+    psi, phi_i = kernel.phi_parts(t)
+    return (kernel.phi_r0() - psi) - 1j * phi_i
+
+
+def u_s_matrix(p, tau):
+    """Free polaron-frame propagator U_S(tau) as an explicit 2x2 unitary."""
+    half = 0.5 * p.omega_r * tau
+    return (np.cos(half) * np.eye(2, dtype=complex)
+            - 1j * np.sin(half) * (p.nx * SIGMA_X + p.nz * SIGMA_Z))
 
 
 def correlation(kernel, index_pair, t):

@@ -12,13 +12,14 @@ import pytest
 from click.testing import CliRunner
 from scipy.special import gamma as gamma_fn
 
+from reference.reconstruct import SIGMA_Y, phi, u_s_matrix
+from reference.tables import parse_json
 from spinzeno import (BathKernel, DiscreteBath, ExactEvolution,
                       SpectralDensity, SurvivalMode, SystemParams,
-                      TruncatedBathSpec, classify, parse_json, sample_curve,
-                      survival_prob, tau_grid, u_s_matrix)
+                      TruncatedBathSpec, classify, emit_json, sample_curve,
+                      survival_prob, tau_grid)
 from spinzeno.cli import main
-from spinzeno.polaron import (SIGMA_X, SIGMA_Y, SIGMA_Z, PolaronParams,
-                              renormalize, rot_coeffs)
+from spinzeno.polaron import SIGMA_X, SIGMA_Z, renormalize, rot_coeffs
 
 J3 = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
 
@@ -151,7 +152,7 @@ def test_criterion_08_kernel_closed_form():
     t = np.linspace(0.0, 5.0, 50)
     closed = J3.G * J3.omega_c ** (1.0 - J3.s) * gamma_fn(J3.s - 1.0) \
         * (1.0 / J3.omega_c + 1j * t) ** (1.0 - J3.s)
-    kernel_err = float(np.max(np.abs(kern.phi(t) - closed)))
+    kernel_err = float(np.max(np.abs(phi(kern, t) - closed)))
     b_err = abs(kern.coherence_b() - math.exp(-0.5 * kern.phi_r0()))
     b_zero = all(
         BathKernel(SpectralDensity(G=1.0, s=s, omega_c=10.0),
@@ -205,7 +206,7 @@ def test_criterion_09_invariant_suite():
 
 
 def test_criterion_10_determinism_round_trip(tmp_path):
-    """Identical config gives byte-identical CSV; JSON round-trips."""
+    """Identical config gives byte-identical CSV; JSON re-emits exactly."""
     cfg = tmp_path / "c.ini"
     cfg.write_text("""
 [system]
@@ -234,11 +235,19 @@ tau_points = 6
     res = runner.invoke(main, ["curve", "--config", str(cfg), "--format",
                                "json", "--out", str(json_path)])
     assert res.exit_code == 0
-    table = parse_json(json_path.read_text())
-    round_trip = parse_json(json_path.read_text())
+    text = json_path.read_text()
+    table = parse_json(text)
+    round_trip = parse_json(emit_json(table))
+
+    def same(a, b):
+        return a == b or (isinstance(a, float) and isinstance(b, float)
+                          and math.isnan(a) and math.isnan(b))
+
     identical = outs[0] == outs[1]
-    exact = all(a == b or (math.isnan(a) and math.isnan(b))
-                for ra, rb in zip(table.rows, round_trip.rows)
-                for a, b in ((ra["gamma"], rb["gamma"]), (ra["s"], rb["s"])))
+    exact = (emit_json(table) == text
+             and len(round_trip.rows) == len(table.rows) == 12
+             and all(ra.keys() == rb.keys()
+                     and all(same(ra[k], rb[k]) for k in ra)
+                     for ra, rb in zip(table.rows, round_trip.rows)))
     _report(10, identical and exact,
             f"byte-identical CSV: {identical}; exact JSON round trip: {exact}")

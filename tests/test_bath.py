@@ -1,6 +1,7 @@
 """Bath kernel tests: closed forms, symmetry properties, tabulation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from reference.reconstruct import correlation
+from reference.reconstruct import correlation, phi
 from spinzeno import BathKernel, DiscreteBath, SpectralDensity
 from spinzeno.errors import (DivergentKernelError, DomainError,
                              QuadratureError)
@@ -145,7 +146,7 @@ class TestClosedFormKernel:
     def test_phi_matches_gamma_closed_form(self):
         kern = BathKernel(SUPER_OHMIC, None)
         t = np.linspace(0.0, 5.0, 50)
-        got = kern.phi(t)
+        got = phi(kern, t)
         want = phi_closed_form(SUPER_OHMIC, t)
         assert np.max(np.abs(got - want)) < 1e-8
 
@@ -242,10 +243,18 @@ class TestDivergenceDetection:
         assert not kern.divergent
         assert 0.0 < kern.coherence_b() < 1.0
 
-    def test_phi_r0_divergent_raises(self):
-        kern = BathKernel(SpectralDensity(G=1.0, s=1.0, omega_c=10.0), None)
-        with pytest.raises(DivergentKernelError):
-            kern.phi_r0()
+    @pytest.mark.parametrize("s, beta", [(0.5, None), (1.0, None),
+                                         (2.0, 1.0)])
+    def test_phi_r0_divergent_is_inf(self, s, beta):
+        # B = 0 and E- = 0 follow from phi_R(0) = +inf by plain arithmetic,
+        # with no floating-point warning on the way
+        kern = BathKernel(SpectralDensity(G=1.0, s=s, omega_c=10.0), beta)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert kern.phi_r0() == math.inf
+            assert kern.coherence_b() == 0.0
+            _, e_minus = kern.scaled_exponentials(np.array([0.0, 0.5, 3.0]))
+        assert np.all(e_minus == 0.0)
 
 
 class TestScaledExponentials:
@@ -256,9 +265,9 @@ class TestScaledExponentials:
             e_plus, e_minus = kern.scaled_exponentials(t)
             # E+- = B^2 exp(+-phi); |E+| = exp(-psi) <= 1
             assert abs(e_plus) <= 1.0 + 1e-12
-            phi = kern.phi(t)
-            assert e_plus == pytest.approx(b2 * np.exp(phi), abs=1e-12)
-            assert e_minus == pytest.approx(b2 * np.exp(-phi), abs=1e-12)
+            phi_t = phi(kern, t)
+            assert e_plus == pytest.approx(b2 * np.exp(phi_t), abs=1e-12)
+            assert e_minus == pytest.approx(b2 * np.exp(-phi_t), abs=1e-12)
 
     def test_divergent_kernel_limits(self):
         kern = BathKernel(SpectralDensity(G=1.0, s=1.0, omega_c=10.0), None)

@@ -11,8 +11,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from reference.tables import parse_json
 from spinzeno import (DiscreteBath, ResultTable, SurvivalMode, emit_csv,
-                      emit_json, parse_config, parse_json, tau_grid)
+                      emit_json, parse_config, tau_grid)
 from spinzeno.cli import main
 from spinzeno.config import header_lines
 from spinzeno.errors import ConfigError
@@ -330,6 +331,16 @@ modes = small_delta
         assert result.stderr.count("note: ") == (2 if noted else 0)
         assert result.stderr.count("small-delta mode") == (2 if noted else 0)
 
+    def test_sweep_note_names_its_cell(self, tmp_path):
+        # only the s = 0.5 cell has B = 0; its note says which cell it is
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL.replace("g = 1.0", "g = 0.5")
+                       + "tau_points = 2\nsweep = s: 0.5 3.0\n")
+        result = self.run("sweep", "--config", str(cfg))
+        assert result.exit_code == 0, result.stderr
+        assert result.stderr.count("note: ") == 1
+        assert result.stderr.startswith("note: [s = 0.5] bath is Ohmic")
+
     def test_point_failures_are_gap_rows_in_compute_and_oracle(self,
                                                                 tmp_path):
         # epsilon = 0 leaves the small-delta reduction undefined; the full
@@ -430,17 +441,23 @@ modes = small_delta
             assert _data_rows(result.stdout) == [
                 dict(r, regime="") for r in curve_rows[i::3]]
 
-    def test_finite_temperature_compute_loads_no_scipy(self, tmp_path):
-        # a fresh interpreter: importing the CLI and solving at finite T
-        # must not pull in SciPy, whose import dominates start-up time
+    @pytest.mark.parametrize("command", ["compute", "curve", "sweep",
+                                         "compare", "oracle-check"])
+    def test_subcommand_loads_no_scipy(self, tmp_path, command):
+        # a fresh interpreter: importing the CLI and running any subcommand
+        # (the continuous ones at finite T) must not pull in SciPy, which
+        # only the test extra installs
+        text = _DISCRETE if command == "oracle-check" \
+            else MINIMAL.replace("delta = 0.2", "delta = 0.2\nbeta = 2.0")
         cfg = tmp_path / "c.ini"
-        cfg.write_text(MINIMAL.replace("delta = 0.2",
-                                       "delta = 0.2\nbeta = 2.0")
-                       + "tau = 0.7\n")
+        cfg.write_text(text.replace("tau_min = 0.05\ntau_max = 3.0\n",
+                                    _SMALL_RUN)
+                       + "tau = 0.7\nn_max = 4\nmodes = full small_delta\n"
+                       "sweep = g: 0.5 0.6\n")
         script = ("import sys\n"
                   "from click.testing import CliRunner\n"
                   "from spinzeno.cli import main\n"
-                  "res = CliRunner().invoke(main, ['compute', '--config', "
+                  "res = CliRunner().invoke(main, [sys.argv[2], '--config', "
                   "sys.argv[1]])\n"
                   "assert res.exit_code == 0, res.output\n"
                   "print(sorted(m for m in sys.modules "
@@ -448,7 +465,8 @@ modes = small_delta
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-        proc = subprocess.run([sys.executable, "-c", script, str(cfg)],
+        proc = subprocess.run([sys.executable, "-c", script, str(cfg),
+                               command],
                               capture_output=True, text=True, env=env,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr

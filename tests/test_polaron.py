@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference.integrands import fgh
+from reference.reconstruct import SIGMA_Y, u_s_matrix
 from spinzeno import (BathKernel, PolaronParams, SpectralDensity,
-                      SystemParams, renormalize, rot_coeffs, u_s_matrix)
+                      SystemParams, renormalize, rot_coeffs)
 from spinzeno.errors import DegenerateSystemError, DomainError
-from spinzeno.polaron import SIGMA_X, SIGMA_Y, SIGMA_Z
+from spinzeno.polaron import SIGMA_X, SIGMA_Z
 
 KERNEL = BathKernel(SpectralDensity(G=1.0, s=3.0, omega_c=10.0), None)
 
 params_strategy = st.builds(
-    lambda eps, dr: PolaronParams(eps, dr, math.hypot(eps, dr), 0.7),
+    lambda eps, dr: PolaronParams(eps, dr, math.hypot(eps, dr)),
     st.floats(-3.0, 3.0), st.floats(0.0, 3.0),
 ).filter(lambda p: p.omega_r > 1e-6)
 
@@ -45,7 +46,7 @@ class TestRenormalize:
         assert q.omega_r == 2.0
         assert q.nx == 0.0
         with pytest.raises(DegenerateSystemError):
-            PolaronParams(0.0, 1.0, 1.0, 0.5).with_small_delta()
+            PolaronParams(0.0, 1.0, 1.0).with_small_delta()
 
 
 class TestRotCoeffs:
@@ -73,13 +74,13 @@ class TestRotCoeffs:
         assert np.max(np.abs(got_y - want_y)) < 1e-12
 
     def test_initial_values(self):
-        p = PolaronParams(1.0, 0.5, math.hypot(1.0, 0.5), 0.6)
+        p = PolaronParams(1.0, 0.5, math.hypot(1.0, 0.5))
         a_x, a_y, a_z, b_x, b_y, b_z = rot_coeffs(p, 0.0)
         assert (a_x, a_y, a_z) == (1.0, 0.0, 0.0)
         assert (b_x, b_y, b_z) == (0.0, 1.0, 0.0)
 
     def test_vectorized(self):
-        p = PolaronParams(1.0, 0.5, math.hypot(1.0, 0.5), 0.6)
+        p = PolaronParams(1.0, 0.5, math.hypot(1.0, 0.5))
         t = np.linspace(0.0, 3.0, 7)
         coeffs = rot_coeffs(p, t)
         assert all(c.shape == t.shape for c in coeffs)
@@ -103,6 +104,6 @@ class TestFgh:
         assert f == pytest.approx(sz, abs=1e-12)
 
     def test_unitarity_of_u_s(self):
-        p = PolaronParams(1.0, 0.5, math.hypot(1.0, 0.5), 0.6)
+        p = PolaronParams(1.0, 0.5, math.hypot(1.0, 0.5))
         u = u_s_matrix(p, 1.3)
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-14

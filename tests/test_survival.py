@@ -134,8 +134,8 @@ class TestInvariants:
         # and epsilon*delta_r products survive in |m_mu| terms
         from spinzeno.polaron import PolaronParams, rot_coeffs
         w = math.hypot(1.0, 0.6)
-        p = PolaronParams(1.0, 0.6, w, 0.7)
-        q = PolaronParams(-1.0, -0.6, w, 0.7)
+        p = PolaronParams(1.0, 0.6, w)
+        q = PolaronParams(-1.0, -0.6, w)
         t = np.linspace(0.0, 4.0, 9)
         ax, ay, az, bx, by, bz = rot_coeffs(p, t)
         ax2, ay2, az2, bx2, by2, bz2 = rot_coeffs(q, t)
