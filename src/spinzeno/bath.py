@@ -80,12 +80,12 @@ class SpectralDensity:
     omega_c: float
 
     def __post_init__(self):
-        if self.G < 0.0:
-            raise DomainError("coupling strength G must be nonnegative")
-        if self.s <= 0.0:
-            raise DomainError("Ohmicity s must be positive")
-        if self.omega_c <= 0.0:
-            raise DomainError("cutoff frequency omega_c must be positive")
+        if not 0.0 <= self.G < math.inf:           # NaN fails too
+            raise DomainError("coupling G must be finite and nonnegative")
+        if not 0.0 < self.s < math.inf:
+            raise DomainError("Ohmicity s must be finite and positive")
+        if not 0.0 < self.omega_c < math.inf:
+            raise DomainError("cutoff omega_c must be finite and positive")
 
     def eval(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -110,6 +110,8 @@ class DiscreteBath:
         gs = np.array([g for _, g in modes])
         if len(modes) == 0:
             raise DomainError("discrete bath needs at least one mode")
+        if not np.all(np.isfinite(modes)):
+            raise DomainError("omega_k and g_k of every mode must be finite")
         if np.any(omegas <= 0.0):
             raise DomainError("mode frequencies must be strictly positive")
         if np.any(np.diff(omegas) <= 0.0):
@@ -172,10 +174,10 @@ class BathKernel:
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.beta is not None and self.beta <= 0.0:
-            raise DomainError("beta must be positive (or None for T = 0)")
-        if self.tol <= 0.0:
-            raise DomainError("kernel tolerance must be positive")
+        if self.beta is not None and not 0.0 < self.beta < math.inf:
+            raise DomainError("beta must be finite and positive, or None")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError("kernel tol must be finite and positive")
 
     # -- divergence bookkeeping -------------------------------------------
 

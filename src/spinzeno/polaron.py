@@ -27,8 +27,10 @@ class SystemParams:
     delta: float
 
     def __post_init__(self):
-        if self.delta < 0.0:
-            raise DomainError("tunneling amplitude delta must be nonnegative")
+        if not -np.inf < self.epsilon < np.inf:     # NaN fails too
+            raise DomainError("bias epsilon must be finite")
+        if not 0.0 <= self.delta < np.inf:
+            raise DomainError("tunneling delta must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,13 @@ its small-delta reduction (delta_r = 0 inside every coefficient), and
 both with the free system evolution removed before each measurement.
 
 The integrands come straight from the second-order perturbation
-expansion: with |u> = U_S(tau)^dag |down>, m_mu(t) = <down|sigma~_mu(t)|up>
-and v_mu(t) = <u|sigma~_mu(t)|up>, the deficit 1 - s(tau) is a double
-integral of scalar contractions against the stable correlation
-combinations Ctil_mu(x) = B^2 * (e^phi +- e^-phi [- 2]).  The test suite
+expansion, contracted in the spin basis.  With |u> = U_S(tau)^dag |down>,
+u_up = <u|up> and u_dn = <u|down>, each mu = x, y needs only
+m_mu(t) = <down|sigma~_mu(t)|up> and z_mu(t) = <up|sigma~_mu(t)|up> (the
+other two elements are conj(m) and -z), so v_mu(t) = <u|sigma~_mu(t)|up>
+= u_dn m + u_up z.  The deficit 1 - s(tau) is a double integral of scalar
+contractions against the stable correlation combinations
+Ctil_mu(x) = B^2 * (e^phi +- e^-phi [- 2]).  The test suite
 checks them against trig-expanded closed forms and an independent matrix
 reconstruction (tests/reference/).
 """
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import DiscreteBath
+from .errors import DomainError
 from .polaron import renormalize, rot_coeffs
 from .quadrature import integrate_triangle
 
@@ -75,34 +79,30 @@ def _corr_combos(kernel, x):
 # integrands
 # ---------------------------------------------------------------------------
 
-def _full_deficit_integrand(pc, tau, kernel):
-    """Integrand of the second-order deficit for the non-removed variants.
+def _spin_elements(pc, t):
+    """(m, z) of sigma~_x and of sigma~_y at time(s) t (see above)."""
+    a_x, a_y, a_z, b_x, b_y, b_z = rot_coeffs(pc, t)
+    return (a_x + 1j * a_y, a_z), (b_x + 1j * b_y, b_z)
 
-    Carries everything except the global delta^2/4 prefactor.
-    """
-    c = np.cos(0.5 * pc.omega_r * tau)
+
+def _full_deficit_integrand(pc, tau, kernel):
+    """Non-removed deficit integrand, without the global delta^2/4 factor."""
     sh = np.sin(0.5 * pc.omega_r * tau)
-    amp = c + 1j * sh * pc.nz              # <u|sigma_x|up>
-    uz = -1j * sh * pc.nx                  # <u|sigma_z|up> = <u|up>
+    u_up = -1j * sh * pc.nx                                   # <u|up>
+    u_dn = np.cos(0.5 * pc.omega_r * tau) + 1j * sh * pc.nz   # <u|down>
 
     def f(t, tp):
-        ct1, ct2 = _corr_combos(kernel, tp)
-        k_t = rot_coeffs(pc, t[:, :1])      # t alone: once per outer node
-        k_s = rot_coeffs(pc, t - tp)
+        terms = zip(_corr_combos(kernel, tp),
+                    _spin_elements(pc, t[:, :1]),  # t alone: per outer node
+                    _spin_elements(pc, t - tp))
         total = 0.0
-        for mu, ct in ((0, ct1), (1, ct2)):
-            kx, ky, kz = k_t[3 * mu], k_t[3 * mu + 1], k_t[3 * mu + 2]
-            kxs, kys, kzs = k_s[3 * mu], k_s[3 * mu + 1], k_s[3 * mu + 2]
-            v_t = amp * (kx + 1j * ky) - 1j * sh * pc.nx * kz
-            v_s = amp * (kxs + 1j * kys) - 1j * sh * pc.nx * kzs
-            dot = kx * kxs + ky * kys + kz * kzs
-            cr_x = ky * kzs - kz * kys
-            cr_y = kz * kxs - kx * kzs
-            cr_z = kx * kys - ky * kxs
-            # <u|sigma~_mu(t) sigma~_mu(t-tp)|up>, with <up|u> = conj(uz)
-            braket = dot * uz + 1j * (amp * (cr_x + 1j * cr_y) + uz * cr_z)
+        for ct, (m_t, z_t), (m_s, z_s) in terms:
+            v_t = u_dn * m_t + u_up * z_t
+            v_s = u_dn * m_s + u_up * z_s
+            # <u|sigma~_mu(t) sigma~_mu(t-tp)|up>, summed over |up>, |down>
+            braket = v_t * z_s + (u_up * np.conj(m_t) - u_dn * z_t) * m_s
             total = total + np.real(
-                ct * (v_s * np.conj(v_t) - braket * np.conj(uz)))
+                ct * (v_s * np.conj(v_t) - braket * np.conj(u_up)))
         return total
 
     return f
@@ -110,24 +110,19 @@ def _full_deficit_integrand(pc, tau, kernel):
 
 def _removed_deficit_integrand(pc, tau, kernel):
     """Integrand of the deficit for the removed-evolution variants."""
-
-    def m_pair(t):
-        a_x, a_y, _, b_x, b_y, _ = rot_coeffs(pc, t)
-        return a_x + 1j * a_y, b_x + 1j * b_y
-
-    ct1_0, ct2_0 = _corr_combos(kernel, 0.0)
+    ct_0 = _corr_combos(kernel, 0.0)
 
     def f(t, tp):
         t_col = t[:, :1]                    # t alone: once per outer node
-        m1_t, m2_t = m_pair(t_col)
-        m1_s, m2_s = m_pair(t - tp)
-        ct1_a, ct2_a = _corr_combos(kernel, tp)
-        ct1_b, ct2_b = _corr_combos(kernel, t - tp - tau)
-        ct1_c, ct2_c = _corr_combos(kernel, tau - t_col)
-        bracket1 = np.conj(ct1_a) + ct1_0 - ct1_b - ct1_c
-        bracket2 = np.conj(ct2_a) + ct2_0 - ct2_b - ct2_c
-        return (np.real(m1_t * np.conj(m1_s) * bracket1)
-                + np.real(m2_t * np.conj(m2_s) * bracket2))
+        terms = zip(_spin_elements(pc, t_col), _spin_elements(pc, t - tp),
+                    _corr_combos(kernel, tp), ct_0,
+                    _corr_combos(kernel, t - tp - tau),
+                    _corr_combos(kernel, tau - t_col))
+        total = 0.0
+        for (m_t, _), (m_s, _), ct_a, c_0, ct_b, ct_c in terms:
+            bracket = np.conj(ct_a) + c_0 - ct_b - ct_c
+            total = total + np.real(m_t * np.conj(m_s) * bracket)
+        return total
 
     return f
 
@@ -140,8 +135,8 @@ def survival_prob(mode, sys, kernel, tau, *, tol=1e-8):
     """Survival probability s(tau) for one measurement interval."""
     mode = SurvivalMode(mode)
     validity = validity_value(sys, kernel)
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise DomainError("tau must be finite and nonnegative")
     if tau == 0.0 or sys.delta == 0.0:
         return SurvivalResult(1.0, 0.0, validity, {"order": 0, "quad_error": 0.0})
 

@@ -110,6 +110,15 @@ class TestSpectralDensity:
         with pytest.raises(DomainError):
             SpectralDensity(G=-0.5, s=3.0, omega_c=10.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, match", [("G", "coupling G"),
+                                              ("s", "Ohmicity s"),
+                                              ("omega_c", "omega_c")])
+    def test_rejects_non_finite(self, field, match, value):
+        args = {"G": 1.0, "s": 3.0, "omega_c": 10.0, field: value}
+        with pytest.raises(DomainError, match=match):
+            SpectralDensity(**args)
+
 
 class TestDiscreteBath:
     def test_requires_increasing_positive_frequencies(self):
@@ -117,6 +126,14 @@ class TestDiscreteBath:
             DiscreteBath(((2.0, 0.1), (1.0, 0.1)))
         with pytest.raises(DomainError):
             DiscreteBath(((-1.0, 0.1),))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("modes", [lambda v: ((1.0, 0.1), (v, 0.1)),
+                                       lambda v: ((1.0, v), (2.0, 0.1))],
+                             ids=["omega_k", "g_k"])
+    def test_rejects_non_finite(self, modes, value):
+        with pytest.raises(DomainError, match="omega_k and g_k"):
+            DiscreteBath(modes(value))
 
     def test_kernel_matches_manual_sum(self):
         bath = DiscreteBath(((1.0, 0.2), (3.0, 0.3)))
@@ -128,6 +145,18 @@ class TestDiscreteBath:
         psi, phi_i_got = kern.phi_parts(t)
         assert psi == pytest.approx(phi_r0 - phi_r, abs=1e-14)
         assert phi_i_got == pytest.approx(phi_i, abs=1e-14)
+
+
+class TestKernelArguments:
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_bad_beta(self, beta):
+        with pytest.raises(DomainError, match="beta"):
+            BathKernel(SUPER_OHMIC, beta)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            BathKernel(SUPER_OHMIC, 2.0, tol=tol)
 
 
 class TestClosedFormKernel:

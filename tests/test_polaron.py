@@ -39,6 +39,13 @@ class TestRenormalize:
         with pytest.raises(DomainError):
             SystemParams(1.0, -0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(DomainError, match="epsilon"):
+            SystemParams(value, 0.2)
+        with pytest.raises(DomainError, match="delta"):
+            SystemParams(1.0, value)
+
     def test_small_delta_reduction(self):
         p = renormalize(SystemParams(-2.0, 1.0), KERNEL)
         q = p.with_small_delta()

@@ -6,6 +6,7 @@ import pytest
 from spinzeno import (BathKernel, DecayCurve, RegimeLabel, SpectralDensity,
                       SurvivalMode, SystemParams, classify, sample_curve,
                       tau_grid, validity_value)
+from spinzeno.errors import DomainError
 
 J3 = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
 K3 = BathKernel(J3, None)
@@ -95,6 +96,13 @@ class TestSampleCurve:
                              tau_grid(5.0, 8.0, 3))
         assert not np.any(curve.finite_mask())
         assert [i for i, _ in curve.errors] == [0, 1, 2]
+
+    def test_bad_tau_is_a_gap(self):
+        curve = sample_curve(SurvivalMode.FULL, SystemParams(1.0, 0.2), K3,
+                             (-1.0, np.nan, 0.5))
+        assert [i for i, _ in curve.errors] == [0, 1]
+        assert all(isinstance(exc, DomainError) for _, exc in curve.errors)
+        assert np.isfinite(curve.gamma[2])
 
 
 class TestValidity:

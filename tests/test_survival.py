@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference.integrands import expanded_survival
+from reference.integrands import expanded_survival, full_expanded_integrand
 from reference.reconstruct import reconstruct_survival
 from spinzeno import (BathKernel, DiscreteBath, SpectralDensity, SurvivalMode,
-                      SystemParams, survival_prob)
+                      SystemParams, renormalize, survival_prob)
 from spinzeno import survival as survival_module
+from spinzeno.errors import DomainError
 
 J3 = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
 KERNEL = BathKernel(J3, None)
@@ -42,6 +43,11 @@ class TestTrivialLimits:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, -1.0)
+
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+    def test_bad_tau_is_a_domain_error(self, tau):
+        with pytest.raises(DomainError, match="tau"):
+            survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, tau)
 
 
 class TestRegression:
@@ -96,6 +102,40 @@ class TestArbitration:
         d = survival_prob(mode, SYS_B, KERNEL, 1.0).s
         r = reconstruct_survival(mode, SYS_B, KERNEL, 1.0, order=96)
         assert d == pytest.approx(r, abs=1e-7)
+
+
+# Kernels TestArbitration does not cover: B = 0 at T = 0 and at finite T,
+# finite T with B > 0, and a discrete bath.  epsilon = 0 needs B > 0.
+_POINTWISE_KERNELS = {
+    "T0-s0.7": BathKernel(SpectralDensity(G=0.5, s=0.7, omega_c=3.0), None),
+    "beta2-s1.5": BathKernel(SpectralDensity(G=0.3, s=1.5, omega_c=3.0), 2.0),
+    "beta2-s3": BathKernel(SpectralDensity(G=0.3, s=3.0, omega_c=3.0), 2.0),
+    "two-mode": BathKernel(DiscreteBath(((1.0, 0.2), (3.0, 0.3))), None),
+}
+_POINTWISE_CASES = [
+    (name, variant) for name in _POINTWISE_KERNELS
+    for variant in ("full", "small_delta", "full-eps0")
+    if variant != "full-eps0" or _POINTWISE_KERNELS[name].coherence_b() > 0.0]
+
+
+@pytest.mark.parametrize("name, variant", _POINTWISE_CASES,
+                         ids=["-".join(c) for c in _POINTWISE_CASES])
+@settings(max_examples=25, deadline=None)
+@given(tau=st.floats(0.05, 8.0), u=st.floats(0.0, 1.0),
+       v=st.floats(0.0, 1.0))
+def test_full_integrand_matches_expanded_pointwise(name, variant, tau, u, v):
+    """The spin-basis contraction equals the trig-expanded closed form at
+    any node (t, t') of the triangle 0 <= t' <= t <= tau."""
+    kernel = _POINTWISE_KERNELS[name]
+    sys = SystemParams(0.0, 0.8) if variant == "full-eps0" else SYS_B
+    pc = renormalize(sys, kernel)
+    if variant == "small_delta":
+        pc = pc.with_small_delta()
+    t = np.array([[tau * u]])
+    tp = t * v
+    got = survival_module._full_deficit_integrand(pc, tau, kernel)(t, tp)
+    want = full_expanded_integrand(pc, tau, kernel, legacy=False)(t, tp)
+    assert np.abs(got - want).max() <= 1e-12
 
 
 class TestInvariants:
