@@ -58,7 +58,8 @@ def _kernel(cfg, system, source, cell=""):
     """The cell's shared kernel; notes B = 0 and warns when the validity
     metric is large, naming the sweep cell (`cell`, e.g. "[g = 1.5] ")."""
     kernel = BathKernel(source, cfg.beta, tol=cfg.kernel_tol)
-    if kernel.divergent:
+    # at finite T, s <= 1 makes phi_I diverge too: every point is a gap
+    if kernel.divergent and (cfg.beta is None or source.s > 1.0):
         bath = "is Ohmic/sub-Ohmic" if cfg.beta is None \
             else "has s <= 2 at finite temperature"
         click.echo(f"note: {cell}bath {bath} (B = 0), so the full mode "

@@ -1,9 +1,8 @@
-"""Gauss-Legendre quadrature on the triangle 0 <= t' <= t <= tau.
+"""Gauss-Legendre quadrature of the second-order deficit.
 
-The second-order survival terms are smooth double integrals over that
-triangle; they are integrated with iterated Gauss-Legendre rules and
-order doubling.  The bath kernels need no quadrature: every path has a
-closed form or a finite sum (see bath.py).
+survival.py integrates one variable of the triangle 0 <= t' <= t <= tau
+in closed form; the smooth 1-D rest is integrated here with order
+doubling.  The bath kernels need no quadrature (see bath.py).
 """
 
 from functools import lru_cache
@@ -15,21 +14,15 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError
 
-
-@lru_cache(maxsize=32)
-def _gl_nodes(order):
-    x, w = leggauss(order)
-    return x, w
+_gl_nodes = lru_cache(maxsize=32)(leggauss)
 
 
 def integrate_triangle(f, tau, tol=1e-8, *, start_order=8, max_order=1024):
-    """Integrate f(t, t') over the triangle 0 <= t' <= t <= tau.
+    """Integrate the triangle's reduced integrand f(x) over 0 <= x <= tau.
 
-    Iterated Gauss-Legendre (outer t, inner t' mapped onto [0, t]) with
-    order doubling from start_order until two successive estimates agree
-    within tol; the finer one is returned.  f must broadcast over
-    same-shape 2-D arrays of (t, t'); t is constant along each row, so
-    factors of t alone may be evaluated on the column t[:, :1].
+    Gauss-Legendre with order doubling from start_order until two
+    successive estimates agree within tol; the finer one is returned.  f
+    must map a 1-D array of nodes to an array of the same shape.
 
     Returns (value, error_estimate, order_used).
     """
@@ -40,12 +33,7 @@ def integrate_triangle(f, tau, tol=1e-8, *, start_order=8, max_order=1024):
 
     def estimate(order):
         x, wgt = _gl_nodes(order)
-        u = 0.5 * (x + 1.0)          # nodes on (0, 1)
-        t = tau * u                   # outer variable
-        tp = t[:, None] * u[None, :]  # inner variable on (0, t)
-        vals = f(np.broadcast_to(t[:, None], tp.shape), tp)
-        inner = 0.5 * t * (vals @ wgt)
-        return 0.5 * tau * (inner @ wgt)
+        return 0.5 * tau * (f(0.5 * tau * (x + 1.0)) @ wgt)
 
     prev = estimate(start_order)
     order = 2 * start_order

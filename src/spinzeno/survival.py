@@ -4,16 +4,14 @@ Four variants are supported: the full polaron-frame second-order result,
 its small-delta reduction (delta_r = 0 inside every coefficient), and
 both with the free system evolution removed before each measurement.
 
-The integrands come straight from the second-order perturbation
-expansion, contracted in the spin basis.  With |u> = U_S(tau)^dag |down>,
-u_up = <u|up> and u_dn = <u|down>, each mu = x, y needs only
-m_mu(t) = <down|sigma~_mu(t)|up> and z_mu(t) = <up|sigma~_mu(t)|up> (the
-other two elements are conj(m) and -z), so v_mu(t) = <u|sigma~_mu(t)|up>
-= u_dn m + u_up z.  The deficit 1 - s(tau) is a double integral of scalar
-contractions against the stable correlation combinations
-Ctil_mu(x) = B^2 * (e^phi +- e^-phi [- 2]).  The test suite
-checks them against trig-expanded closed forms and an independent matrix
-reconstruction (tests/reference/).
+The deficit 1 - s(tau) integrates Re[Ctil_mu(t') P_mu(t, t - t')] over
+the triangle 0 <= t' <= t <= tau, with the stable correlation
+combinations Ctil_mu = B^2 (e^phi +- e^-phi [- 2]) and spin factors P_mu
+contracted in the spin basis (see _spin_tables).  P_mu(t, s) =
+sum_{j,k = -1,0,1} p_jk e^{i Omega_r (j t + k s)}, so a 3x3 DFT gives the
+p_jk exactly and one variable integrates in closed form, leaving a 1-D
+integral of the kernel at x and tau - x.  tests/reference/ checks it
+against the 2-D triangle rule and a matrix reconstruction.
 """
 
 import enum
@@ -75,61 +73,78 @@ def _corr_combos(kernel, x):
     return e_plus + e_minus - 2.0 * b2, e_plus - e_minus
 
 
-# ---------------------------------------------------------------------------
-# integrands
-# ---------------------------------------------------------------------------
+_J, _K = np.meshgrid(np.arange(-1, 2), np.arange(-1, 2), indexing="ij")
+# p_jk = (_DFT @ P @ _DFT.T)[j + 1, k + 1], P sampled at Omega_r t = 2 pi a/3
+_DFT = np.exp(-2j * np.pi / 3.0 * np.outer(_J[:, 0], np.arange(3))) / 3.0
+
 
 def _spin_elements(pc, t):
-    """(m, z) of sigma~_x and of sigma~_y at time(s) t (see above)."""
+    """(m, z) = (<down|s~|up>, <up|s~|up>) for s~ = sigma~_x, sigma~_y at t."""
     a_x, a_y, a_z, b_x, b_y, b_z = rot_coeffs(pc, t)
     return (a_x + 1j * a_y, a_z), (b_x + 1j * b_y, b_z)
 
 
-def _full_deficit_integrand(pc, tau, kernel):
-    """Non-removed deficit integrand, without the global delta^2/4 factor."""
+def _spin_tables(pc, tau, removed):
+    """p_jk of P_mu(t, s), mu = x, y, as an array (mu, j + 1, k + 1).
+
+    P_mu contracts v(t) = <u|sigma~_mu(t)|up> = u_dn m + u_up z, with
+    |u> = U_S(tau)^dag |down>; with removal it is m_mu(t) conj(m_mu(s)).
+    """
     sh = np.sin(0.5 * pc.omega_r * tau)
     u_up = -1j * sh * pc.nx                                   # <u|up>
     u_dn = np.cos(0.5 * pc.omega_r * tau) + 1j * sh * pc.nz   # <u|down>
-
-    def f(t, tp):
-        terms = zip(_corr_combos(kernel, tp),
-                    _spin_elements(pc, t[:, :1]),  # t alone: per outer node
-                    _spin_elements(pc, t - tp))
-        total = 0.0
-        for ct, (m_t, z_t), (m_s, z_s) in terms:
+    t = 2.0 * np.pi / 3.0 * np.arange(3) / pc.omega_r
+    tables = []
+    for (m_t, z_t), (m_s, z_s) in zip(_spin_elements(pc, t[:, None]),
+                                      _spin_elements(pc, t[None, :])):
+        if removed:
+            p = m_t * np.conj(m_s)
+        else:
             v_t = u_dn * m_t + u_up * z_t
             v_s = u_dn * m_s + u_up * z_s
-            # <u|sigma~_mu(t) sigma~_mu(t-tp)|up>, summed over |up>, |down>
+            # <u|sigma~_mu(t) sigma~_mu(s)|up>, summed over |up>, |down>
             braket = v_t * z_s + (u_up * np.conj(m_t) - u_dn * z_t) * m_s
-            total = total + np.real(
-                ct * (v_s * np.conj(v_t) - braket * np.conj(u_up)))
-        return total
+            p = v_s * np.conj(v_t) - braket * np.conj(u_up)
+        tables.append(_DFT @ p @ _DFT.T)
+    return np.array(tables)
+
+
+def _phi1(y):
+    """(e^{iy} - 1)/(iy), without cancellation as y -> 0."""
+    return np.sinc(y / np.pi) + 0.5j * y * np.sinc(y / (2.0 * np.pi)) ** 2
+
+
+def _deficit_integrand(pc, tau, kernel, removed):
+    """f(x) on [0, tau] whose integral is the deficit without delta^2/4.
+
+    Without removal the kernel is Ctil(t'), with x = t'.  With removal it
+    is conj Ctil(t') + Ctil(0) - Ctil(t - t' - tau) - Ctil(tau - t), with
+    x = t', t - t', t; Ctil(-y) = conj Ctil(y) puts the last two at tau - x.
+    """
+    p = _spin_tables(pc, tau, removed)
+    w = pc.omega_r
+    if removed:
+        ct_0 = np.array(_corr_combos(kernel, 0.0))[:, None]
+
+    def line(a, x, b, length):
+        # sum_jk p_jk e^{i w a_jk x} L phi1(w b_jk L), L = length
+        a, b = a[..., None], b[..., None]
+        return np.einsum("mjk,jkn->mn", p, np.exp(1j * w * a * x)
+                         * length * _phi1(w * b * length))
+
+    def f(x):
+        ct = np.array(_corr_combos(kernel, x))
+        k_t = line(_J, x, _J + _K, tau - x)    # x = t', t in [x, tau]
+        if not removed:
+            return np.real(np.sum(ct * k_t, axis=0))
+        k_u = line(_J + _K, x, _J, tau - x)    # x = t - t', t in [x, tau]
+        k_s = line(_J, x, _K, x)               # x = t, t - t' in [0, x]
+        ct_end = np.array(_corr_combos(kernel, tau - x))
+        return np.real(np.sum(ct * np.conj(k_t) + ct_0 * k_t
+                              - ct_end * (np.conj(k_u) + k_s), axis=0))
 
     return f
 
-
-def _removed_deficit_integrand(pc, tau, kernel):
-    """Integrand of the deficit for the removed-evolution variants."""
-    ct_0 = _corr_combos(kernel, 0.0)
-
-    def f(t, tp):
-        t_col = t[:, :1]                    # t alone: once per outer node
-        terms = zip(_spin_elements(pc, t_col), _spin_elements(pc, t - tp),
-                    _corr_combos(kernel, tp), ct_0,
-                    _corr_combos(kernel, t - tp - tau),
-                    _corr_combos(kernel, tau - t_col))
-        total = 0.0
-        for (m_t, _), (m_s, _), ct_a, c_0, ct_b, ct_c in terms:
-            bracket = np.conj(ct_a) + c_0 - ct_b - ct_c
-            total = total + np.real(m_t * np.conj(m_s) * bracket)
-        return total
-
-    return f
-
-
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
 
 def survival_prob(mode, sys, kernel, tau, *, tol=1e-8):
     """Survival probability s(tau) for one measurement interval."""
@@ -143,15 +158,11 @@ def survival_prob(mode, sys, kernel, tau, *, tol=1e-8):
     p_full = renormalize(sys, kernel)
     pc = p_full.with_small_delta() if mode.small_delta else p_full
 
-    if mode.removed:
-        f = _removed_deficit_integrand(pc, tau, kernel)
-        zeroth = 0.0
-    else:
-        f = _full_deficit_integrand(pc, tau, kernel)
-        # The oscillation term is itself O(delta_r^2), so the small-delta
-        # reduction keeps its amplitude and only sends omega_r -> |epsilon|.
-        zeroth = (p_full.delta_r / pc.omega_r
-                  * np.sin(0.5 * pc.omega_r * tau)) ** 2
+    f = _deficit_integrand(pc, tau, kernel, mode.removed)
+    # The oscillation term is itself O(delta_r^2), so the small-delta
+    # reduction keeps its amplitude and only sends omega_r -> |epsilon|.
+    zeroth = 0.0 if mode.removed else (
+        p_full.delta_r / pc.omega_r * np.sin(0.5 * pc.omega_r * tau)) ** 2
 
     # start_order is passed explicitly so traces can count the nodes.
     integral, quad_err, order = integrate_triangle(f, tau, tol=tol,

@@ -1,4 +1,5 @@
-"""Test-only reference paths: audit integrands, the projection weights
+"""Test-only reference paths: the 2-D triangle rule with the spin-basis
+integrands it integrated, audit integrands, the projection weights
 fgh, the kernel exponent phi and the bath correlation functions, the
 closed-form propagator u_s_matrix, the matrix reconstruction of the
 second-order survival probability, and the JSON table reader

@@ -11,8 +11,9 @@ that the matrix reconstruction rejects them.
 import numpy as np
 
 from spinzeno.polaron import renormalize, rot_coeffs
-from spinzeno.quadrature import integrate_triangle
 from spinzeno.survival import SurvivalMode
+
+from reference.triangle import integrate_triangle_2d
 
 
 def fgh(p, tau):
@@ -114,5 +115,5 @@ def expanded_survival(mode, sys, kernel, tau, *, legacy=False, tol=1e-8):
         f = full_expanded_integrand(pc, tau, kernel, legacy)
         amp_x = p_full.delta_r / pc.omega_r if mode.small_delta else pc.nx
         zeroth = (amp_x * np.sin(0.5 * pc.omega_r * tau)) ** 2
-    integral, _, _ = integrate_triangle(f, tau, tol=tol)
+    integral = integrate_triangle_2d(f, tau, tol=tol)
     return 1.0 - zeroth - 0.25 * sys.delta ** 2 * float(integral)

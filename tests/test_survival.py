@@ -1,7 +1,7 @@
 """Survival probability tests: trivial limits, regression values,
-arbitration of the closed-form integrand variants, and invariants."""
+arbitration of the closed-form integrand variants, the 1-D rule against
+the 2-D triangle rule, and invariants."""
 
-import functools
 import math
 from unittest import mock
 
@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference.integrands import expanded_survival, full_expanded_integrand
-from reference.reconstruct import reconstruct_survival
+from reference.integrands import expanded_survival
+from reference.reconstruct import (DOWN, SIGMA_X, SIGMA_Y, UP,
+                                   reconstruct_survival, u_s_matrix)
+from reference.triangle import triangle_survival
 from spinzeno import (BathKernel, DiscreteBath, SpectralDensity, SurvivalMode,
                       SystemParams, renormalize, survival_prob)
 from spinzeno import survival as survival_module
@@ -118,24 +120,55 @@ _POINTWISE_CASES = [
     if variant != "full-eps0" or _POINTWISE_KERNELS[name].coherence_b() > 0.0]
 
 
+def _spin_factor_matrices(pc, tau, removed, t, s):
+    """P_mu(t, s) for mu = x, y from explicit 2x2 propagators."""
+    u = u_s_matrix(pc, tau).conj().T @ DOWN
+    rho0 = np.outer(UP, UP.conj())
+    out = []
+    for sigma in (SIGMA_X, SIGMA_Y):
+        op_t, op_s = (u_s_matrix(pc, x).conj().T @ sigma @ u_s_matrix(pc, x)
+                      for x in (t, s))
+        if removed:
+            out.append((DOWN @ op_t @ UP) * np.conj(DOWN @ op_s @ UP))
+        else:
+            out.append(u.conj() @ (op_s @ rho0 @ op_t
+                                   - op_t @ op_s @ rho0) @ u)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("removed", [False, True], ids=["kept", "removed"])
 @pytest.mark.parametrize("name, variant", _POINTWISE_CASES,
                          ids=["-".join(c) for c in _POINTWISE_CASES])
 @settings(max_examples=25, deadline=None)
 @given(tau=st.floats(0.05, 8.0), u=st.floats(0.0, 1.0),
        v=st.floats(0.0, 1.0))
-def test_full_integrand_matches_expanded_pointwise(name, variant, tau, u, v):
-    """The spin-basis contraction equals the trig-expanded closed form at
-    any node (t, t') of the triangle 0 <= t' <= t <= tau."""
+def test_spin_table_rebuilds_spin_factor(name, variant, removed, tau, u, v):
+    """sum_jk p_jk e^{i Omega_r (j t + k s)} over all nine (j, k), the
+    j + k = 0 terms included, equals P_mu(t, s = t - t') of the matrix
+    reconstruction at any node (t, t') of the triangle."""
     kernel = _POINTWISE_KERNELS[name]
     sys = SystemParams(0.0, 0.8) if variant == "full-eps0" else SYS_B
     pc = renormalize(sys, kernel)
     if variant == "small_delta":
         pc = pc.with_small_delta()
-    t = np.array([[tau * u]])
-    tp = t * v
-    got = survival_module._full_deficit_integrand(pc, tau, kernel)(t, tp)
-    want = full_expanded_integrand(pc, tau, kernel, legacy=False)(t, tp)
+    t = tau * u
+    s = t * v
+    p = survival_module._spin_tables(pc, tau, removed)
+    j = np.arange(-1, 2)
+    waves = np.exp(1j * pc.omega_r * np.add.outer(j * t, j * s))
+    got = np.sum(p * waves, axis=(1, 2))
+    want = _spin_factor_matrices(pc, tau, removed, t, s)
     assert np.abs(got - want).max() <= 1e-12
+
+
+def test_phi1_is_stable_at_zero():
+    # phi1(y) = (e^{iy} - 1)/(iy) weights every term of the closed-form
+    # integral; it is exactly 1 at y = 0 (b = 0, e.g. j + k = 0) and
+    # keeps full relative accuracy next to it
+    y = np.array([-7.0, -1e-9, 1e-12, 0.3, 7.0])
+    assert survival_module._phi1(np.array(0.0)) == 1.0
+    assert np.allclose(survival_module._phi1(y),
+                       np.expm1(1j * y) / (1j * y), rtol=1e-14, atol=0.0)
 
 
 class TestInvariants:
@@ -186,17 +219,10 @@ class TestInvariants:
         assert np.allclose(np.abs(m1), np.abs(m1f), atol=1e-12)
 
 
-_leggauss = functools.cache(np.polynomial.legendre.leggauss)
-
-
-def _triangle_at_order(f, tau, order):
-    """Iterated Gauss-Legendre over the triangle at one fixed order."""
-    x, w = _leggauss(order)
-    u = 0.5 * (x + 1.0)
-    t = tau * u
-    tp = t[:, None] * u[None, :]
-    vals = f(np.broadcast_to(t[:, None], tp.shape), tp)
-    return 0.5 * tau * ((0.5 * t * (vals @ w)) @ w)
+def _line_at_order(f, tau, order):
+    """The deficit's 1-D Gauss-Legendre rule at one fixed order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * tau * (f(0.5 * tau * (x + 1.0)) @ w)
 
 
 _discrete_baths = st.lists(
@@ -218,7 +244,7 @@ def _kernels(draw):
 
 
 class TestQuadratureSchedule:
-    """The triangle rule stops at the first pair of orders that agree,
+    """The 1-D rule stops at the first pair of orders that agree,
     starting from order 8; a false early agreement would leave s away
     from the same integrand evaluated at a fixed high order."""
 
@@ -239,7 +265,7 @@ class TestQuadratureSchedule:
         with mock.patch.object(survival_module, "integrate_triangle",
                                recording):
             res = survival_prob(mode, sys, kernel, tau, tol=tol)
-        fixed = _triangle_at_order(seen[0], tau, 512)
+        fixed = _line_at_order(seen[0], tau, 512)
         s_fixed = (1.0 - res.diagnostics["zeroth_order"]
                    - 0.25 * delta ** 2 * float(fixed))
         assert abs(res.s - s_fixed) <= 0.25 * delta ** 2 * tol
@@ -251,6 +277,41 @@ class TestQuadratureSchedule:
         res = survival_prob(mode, SystemParams(1.0, 0.1),
                             BathKernel(bath, None), 0.05)
         assert res.diagnostics["order"] < 64
+
+
+# A T = 0, a finite-T, a discrete and a B = 0 kernel
+_REFERENCE_KERNELS = {
+    "T0-s3": KERNEL,
+    "beta2-s3": BathKernel(SpectralDensity(G=0.3, s=3.0, omega_c=3.0), 2.0),
+    "two-mode": BathKernel(DiscreteBath(((1.0, 0.2), (3.0, 0.3))), None),
+    "B0-s0.7": BathKernel(SpectralDensity(G=0.5, s=0.7, omega_c=3.0), None),
+}
+
+
+class TestTwoDimensionalReference:
+    """The 1-D rule against the package's former 2-D triangle rule on the
+    spin-basis integrands (tests/reference/triangle.py)."""
+
+    @pytest.mark.parametrize("name", list(_REFERENCE_KERNELS))
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_every_mode_matches(self, mode, name):
+        kernel = _REFERENCE_KERNELS[name]
+        for tau in (0.5, 2.0, 5.0):
+            got = survival_prob(mode, SYS_B, kernel, tau).s
+            want = triangle_survival(mode, SYS_B, kernel, tau)
+            assert got == pytest.approx(want, abs=1e-10), tau
+
+    @pytest.mark.parametrize("beta", [None, 2.0], ids=["T0", "beta2"])
+    @pytest.mark.parametrize("mode", [SurvivalMode.FULL,
+                                      SurvivalMode.SMALL_DELTA,
+                                      SurvivalMode.REMOVED_FULL])
+    @pytest.mark.parametrize("tau", [24.0, 48.0])
+    def test_long_interval(self, tau, mode, beta):
+        # the fig1b system, far beyond the shipped tau range
+        kernel = BathKernel(J3, beta)
+        got = survival_prob(mode, SYS_B, kernel, tau).s
+        want = triangle_survival(mode, SYS_B, kernel, tau, order=512)
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 class TestDerivedQuantities:
