@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .bath import BathKernel, DiscreteBath
-from .config import (VALIDITY_WARN_THRESHOLD, apply_sweep, finite_positive,
-                     header_lines, parse_config)
+from .config import (VALIDITY_WARN_THRESHOLD, apply_sweep, header_lines,
+                     in_range, parse_config)
 from .errors import ConfigError, QuadratureError, SpinZenoError
 from .oracle import ExactEvolution, TruncatedBathSpec
 from .regimes import classify, sample_curve, tau_grid
@@ -48,7 +48,7 @@ def _load(config_path, tol):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
     if tol is not None:
-        if not finite_positive(tol):
+        if not in_range("run", "tol", tol):
             raise ConfigError(f"--tol: must be finite and > 0, got {tol!r}")
         cfg = dataclasses.replace(cfg, tol=tol)
     return cfg

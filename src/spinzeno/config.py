@@ -28,7 +28,8 @@ Configs are INI documents with three sections::
 Unknown keys, missing required keys, non-numeric or non-finite values
 (``beta = inf`` is the one spelling of zero temperature), non-integer
 ``tau_points`` or ``n_max`` and out-of-range values are rejected with the
-offending key and line number.
+offending key and line number.  Section names are lowercase, and ``%`` is
+a literal character.
 """
 
 import configparser
@@ -40,31 +41,41 @@ from .errors import ConfigError, DomainError
 from .polaron import SystemParams
 from .survival import SurvivalMode
 
-DEFAULTS = {"s": 3.0, "tol": 1e-8, "kernel_tol": 1e-10, "tau_points": 50,
-            "spacing": "geometric", "n_max": 6}
+REQUIRED = object()             # a key with no default
 
-_KNOWN_KEYS = {
-    "system": {"epsilon", "delta", "beta"},
-    "bath": {"g", "s", "omega_c", "modes"},
-    "run": {"modes", "tau", "tau_min", "tau_max", "tau_points", "spacing",
-            "sweep", "tol", "kernel_tol", "n_max"},
+# Every key, in header order: section -> key -> (type, default or REQUIRED,
+# range check or None, reason).  Floats must be finite.  str values, and the
+# rules that join keys (g and omega_c unless [bath] modes, tau_max > tau_min),
+# are checked in parse_config.  Sweep values get their key's check.
+KEYS = {
+    "system": {
+        "epsilon": (float, REQUIRED, None, None),
+        "delta": (float, REQUIRED, lambda v: v >= 0.0, "must be >= 0"),
+        "beta": (float, None, lambda v: v > 0.0, "must be positive (or inf)"),
+    },
+    "bath": {
+        "g": (float, None, lambda v: v >= 0.0, "must be >= 0"),
+        "s": (float, 3.0, lambda v: v > 0.0, "must be > 0"),
+        "omega_c": (float, None, lambda v: v > 0.0, "must be > 0"),
+        "modes": (str, None, None, None),
+    },
+    "run": {
+        "modes": (str, "full", None, None),
+        "tau": (float, None, lambda v: v >= 0.0, "must be >= 0"),
+        "tau_min": (float, None, lambda v: v > 0.0, "must be > 0"),
+        "tau_max": (float, None, None, None),
+        "tau_points": (int, 50, lambda v: v >= 2, "must be at least 2"),
+        "spacing": (str, "geometric", None, None),
+        "sweep": (str, None, None, None),
+        "tol": (float, 1e-8, lambda v: v > 0.0, "must be > 0"),
+        "kernel_tol": (float, 1e-10, lambda v: v > 0.0, "must be > 0"),
+        "n_max": (int, 6, lambda v: v >= 3, "must be at least 3"),
+    },
 }
 
-# Ranges of the (finite) numeric and integer keys; the bath and system ones
-# also apply to sweep values.  tau_max is checked against tau_min in place.
-_RANGES = {
-    "delta": (lambda v: v >= 0.0, "must be >= 0"),
-    "g": (lambda v: v >= 0.0, "must be >= 0"),
-    "s": (lambda v: v > 0.0, "must be > 0"),
-    "omega_c": (lambda v: v > 0.0, "must be > 0"),
-    "tau": (lambda v: v >= 0.0, "must be >= 0"),
-    "tau_min": (lambda v: v > 0.0, "must be > 0"),
-    "tol": (lambda v: v > 0.0, "must be > 0"),
-    "kernel_tol": (lambda v: v > 0.0, "must be > 0"),
-    "tau_points": (lambda v: v >= 2, "must be at least 2"),
-    "n_max": (lambda v: v >= 3, "must be at least 3"),
-}
-_ANY = (lambda v: True, None)
+# Sweepable key -> the SystemParams or SpectralDensity field it replaces
+SWEEPS = {"g": "G", "s": "s", "omega_c": "omega_c", "epsilon": "epsilon",
+          "delta": "delta"}
 
 VALIDITY_WARN_THRESHOLD = 0.1
 
@@ -74,17 +85,17 @@ class RunConfig:
     system: SystemParams
     source: object            # SpectralDensity or DiscreteBath
     modes: tuple              # SurvivalMode values, order preserved
-    beta: float = None        # inverse temperature; None = zero T
-    tau: float = None         # single point, for `compute`
-    tau_min: float = None
-    tau_max: float = None
-    tau_points: int = DEFAULTS["tau_points"]
-    spacing: str = DEFAULTS["spacing"]
-    sweep_key: str = None
-    sweep_values: tuple = ()
-    tol: float = DEFAULTS["tol"]
-    kernel_tol: float = DEFAULTS["kernel_tol"]
-    n_max: int = DEFAULTS["n_max"]
+    beta: float               # inverse temperature; None = zero T
+    tau: float                # single point, for `compute`
+    tau_min: float
+    tau_max: float
+    tau_points: int
+    spacing: str
+    sweep_key: str
+    sweep_values: tuple
+    tol: float
+    kernel_tol: float
+    n_max: int
 
 
 def _line_of(text, section, key):
@@ -93,8 +104,9 @@ def _line_of(text, section, key):
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-        elif current == section and line.split("=")[0].split(":")[0].strip() == key:
+            current = line[1:-1].strip()
+        elif current == section and \
+                line.split("=")[0].split(":")[0].strip().lower() == key:
             return i
     return None
 
@@ -105,105 +117,84 @@ def _fail(text, section, key, reason):
     raise ConfigError(f"[{section}] {key}{where}: {reason}")
 
 
-def _number(text, section, raw, key):
+def _number(text, section, key, raw, kind=float):
+    """`raw` as a finite float, or as an int if `kind` is int."""
     try:
-        value = float(raw)
+        value = kind(raw)
     except ValueError:
-        _fail(text, section, key, f"non-numeric value {raw!r}")
+        _fail(text, section, key, f"must be an integer, got {raw!r}"
+              if kind is int else f"non-numeric value {raw!r}")
     if not math.isfinite(value):
         _fail(text, section, key, f"must be finite, got {raw!r}")
     return value
 
 
-def _integer(text, section, raw, key):
-    try:
-        return int(raw)
-    except ValueError:
-        _fail(text, section, key, f"must be an integer, got {raw!r}")
-
-
-def finite_positive(value):
-    """True for a finite value above zero (False for nan)."""
-    return 0.0 < value < math.inf
+def in_range(section, key, value):
+    """True for a finite `value` that passes `key`'s range check."""
+    check = KEYS[section][key][2]
+    return math.isfinite(value) and (check is None or check(value))
 
 
 def parse_config(text):
     """Parse and validate an INI run configuration."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
     for section in parser.sections():
-        name = section.lower()
-        if name not in _KNOWN_KEYS:
+        if section not in KEYS:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _KNOWN_KEYS[name]:
-                _fail(text, name, key, "unknown key")
+            if key not in KEYS[section]:
+                _fail(text, section, key, "unknown key")
+    for section in ("system", "bath"):
+        if not parser.has_section(section):
+            raise ConfigError(f"missing required section [{section}]")
+    # beta = inf is zero temperature, which is the default
+    beta = parser.get("system", "beta", fallback="")
+    if beta.lower() in ("inf", "infinity"):
+        parser.remove_option("system", "beta")
 
-    def get(section, key, default=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
+    values = {section: {} for section in KEYS}
+    for section, rows in KEYS.items():
+        for key, (kind, default, _, reason) in rows.items():
+            value = parser.get(section, key, fallback=None)
+            if value is None:
+                if default is REQUIRED:
+                    raise ConfigError(f"[{section}] missing required key "
+                                      f"{key!r}")
+                value = default
+            elif kind is not str:
+                value = _number(text, section, key, value, kind)
+                if not in_range(section, key, value):
+                    _fail(text, section, key, reason)
+            values[section][key] = value
+    system, bath, run = values["system"], values["bath"], values["run"]
 
-    def in_range(section, key, value):
-        ok, reason = _RANGES.get(key, _ANY)
-        if not ok(value):
-            _fail(text, section, key, reason)
-        return value
-
-    def get_num(section, key, default=None, required=False):
-        raw = get(section, key)
-        if raw is None:
-            if required:
-                raise ConfigError(f"[{section}] missing required key {key!r}")
-            return default
-        return in_range(section, key, _number(text, section, raw, key))
-
-    def get_int(section, key, default):
-        raw = get(section, key)
-        return default if raw is None \
-            else in_range(section, key, _integer(text, section, raw, key))
-
-    if not parser.has_section("system"):
-        raise ConfigError("missing required section [system]")
-    if not parser.has_section("bath"):
-        raise ConfigError("missing required section [bath]")
-
-    epsilon = get_num("system", "epsilon", required=True)
-    delta = get_num("system", "delta", required=True)
-    beta_raw = get("system", "beta")
-    beta = None
-    if beta_raw is not None and beta_raw.strip().lower() not in ("inf", "infinity"):
-        beta = _number(text, "system", beta_raw, "beta")
-        if beta <= 0.0:
-            _fail(text, "system", "beta", "must be positive (or inf)")
-    system = SystemParams(epsilon, delta)
-
-    modes_raw = get("bath", "modes")
-    if modes_raw is not None:
+    if bath["modes"] is not None:
         pairs = []
-        for token in modes_raw.replace(",", " ").split():
+        for token in bath["modes"].replace(",", " ").split():
             if ":" not in token:
                 _fail(text, "bath", "modes", f"mode {token!r} is not omega:g")
             w_raw, g_raw = token.split(":", 1)
-            pairs.append((_number(text, "bath", w_raw, "modes"),
-                          _number(text, "bath", g_raw, "modes")))
+            pairs.append((_number(text, "bath", "modes", w_raw),
+                          _number(text, "bath", "modes", g_raw)))
         try:
             source = DiscreteBath(tuple(pairs))
         except DomainError as exc:
             _fail(text, "bath", "modes", str(exc))
     else:
-        g = get_num("bath", "g", required=True)
-        s = get_num("bath", "s", DEFAULTS["s"])
-        omega_c = get_num("bath", "omega_c", required=True)
-        source = SpectralDensity(G=g, s=s, omega_c=omega_c)
+        for key in ("g", "omega_c"):
+            if bath[key] is None:
+                raise ConfigError(f"[bath] missing required key {key!r}")
+        source = SpectralDensity(G=bath["g"], s=bath["s"],
+                                 omega_c=bath["omega_c"])
 
-    mode_names = get("run", "modes", "full")
     modes = []
-    for token in mode_names.replace(",", " ").split():
+    for token in run.pop("modes").replace(",", " ").split():
         try:
             modes.append(SurvivalMode(token.strip().lower()))
         except ValueError:
@@ -211,41 +202,34 @@ def parse_config(text):
     if not modes:
         raise ConfigError("[run] modes: at least one mode required")
 
-    tau = get_num("run", "tau")
-    tau_min = get_num("run", "tau_min")
-    tau_max = get_num("run", "tau_max")
-    if tau_max is not None and not tau_max > (tau_min or 0.0):
+    if run["tau_max"] is not None and \
+            not run["tau_max"] > (run["tau_min"] or 0.0):
         _fail(text, "run", "tau_max", "must be > tau_min")
-    tau_points = get_int("run", "tau_points", DEFAULTS["tau_points"])
-    spacing = get("run", "spacing", DEFAULTS["spacing"])
-    if spacing not in ("geometric", "linear"):
-        _fail(text, "run", "spacing", f"must be geometric or linear, got {spacing!r}")
-    tol = get_num("run", "tol", DEFAULTS["tol"])
-    kernel_tol = get_num("run", "kernel_tol", DEFAULTS["kernel_tol"])
-    n_max = get_int("run", "n_max", DEFAULTS["n_max"])
+    if run["spacing"] not in ("geometric", "linear"):
+        _fail(text, "run", "spacing",
+              f"must be geometric or linear, got {run['spacing']!r}")
 
     sweep_key, sweep_values = None, ()
-    sweep_raw = get("run", "sweep")
+    sweep_raw = run.pop("sweep")
     if sweep_raw is not None:
         if ":" not in sweep_raw:
             _fail(text, "run", "sweep", "expected 'key: v1 v2 ...'")
         sweep_key, values_raw = sweep_raw.split(":", 1)
         sweep_key = sweep_key.strip().lower()
-        if sweep_key not in ("g", "s", "omega_c", "epsilon", "delta"):
+        if sweep_key not in SWEEPS:
             _fail(text, "run", "sweep", f"cannot sweep {sweep_key!r}")
-        sweep_values = tuple(_number(text, "run", v, "sweep")
+        sweep_values = tuple(_number(text, "run", "sweep", v)
                              for v in values_raw.replace(",", " ").split())
         if not sweep_values:
             _fail(text, "run", "sweep", "no sweep values given")
-        ok, reason = _RANGES.get(sweep_key, _ANY)
-        if not all(ok(v) for v in sweep_values):
-            _fail(text, "run", "sweep", f"{sweep_key} {reason}")
+        section = "system" if sweep_key in KEYS["system"] else "bath"
+        if not all(in_range(section, sweep_key, v) for v in sweep_values):
+            _fail(text, "run", "sweep",
+                  f"{sweep_key} {KEYS[section][sweep_key][3]}")
 
-    return RunConfig(system=system, source=source, modes=tuple(modes),
-                     beta=beta, tau=tau, tau_min=tau_min, tau_max=tau_max,
-                     tau_points=tau_points, spacing=spacing,
-                     sweep_key=sweep_key, sweep_values=sweep_values,
-                     tol=tol, kernel_tol=kernel_tol, n_max=n_max)
+    return RunConfig(system=SystemParams(system["epsilon"], system["delta"]),
+                     source=source, modes=tuple(modes), beta=system["beta"],
+                     sweep_key=sweep_key, sweep_values=sweep_values, **run)
 
 
 def header_lines(cfg):
@@ -260,30 +244,27 @@ def header_lines(cfg):
         lines.append(("bath.g", repr(cfg.source.G)))
         lines.append(("bath.s", repr(cfg.source.s)))
         lines.append(("bath.omega_c", repr(cfg.source.omega_c)))
-    lines.append(("run.modes", " ".join(m.value for m in cfg.modes)))
-    for key in ("tau", "tau_min", "tau_max"):
-        if getattr(cfg, key) is not None:
-            lines.append((f"run.{key}", repr(getattr(cfg, key))))
-    lines.append(("run.tau_points", str(cfg.tau_points)))
-    lines.append(("run.spacing", cfg.spacing))
-    if cfg.sweep_key:
-        lines.append(("run.sweep", f"{cfg.sweep_key}: "
-                      + " ".join(repr(v) for v in cfg.sweep_values)))
-    lines.append(("run.tol", repr(cfg.tol)))
-    lines.append(("run.kernel_tol", repr(cfg.kernel_tol)))
-    lines.append(("run.n_max", str(cfg.n_max)))
+    for key, (kind, *_) in KEYS["run"].items():
+        value = getattr(cfg, key, None)
+        if key == "modes":
+            value = " ".join(m.value for m in value)
+        elif key == "sweep" and cfg.sweep_key:
+            value = f"{cfg.sweep_key}: " + " ".join(
+                repr(v) for v in cfg.sweep_values)
+        if value is not None:
+            lines.append((f"run.{key}", value if kind is str else repr(value)))
     return tuple(lines)
 
 
 def apply_sweep(cfg, value):
     """System/bath objects with the sweep variable replaced by `value`."""
     system, source = cfg.system, cfg.source
-    if cfg.sweep_key in ("epsilon", "delta"):
-        system = replace(system, **{cfg.sweep_key: value})
-    elif cfg.sweep_key is not None:
-        if isinstance(source, DiscreteBath):
-            raise ConfigError("cannot sweep spectral-density parameters of "
-                              "a discrete bath")
-        field_name = {"g": "G"}.get(cfg.sweep_key, cfg.sweep_key)
-        source = replace(source, **{field_name: value})
-    return system, source
+    if cfg.sweep_key is None:
+        return system, source
+    field_name = SWEEPS[cfg.sweep_key]
+    if cfg.sweep_key in KEYS["system"]:
+        return replace(system, **{field_name: value}), source
+    if isinstance(source, DiscreteBath):
+        raise ConfigError("cannot sweep spectral-density parameters of "
+                          "a discrete bath")
+    return system, replace(source, **{field_name: value})

@@ -1,12 +1,15 @@
 """Config parsing, serialization and CLI behaviour tests."""
 
+import configparser
 import csv
+import itertools
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +17,7 @@ from click.testing import CliRunner
 from reference.tables import parse_json
 from spinzeno import (DiscreteBath, ResultTable, SurvivalMode, emit_csv,
                       emit_json, parse_config, tau_grid)
+from spinzeno import config
 from spinzeno.cli import main
 from spinzeno.config import header_lines
 from spinzeno.errors import ConfigError
@@ -96,6 +100,7 @@ class TestParseConfig:
         ("epsilon = 1.0", "epsilon = inf"),
         ("delta = 0.2", "delta = nan"),
         ("delta = 0.2", "delta = -0.2"),
+        ("delta = 0.2", "Delta = -0.2"),
         ("g = 1.0", "g = nan"),
         ("g = 1.0", "g = -1.0"),
         ("g = 1.0", "g = 1.0\ns = inf"),
@@ -105,6 +110,7 @@ class TestParseConfig:
         ("g = 1.0\nomega_c = 10.0", "modes = 1.0:nan 3.0:0.3"),
         ("g = 1.0\nomega_c = 10.0", "modes = inf:0.2"),
         ("g = 1.0\nomega_c = 10.0", "modes = 3.0:0.3 1.0:0.2"),
+        ("g = 1.0", "modes = 1.0:0.2\ng = -1.0"),
         ("tau_max = 3.0", "tau_max = 3.0\nsweep = g: 0.5 -0.5"),
         ("tau_max = 3.0", "tau_max = 3.0\nsweep = omega_c: 10 0")])
     def test_out_of_range_system_or_bath_value_rejected(self, old, new):
@@ -113,7 +119,8 @@ class TestParseConfig:
         line = text.split("\n").index(entry) + 1
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
-        assert f"{entry.split(' = ')[0]} (line {line})" in str(exc.value)
+        key = entry.split(" = ")[0].lower()
+        assert f"{key} (line {line})" in str(exc.value)
 
     def test_unknown_mode(self):
         bad = MINIMAL + "modes = sideways\n"
@@ -138,20 +145,49 @@ class TestParseConfig:
             parse_config(MINIMAL + "sweep = g: 0.1 inf\n")
 
     def test_echo_covers_every_parameter(self):
-        """Mutating any numeric parameter must change the header echo."""
-        base = dict(header_lines(parse_config(MINIMAL)))
+        """Mutating any key must change that key's header echo."""
+        add = "tau_max = 3.0\n"
         mutations = [
-            ("epsilon = 1.0", "epsilon = 1.5"),
-            ("delta = 0.2", "delta = 0.3"),
-            ("g = 1.0", "g = 0.9"),
-            ("omega_c = 10.0", "omega_c = 12.0"),
-            ("tau_min = 0.05", "tau_min = 0.06"),
-            ("tau_max = 3.0", "tau_max = 4.0"),
+            ("system", "epsilon", "epsilon = 1.0", "epsilon = 1.5"),
+            ("system", "delta", "delta = 0.2", "delta = 0.3"),
+            ("system", "beta", "delta = 0.2", "delta = 0.2\nbeta = 2.0"),
+            ("bath", "g", "g = 1.0", "g = 0.9"),
+            ("bath", "s", "g = 1.0", "g = 1.0\ns = 2.0"),
+            ("bath", "omega_c", "omega_c = 10.0", "omega_c = 12.0"),
+            ("bath", "modes", "g = 1.0\nomega_c = 10.0",
+             "modes = 1.0:0.2 3.0:0.3"),
+            ("run", "modes", add, add + "modes = small_delta\n"),
+            ("run", "tau", add, add + "tau = 0.5\n"),
+            ("run", "tau_min", "tau_min = 0.05", "tau_min = 0.06"),
+            ("run", "tau_max", "tau_max = 3.0", "tau_max = 4.0"),
+            ("run", "tau_points", add, add + "tau_points = 7\n"),
+            ("run", "spacing", add, add + "spacing = linear\n"),
+            ("run", "sweep", add, add + "sweep = g: 0.5 0.9\n"),
+            ("run", "tol", add, add + "tol = 1e-6\n"),
+            ("run", "kernel_tol", add, add + "kernel_tol = 1e-9\n"),
+            ("run", "n_max", add, add + "n_max = 4\n"),
         ]
-        for old, new in mutations:
-            cfg = parse_config(MINIMAL.replace(old, new))
-            mutated = dict(header_lines(cfg))
-            assert mutated != base, f"echo missed mutation {new!r}"
+        assert {(sec, key) for sec, key, _, _ in mutations} == {
+            (sec, key) for sec, rows in config.KEYS.items() for key in rows}
+        base = dict(header_lines(parse_config(MINIMAL)))
+        for section, key, old, new in mutations:
+            mutated = dict(header_lines(parse_config(MINIMAL.replace(old,
+                                                                     new))))
+            name = f"{section}.{key}"
+            assert mutated.get(name) != base.get(name), \
+                f"echo missed mutation {new!r}"
+
+    def test_docstring_grammar_names_every_key(self):
+        """The module docstring's grammar lists the parser's keys in order
+        and is itself a valid config."""
+        lines = config.__doc__.split("::\n", 1)[1].splitlines()
+        grammar = textwrap.dedent("\n".join(itertools.takewhile(
+            lambda ln: not ln or ln.startswith(" "), lines)))
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        parser.read_string(grammar)
+        assert {sec: list(parser[sec]) for sec in parser.sections()} == {
+            sec: list(rows) for sec, rows in config.KEYS.items()}
+        parse_config(grammar)
 
 
 def _with_run_entry(text, entry):
@@ -503,6 +539,24 @@ modes = small_delta
         result = self.run("compute", "--config", str(cfg))
         assert result.exit_code == 2
         assert new.split("\n")[-1].split(" = ")[0] in result.stderr
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("tau_max = 3.0", "tau_max = 3.0\nmodes = full 5%",
+         "[run] modes (line 13): unknown mode '5%'"),
+        ("g = 1.0", "g = %(omega_c)s",
+         "[bath] g (line 7): non-numeric value '%(omega_c)s'"),
+        ("[run]", "[Run]", "unknown section [Run]"),
+        ("[system]", "[System]", "unknown section [System]"),
+        ("tau_max = 3.0", "tau_max = 3.0\n[Run]\ntol = 1e-3",
+         "unknown section [Run]")])
+    def test_percent_or_section_case_exit_code(self, tmp_path, old, new,
+                                               message):
+        # `%` is a literal character, and section names are lowercase
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL.replace(old, new) + "tau = 0.7\n")
+        result = self.run("compute", "--config", str(cfg))
+        assert result.exit_code == 2
+        assert result.stderr == f"config error: {message}\n"
 
     @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf"])
     def test_out_of_range_tol_option_exit_code(self, tmp_path, tol):
