@@ -77,20 +77,11 @@ def _grid(cfg):
 
 
 def _regime_labels(curve):
-    """Per-point regime labels from the classified segments."""
-    labels = [""] * curve.tau_grid.size
+    """Per-point regime labels; all "" below 3 finite points."""
     try:
-        report = classify(curve)
+        return classify(curve).labels
     except ValueError:
-        return labels
-    for i, (tau, ok) in enumerate(zip(curve.tau_grid, curve.finite_mask())):
-        if not ok:
-            continue
-        for (lo, hi), lab in report.segments:
-            if lo - 1e-12 <= tau <= hi + 1e-12:
-                labels[i] = lab.value
-                break
-    return labels
+        return ("",) * curve.tau_grid.size
 
 
 def _row(mode, tau, gamma, s, validity, sweep=None, regime="", error=""):

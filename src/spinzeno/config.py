@@ -28,8 +28,8 @@ Configs are INI documents with three sections::
 Unknown keys, missing required keys, non-numeric or non-finite values
 (``beta = inf`` is the one spelling of zero temperature), non-integer
 ``tau_points`` or ``n_max`` and out-of-range values are rejected with the
-offending key and line number.  Section names are lowercase, and ``%`` is
-a literal character.
+offending key and line number.  Section names are lowercase, ``[DEFAULT]``
+is an unknown section like any other, and ``%`` is a literal character.
 """
 
 import configparser
@@ -137,8 +137,10 @@ def in_range(section, key, value):
 
 def parse_config(text):
     """Parse and validate an INI run configuration."""
+    # no header names the section "", so [DEFAULT] is one more unknown
+    # section instead of defaults copied into every other one
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
-                                       interpolation=None)
+                                       interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -4,6 +4,17 @@ Classification follows the derivative convention: the system is in the
 Zeno regime where Gamma(tau) decreases as tau decreases (positive slope
 in tau) and in the anti-Zeno regime where it increases as tau decreases
 (negative slope).
+
+`classify` labels each finite point by the sign of `np.gradient(gamma,
+tau)` there: the slope of the parabola through the point and its two
+neighbours, or of the one adjacent interval at either end.  A gap, and a
+point whose |slope| is at most SLOPE_NOISE_FLOOR * max|Gamma|, is left
+unlabelled (""); nothing is filled in, so a flat curve has no labels.
+Where two consecutive labelled points a < b differ in sign, the crossover
+is the bracket [tau[a-1], tau[b+1]] over the finite points, clipped to
+the ends.  Each three-point slope is a positive-weight mix of its two
+interval slopes, so Gamma both rises and falls on the bracket, which
+therefore holds a stationary point.
 """
 
 import enum
@@ -37,8 +48,8 @@ class DecayCurve:
 
 @dataclass(frozen=True)
 class RegimeReport:
-    crossovers: tuple  # (tau_star, direction) pairs
-    segments: tuple    # ((tau_lo, tau_hi), RegimeLabel) pairs
+    labels: tuple      # one RegimeLabel value or "" per tau_grid point
+    crossovers: tuple  # ((tau_lo, tau_hi), direction) pairs
 
 
 def tau_grid(tau_min, tau_max, n_points, spacing="geometric"):
@@ -83,51 +94,27 @@ def sample_curve(mode, sys, kernel, taus, *, tol=1e-8):
 
 
 def classify(curve):
-    """Label Zeno/anti-Zeno segments and locate slope-sign crossovers."""
+    """Label each point by the sign of its three-point slope, and bracket
+    each sign change."""
     mask = curve.finite_mask()
     tau = curve.tau_grid[mask]
     gamma = curve.gamma[mask]
     if tau.size < 3:
         raise ValueError("classification needs at least 3 finite points")
+    slope = np.gradient(gamma, tau)
     floor = SLOPE_NOISE_FLOOR * np.max(np.abs(gamma))
-    slopes = np.diff(gamma) / np.diff(tau)
-    signs = np.where(np.abs(slopes) > floor, np.sign(slopes), 0.0)
-
-    # forward/backward fill so sub-noise intervals inherit a neighbour label
-    filled = signs.copy()
-    for i in range(1, filled.size):
-        if filled[i] == 0.0:
-            filled[i] = filled[i - 1]
-    for i in range(filled.size - 2, -1, -1):
-        if filled[i] == 0.0:
-            filled[i] = filled[i + 1]
-    if np.all(filled == 0.0):
-        filled[:] = 1.0  # flat curve: no acceleration anywhere, call it Zeno
-
-    def label(sign):
-        return RegimeLabel.ZENO if sign > 0 else RegimeLabel.ANTI_ZENO
+    signs = np.where(np.abs(slope) > floor, np.sign(slope), 0.0)
+    names = {1.0: RegimeLabel.ZENO.value, -1.0: RegimeLabel.ANTI_ZENO.value,
+             0.0: ""}
+    labels = np.full(curve.tau_grid.size, "", dtype=object)
+    labels[mask] = [names[sign] for sign in signs]
 
     crossovers = []
-    segments = []
-    start = tau[0]
-    for i in range(1, filled.size):
-        if filled[i] != filled[i - 1]:
-            t_star = _locate_extremum(tau, gamma, i)
-            direction = f"{label(filled[i - 1]).value}_to_{label(filled[i]).value}"
-            crossovers.append((t_star, direction))
-            segments.append(((start, t_star), label(filled[i - 1])))
-            start = t_star
-    segments.append(((start, tau[-1]), label(filled[-1])))
-    return RegimeReport(tuple(crossovers), tuple(segments))
-
-
-def _locate_extremum(tau, gamma, i):
-    """Quadratic interpolation of the extremum near the shared point i."""
-    lo = max(0, i - 1)
-    hi = min(tau.size, lo + 3)
-    lo = hi - 3
-    coeff = np.polyfit(tau[lo:hi], gamma[lo:hi], 2)
-    if coeff[0] == 0.0:
-        return tau[i]
-    t_star = -0.5 * coeff[1] / coeff[0]
-    return float(np.clip(t_star, tau[lo], tau[hi - 1]))
+    labelled = np.flatnonzero(signs)
+    for a, b in zip(labelled[:-1], labelled[1:]):
+        if signs[a] != signs[b]:
+            bracket = (float(tau[max(a - 1, 0)]),
+                       float(tau[min(b + 1, tau.size - 1)]))
+            crossovers.append(
+                (bracket, f"{names[signs[a]]}_to_{names[signs[b]]}"))
+    return RegimeReport(tuple(labels), tuple(crossovers))

@@ -49,8 +49,9 @@ def test_criterion_01_overlap_small_tunneling():
 
 
 def test_criterion_02_divergence_large_tunneling():
-    """At large tunneling the approaches split and the full mode gains
-    extra slope-sign crossovers."""
+    """At large tunneling the approaches split, and only the full mode
+    turns: one slope-sign crossover (dense reference tau ~ 4.43) against
+    none for small-delta."""
     full, small = _curves(SurvivalMode.FULL, SurvivalMode.SMALL_DELTA,
                           SystemParams(0.25, 1.0), J3, 0.05, 6.0, 60)
     both = full.finite_mask() & small.finite_mask()

@@ -462,6 +462,8 @@ modes = small_delta
         assert "compare.max_rel_gamma" not in result.stdout
         assert "nan" not in "".join(ln for ln in result.stdout.splitlines()
                                     if ln.startswith("#"))
+        # a flat curve has no slope to label
+        assert [r["regime"] for r in _data_rows(result.stdout)] == [""] * 6
 
     def test_compute_matches_curve_at_each_tau(self, tmp_path):
         text = (MINIMAL.replace("tau_min = 0.05\ntau_max = 3.0\n", _SMALL_RUN)
@@ -548,10 +550,16 @@ modes = small_delta
         ("[run]", "[Run]", "unknown section [Run]"),
         ("[system]", "[System]", "unknown section [System]"),
         ("tau_max = 3.0", "tau_max = 3.0\n[Run]\ntol = 1e-3",
-         "unknown section [Run]")])
+         "unknown section [Run]"),
+        ("[system]", "[DEFAULT]\nfoo = 1\n[system]",
+         "unknown section [DEFAULT]"),
+        ("[system]", "[DEFAULT]\ntol = 1e-3\n[system]",
+         "unknown section [DEFAULT]"),
+        ("[system]", "[DEFAULT]\n[system]", "unknown section [DEFAULT]")])
     def test_percent_or_section_case_exit_code(self, tmp_path, old, new,
                                                message):
-        # `%` is a literal character, and section names are lowercase
+        # `%` is a literal character, section names are lowercase, and
+        # [DEFAULT] is not configparser's defaults section
         cfg = tmp_path / "c.ini"
         cfg.write_text(MINIMAL.replace(old, new) + "tau = 0.7\n")
         result = self.run("compute", "--config", str(cfg))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinzeno import (BathKernel, DecayCurve, RegimeLabel, SpectralDensity,
                       SurvivalMode, SystemParams, classify, sample_curve,
@@ -39,27 +40,37 @@ class TestTauGrid:
             tau_grid(0.1, 1.0, 5, "log")
 
 
+ZENO, ANTI_ZENO = RegimeLabel.ZENO.value, RegimeLabel.ANTI_ZENO.value
+
+# unimodal closed forms: (Gamma(tau, tau0), direction at the stationary
+# point tau0)
+UNIMODAL = {
+    "peak": (lambda tau, t0: tau * np.exp(-tau / t0), "zeno_to_anti_zeno"),
+    "valley": (lambda tau, t0: tau + t0 ** 2 / tau, "anti_zeno_to_zeno"),
+}
+
+
 class TestClassify:
-    def test_monotone_increasing_is_single_zeno_segment(self):
+    def test_monotone_increasing_is_all_zeno(self):
         tau = np.linspace(0.1, 3.0, 20)
         report = classify(synthetic_curve(tau, 0.3 * tau))
         assert report.crossovers == ()
-        assert len(report.segments) == 1
-        assert report.segments[0][1] is RegimeLabel.ZENO
+        assert report.labels == (ZENO,) * 20
 
-    def test_sinusoid_crossover_near_pi_half(self):
+    def test_sinusoid_bracket_contains_pi_half(self):
         tau = np.linspace(0.1, 3.0, 100)
         report = classify(synthetic_curve(tau, np.sin(tau) + 2.0))
         assert len(report.crossovers) == 1
-        t_star, direction = report.crossovers[0]
-        assert t_star == pytest.approx(np.pi / 2.0, abs=0.05)
+        (lo, hi), direction = report.crossovers[0]
+        assert lo <= np.pi / 2.0 <= hi
+        assert hi - lo <= 3.0 * (tau[1] - tau[0]) * (1.0 + 1e-12)
         assert direction == "zeno_to_anti_zeno"
 
-    def test_flat_curve_is_zeno(self):
+    def test_flat_curve_is_unlabelled(self):
         tau = np.linspace(0.1, 3.0, 10)
         report = classify(synthetic_curve(tau, np.zeros(10)))
         assert report.crossovers == ()
-        assert report.segments[0][1] is RegimeLabel.ZENO
+        assert report.labels == ("",) * 10
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
@@ -71,6 +82,36 @@ class TestClassify:
         gamma[5] = np.nan
         report = classify(synthetic_curve(tau, gamma))
         assert report.crossovers == ()
+        assert report.labels == (ZENO,) * 5 + ("",) + (ZENO,) * 14
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.sampled_from(sorted(UNIMODAL)),
+           t0=st.floats(0.1, 8.0), n=st.integers(5, 80),
+           spacing=st.sampled_from(["geometric", "linear"]))
+    def test_brackets_contain_stationary_point(self, shape, t0, n, spacing):
+        gamma_of, direction = UNIMODAL[shape]
+        tau = tau_grid(0.05, 10.0, n, spacing)
+        report = classify(synthetic_curve(tau, gamma_of(tau, t0)))
+        for (lo, hi), got in report.crossovers:
+            assert lo <= t0 <= hi
+            assert got == direction
+        # the grid sees the turn once the stationary point lies past the
+        # first interval and before the last one
+        if tau[1] < t0 < tau[-2]:
+            assert len(report.crossovers) == 1
+
+    def test_plateau_below_floor_is_unlabelled_and_bracketed(self):
+        # rises on [0.1, 1.1], stays within 1e-8 (below the slope floor)
+        # on [1.1, 2.1], then falls
+        tau = np.linspace(0.1, 3.1, 31)
+        gamma = np.interp(tau, [0.1, 1.1, 2.1, 3.1],
+                          [1.0, 2.0, 2.0 + 1e-8, 1.0])
+        report = classify(synthetic_curve(tau, gamma))
+        assert report.labels == (ZENO,) * 11 + ("",) * 9 + (ANTI_ZENO,) * 11
+        assert len(report.crossovers) == 1
+        (lo, hi), direction = report.crossovers[0]
+        assert lo <= tau[10] and tau[20] <= hi
+        assert direction == "zeno_to_anti_zeno"
 
 
 class TestSampleCurve:
@@ -79,7 +120,8 @@ class TestSampleCurve:
                              tau_grid(0.1, 2.0, 5))
         assert np.allclose(curve.gamma, 0.0)
         report = classify(curve)
-        assert report.segments[0][1] is RegimeLabel.ZENO
+        assert report.labels == ("",) * 5
+        assert report.crossovers == ()
 
     def test_gaps_recorded_not_dropped(self):
         # large tau drives the small-delta reduction out of regime
