@@ -1,6 +1,7 @@
 """Survival probability and Zeno/anti-Zeno decay rates of a repeatedly
 measured spin-boson system, computed with a polaron-frame second-order
-perturbative method plus an exact-diagonalization validation oracle."""
+perturbative method plus an exact-evolution validation oracle (matrix-free
+Chebyshev propagation on a truncated Fock space)."""
 
 from .bath import BathKernel, DiscreteBath, KernelTable, SpectralDensity
 from .config import RunConfig, apply_sweep, parse_config
@@ -8,7 +9,7 @@ from .tables import ResultTable, emit_csv, emit_json
 from .errors import (ConfigError, DegenerateSystemError, DimensionBudgetError,
                      DivergentKernelError, DomainError, OutOfRegimeError,
                      QuadratureError, SpinZenoError, TruncationError)
-from .oracle import (ExactEvolution, TruncatedBathSpec, build_lab_hamiltonian,
+from .oracle import (ExactEvolution, LabHamiltonian, TruncatedBathSpec,
                      discretize_bath, initial_vector_lab)
 from .polaron import PolaronParams, SystemParams, renormalize, rot_coeffs
 from .quadrature import integrate_triangle

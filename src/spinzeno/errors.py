@@ -30,7 +30,7 @@ class TruncationError(SpinZenoError):
 
 
 class DimensionBudgetError(SpinZenoError):
-    """Requested exact-diagonalization dimension exceeds the budget."""
+    """The exact oracle's truncated dimension 2 n_max^K exceeds the budget."""
 
 
 class ConfigError(SpinZenoError):

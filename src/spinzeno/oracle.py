@@ -1,15 +1,19 @@
 """Exact lab-frame evolution of a small discretized bath.
 
-Brute-force validation path: build the full lab-frame Hamiltonian on a
-truncated Fock space and read off the survival probability without any
-perturbation theory.  Zero temperature only.
+Brute-force validation path: propagate the state on a truncated Fock
+space and read off the survival probability without any perturbation
+theory.  Zero temperature only.
 
-The Hamiltonian is real symmetric, so one real eigendecomposition
-H = V diag(E) V^T serves every tau.  The initial state is pure, so it is
-propagated as a state vector, psi(tau) = V (exp(-i E tau) * V^T psi0):
-O(d^2) per tau after the O(d^3) eigendecomposition.
+No d x d matrix is formed.  The Hamiltonian is an operator
+(LabHamiltonian) on the state vector of the (2, n_max, ..., n_max) array,
+and exp(-i H dtau) is a Chebyshev series in H (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81, 3967, 1984) over a Gershgorin bound of its spectrum.
+Memory is O(d K); a tau step costs about (spectral half-width x dtau)
+applications of H, at O(d K) each.  The dense eigendecomposition this
+replaces is the cross-check in tests/reference/oracle.py.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +24,7 @@ from .polaron import SIGMA_X, SIGMA_Z
 
 DEFAULT_DIM_BUDGET = 4096
 TRUNCATION_TOL = 1e-6  # largest weight a truncated coherent state may lose
+CHEBYSHEV_TOL = 1e-16  # series tail cut, unless the FFT's noise is higher
 
 
 @dataclass(frozen=True)
@@ -59,35 +64,6 @@ def discretize_bath(J, K, omega_max):
     return DiscreteBath(tuple(zip(omegas, gs)))
 
 
-def _ladder(n_max):
-    return np.diag(np.sqrt(np.arange(1, n_max)), 1)
-
-
-def _mode_operator(op, mode_index, n_max, n_modes):
-    """Embed a single-mode operator into the full bath tensor product."""
-    out = np.eye(1)
-    for k in range(n_modes):
-        out = np.kron(out, op if k == mode_index else np.eye(n_max))
-    return out
-
-
-def build_lab_hamiltonian(sys, spec):
-    """Dense real symmetric lab-frame Hamiltonian on the truncated space."""
-    bath = spec.bath
-    n_modes = len(bath.modes)
-    n_max = spec.n_max
-    dim_b = n_max ** n_modes
-    eye_b = np.eye(dim_b)
-    sx, sz = SIGMA_X.real, SIGMA_Z.real
-    h = np.kron(0.5 * sys.epsilon * sz + 0.5 * sys.delta * sx, eye_b)
-    a = _ladder(n_max)
-    for k, (omega, g) in enumerate(bath.modes):
-        ak = _mode_operator(a, k, n_max, n_modes)
-        h += np.kron(np.eye(2), omega * (ak.T @ ak))
-        h += np.kron(0.5 * sz, g * (ak + ak.T))
-    return h
-
-
 def _coherent_vector(alpha, n_max):
     """Truncated coherent state |alpha> for real alpha (a real vector)."""
     n = np.arange(n_max)
@@ -120,35 +96,136 @@ def initial_vector_lab(sys, spec):
     return full / np.linalg.norm(full)
 
 
-class ExactEvolution:
-    """State-vector propagation in the real eigenbasis of the lab Hamiltonian.
+class LabHamiltonian:
+    """The real symmetric lab-frame Hamiltonian, applied without a matrix.
 
-    The decomposition H = V diag(E) V^T and the initial coefficients
-    c0 = V^T psi0 are computed once; each tau then forms
-    psi(tau) = V (exp(-i E tau) * c0) and reads the up-spin weight.
-    Multiple tau evaluations reuse the decomposition read-only.
+    H = (eps/2) sz + (delta/2) sx + sum_k omega_k a_k^dag a_k
+    + sz sum_k (g_k/2)(a_k + a_k^dag) acts on the flat state vector of
+    the (2, n_max, ..., n_max) array, spin index first.  `diag` holds the
+    bias and number terms.  Every other term pairs index i with i + shift
+    and weight w[i], as one entry of `hops`: the sx flip with shift d/2,
+    and a_k + a_k^dag with the stride of mode k and weight
+    sz (g_k/2) sqrt(m_k + 1), zero where level m_k + 1 is truncated.
+    """
+
+    def __init__(self, diag, hops):
+        # complex weights spare NumPy a real-to-complex cast per product
+        self.diag = diag.astype(complex)
+        self.hops = [(s, w.astype(complex)) for s, w in hops]
+        self.shape = (diag.size, diag.size)
+
+    @classmethod
+    def build(cls, sys, spec):
+        n_modes = len(spec.bath.modes)
+        n = spec.n_max
+        shape = (2,) + (n,) * n_modes
+        sz = np.array([1.0, -1.0]).reshape((2,) + (1,) * n_modes)
+        diag = np.broadcast_to(0.5 * sys.epsilon * sz, shape)
+        half = spec.dimension // 2
+        hops = [(half, np.full(half, 0.5 * sys.delta))]
+        for k, (omega, g) in enumerate(spec.bath.modes):
+            m = np.arange(n).reshape((1,) * (k + 1) + (n,)
+                                     + (1,) * (n_modes - 1 - k))
+            diag = diag + omega * m
+            w = 0.5 * g * sz * np.sqrt(m + 1.0) * (m < n - 1)
+            stride = n ** (n_modes - 1 - k)
+            hops.append((stride,
+                         np.broadcast_to(w, shape).reshape(-1)[:-stride]))
+        return cls(diag.reshape(-1), hops)
+
+    def affine(self, shift, scale):
+        """(H - shift) / scale as an operator of the same form."""
+        return LabHamiltonian((self.diag - shift) / scale,
+                              [(s, w / scale) for s, w in self.hops])
+
+    def spectral_bounds(self):
+        """Gershgorin interval (lo, hi) that holds the whole spectrum."""
+        radius = np.zeros(self.diag.size)
+        for s, w in self.hops:
+            radius[s:] += np.abs(w)
+            radius[:-s] += np.abs(w)
+        return (float(np.min(self.diag.real - radius)),
+                float(np.max(self.diag.real + radius)))
+
+    def __matmul__(self, v):
+        """H v for an array of d entries, returned in the shape of v."""
+        psi = np.asarray(v).reshape(-1)
+        out = self.diag * psi
+        for s, w in self.hops:
+            out[s:] += w * psi[:-s]
+            out[:-s] += w * psi[s:]
+        return out.reshape(np.shape(v))
+
+
+def _chebyshev_coefficients(x):
+    """a_k with exp(-i x cos t) = sum_k a_k T_k(cos t) for real x.
+
+    The a_k = 2 (-i)^k J_k(x) (a_0 halved) are the Fourier coefficients
+    of exp(-i x cos t), taken from an FFT on n points.  |J_k(x)| < 1e-40
+    for k >= 2|x| + 48, so with n >= 4 (2|x| + 48) the upper half of the
+    first n/2 coefficients is rounding noise alone.  The series stops
+    after the last |a_k| above CHEBYSHEV_TOL or twice that noise.
+    """
+    n = 1 << math.ceil(math.log2(8.0 * abs(x) + 192.0))
+    t = 2.0 * np.pi * np.arange(n) / n
+    a = np.fft.fft(np.exp(-1j * x * np.cos(t)))[:n // 2] / n
+    a[1:] *= 2.0
+    noise = np.max(np.abs(a[n // 4:]))
+    big = np.flatnonzero(np.abs(a) > max(CHEBYSHEV_TOL, 2.0 * noise))
+    return a[:max(int(big[-1]) + 1, 2)]
+
+
+class ExactEvolution:
+    """State-vector propagation of |up> x polaron vacuum in the lab frame.
+
+    Each tau steps from the latest cached state at tau' <= tau with the
+    Chebyshev series of exp(-i H (tau - tau')) and is cached in turn, so
+    the modes of one run share a single pass along the tau grid.
     """
 
     def __init__(self, sys, spec):
         self.sys = sys
         self.spec = spec
-        self.h = build_lab_hamiltonian(sys, spec)
-        self.evals, self.evecs = np.linalg.eigh(self.h)
-        self._c0 = self.evecs.T @ initial_vector_lab(sys, spec)
+        self.h = LabHamiltonian.build(sys, spec)
+        lo, hi = self.h.spectral_bounds()
+        self._center = 0.5 * (hi + lo)
+        self._radius = 0.5 * (hi - lo) or 1.0   # H = center * I if zero
+        self._h2 = self.h.affine(self._center, 0.5 * self._radius)
+        psi0 = initial_vector_lab(sys, spec).astype(complex)
+        self._states = {0.0: psi0}    # tau -> psi(tau)
         h_s = 0.5 * sys.epsilon * SIGMA_Z + 0.5 * sys.delta * SIGMA_X
         self._hs_evals, self._hs_evecs = np.linalg.eigh(h_s)
 
+    def _step(self, psi, dtau):
+        """exp(-i H dtau) psi by the three-term Chebyshev recurrence."""
+        a = _chebyshev_coefficients(self._radius * dtau)
+        prev, cur = psi, 0.5 * (self._h2 @ psi)   # T_0, T_1 of (H - c)/r
+        out = a[0] * prev + a[1] * cur
+        for ak in a[2:]:
+            nxt = self._h2 @ cur
+            nxt -= prev
+            prev, cur = cur, nxt
+            out += ak * cur
+        out *= np.exp(-1j * self._center * dtau)
+        return out
+
+    def _propagate(self, tau):
+        if not 0.0 <= tau < math.inf:
+            raise DomainError("tau must be finite and nonnegative")
+        psi = self._states.get(tau)
+        if psi is None:
+            start = max(t for t in self._states if t <= tau)
+            psi = self._states[tau] = self._step(self._states[start],
+                                                 tau - start)
+        return psi
+
     def state(self, tau):
         """psi(tau) as a complex (2, dim_b) array: spin index first."""
-        phase = self.evals * tau
-        # one real product for the real and imaginary parts together
-        parts = self.evecs @ np.stack((np.cos(phase) * self._c0,
-                                       -np.sin(phase) * self._c0), axis=1)
-        return (parts[:, 0] + 1j * parts[:, 1]).reshape(2, -1)
+        return self._propagate(tau).reshape(2, -1).copy()
 
     def survival(self, tau, removed=False):
         """Up-spin probability at tau; `removed` first undoes U_S(tau)."""
-        psi = self.state(tau)
+        psi = self._propagate(tau).reshape(2, -1)
         if removed:
             phase = np.exp(1j * self._hs_evals * tau)
             u_s_dag = (self._hs_evecs * phase) @ self._hs_evecs.conj().T

@@ -1,21 +1,25 @@
-"""Exact-evolution oracle tests: construction, initial state, agreement."""
+"""Exact-evolution oracle tests: construction, initial state, agreement
+with the dense reference in tests/reference/oracle.py."""
 
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import jv
 
+from reference.oracle import DenseEvolution, build_lab_hamiltonian
 from spinzeno import (BathKernel, DiscreteBath, ExactEvolution,
-                      SpectralDensity, SurvivalMode, SystemParams,
-                      TruncatedBathSpec, build_lab_hamiltonian,
-                      discretize_bath, initial_vector_lab, survival_prob)
+                      LabHamiltonian, SpectralDensity, SurvivalMode,
+                      SystemParams, TruncatedBathSpec, discretize_bath,
+                      initial_vector_lab, survival_prob)
 from spinzeno.errors import (DimensionBudgetError, DomainError,
                              TruncationError)
-from spinzeno.oracle import _coherent_vector
+from spinzeno.oracle import _chebyshev_coefficients, _coherent_vector
 from spinzeno.polaron import SIGMA_X, SIGMA_Z
 
 TWO_MODE = DiscreteBath(((1.0, 0.2), (3.0, 0.3)))
+THREE_MODE = DiscreteBath(((1.0, 0.2), (2.0, 0.25), (3.0, 0.3)))
 
 
 def initial_state_lab(sys, spec):
@@ -99,6 +103,45 @@ class TestHamiltonian:
         sz = np.kron(SIGMA_Z, np.eye(3))
         assert np.max(np.abs(h @ sz - sz @ h)) < 1e-14
 
+    @pytest.mark.parametrize("bath, n_max", [
+        (DiscreteBath(((0.8, 0.5),)), 6), (TWO_MODE, 5), (THREE_MODE, 4)],
+        ids=["K1", "K2", "K3"])
+    def test_operator_matches_dense(self, bath, n_max):
+        sys = SystemParams(0.7, 0.3)
+        spec = TruncatedBathSpec(bath, n_max)
+        dense = build_lab_hamiltonian(sys, spec)
+        h = LabHamiltonian.build(sys, spec)
+        assert h.shape == dense.shape
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            v = rng.standard_normal(spec.dimension) \
+                + 1j * rng.standard_normal(spec.dimension)
+            assert np.max(np.abs(h @ v - dense @ v)) < 1e-13
+
+    def test_gershgorin_bounds_hold_spectrum(self):
+        sys = SystemParams(0.7, 0.3)
+        spec = TruncatedBathSpec(THREE_MODE, 4)
+        dense = build_lab_hamiltonian(sys, spec)
+        radius = np.sum(np.abs(dense), axis=1) - np.abs(np.diag(dense))
+        evals = np.linalg.eigvalsh(dense)
+        lo, hi = LabHamiltonian.build(sys, spec).spectral_bounds()
+        assert lo == pytest.approx(np.min(np.diag(dense) - radius), abs=1e-13)
+        assert hi == pytest.approx(np.max(np.diag(dense) + radius), abs=1e-13)
+        assert lo <= evals[0] and evals[-1] <= hi
+
+
+class TestChebyshevCoefficients:
+    @pytest.mark.parametrize("x", [0.0, 0.5, 7.3, -20.0, 400.0])
+    def test_coefficients_are_bessel(self, x):
+        # exp(-i x cos t) = J_0(x) + 2 sum_k (-i)^k J_k(x) cos(k t)
+        a = _chebyshev_coefficients(x)
+        k = np.arange(len(a))
+        want = 2.0 * (-1j) ** k * jv(k, x)
+        want[0] /= 2.0
+        tol = 1e-15 * max(1.0, abs(x))
+        assert np.max(np.abs(a - want)) < tol
+        assert 2.0 * abs(jv(len(a), x)) < tol      # the first dropped term
+
 
 class TestInitialState:
     def test_zero_coupling_gives_vacuum(self):
@@ -153,13 +196,53 @@ class TestExactEvolution:
             assert evo.survival(tau) == pytest.approx(1.0, abs=1e-10)
 
     def test_unitarity(self):
-        # V^T V = I makes every V exp(-iE tau) V^T unitary
-        spec = TruncatedBathSpec(TWO_MODE, 5)
-        evo = ExactEvolution(SystemParams(1.0, 0.3), spec)
-        v = evo.evecs
-        assert np.max(np.abs(v.T @ v - np.eye(spec.dimension))) < 1e-12
-        assert np.linalg.norm(evo.state(1.7)) == pytest.approx(1.0,
-                                                               abs=1e-12)
+        evo = ExactEvolution(SystemParams(1.0, 0.3),
+                             TruncatedBathSpec(TWO_MODE, 5))
+        for tau in (0.3, 1.7, 12.0, 50.0):
+            assert np.linalg.norm(evo.state(tau)) == pytest.approx(
+                1.0, abs=1e-12)
+
+    def test_operator_is_symmetric(self):
+        spec = TruncatedBathSpec(THREE_MODE, 4)
+        h = LabHamiltonian.build(SystemParams(1.0, 0.3), spec)
+        rng = np.random.default_rng(1)
+        u, v = (rng.standard_normal(spec.dimension)
+                + 1j * rng.standard_normal(spec.dimension) for _ in range(2))
+        assert abs(np.vdot(u, h @ v) - np.vdot(h @ u, v)) < 1e-12
+
+    @pytest.mark.parametrize("tau", [-1.0, -1e-300, math.nan, math.inf])
+    def test_bad_tau_rejected(self, tau):
+        evo = ExactEvolution(SystemParams(1.0, 0.3),
+                             TruncatedBathSpec(TWO_MODE, 4))
+        with pytest.raises(DomainError):
+            evo.state(tau)
+        for removed in (False, True):
+            with pytest.raises(DomainError):
+                evo.survival(tau, removed)
+
+    def test_cache_order_does_not_matter(self):
+        sys = SystemParams(1.0, 0.3)
+        spec = TruncatedBathSpec(TWO_MODE, 6)
+        taus = (5.0, 0.3, 2.6)
+        shuffled = ExactEvolution(sys, spec)
+        got = [shuffled.state(tau) for tau in taus]
+        in_order = ExactEvolution(sys, spec)
+        want = {tau: in_order.state(tau) for tau in sorted(taus)}
+        for tau, psi in zip(taus, got):
+            assert np.max(np.abs(psi - want[tau])) < 1e-13
+
+    def test_reruns_are_bit_identical(self):
+        sys = SystemParams(1.0, 0.3)
+        spec = TruncatedBathSpec(TWO_MODE, 6)
+        taus = (0.3, 2.6, 5.0)
+
+        def run():
+            evo = ExactEvolution(sys, spec)
+            return [evo.state(tau).tobytes() for tau in taus + taus]
+
+        first = run()
+        assert first[:3] == first[3:]       # cached states come back as is
+        assert run() == first
 
     @pytest.mark.parametrize("bath, n_max", [
         (TWO_MODE, 6),
@@ -173,6 +256,20 @@ class TestExactEvolution:
         for tau in (0.0, 0.3, 1.7, 5.0):
             want = density_matrix_survival(sys, spec, tau, removed)
             assert abs(evo.survival(tau, removed) - want) < 1e-12
+
+    @pytest.mark.parametrize("bath, n_max", [
+        (DiscreteBath(((0.8, 0.5),)), 6), (TWO_MODE, 6), (THREE_MODE, 7),
+        (THREE_MODE, 9)], ids=["d12", "d72", "d686", "d1458"])
+    def test_matches_dense_reference(self, bath, n_max):
+        sys = SystemParams(1.0, 0.3)
+        spec = TruncatedBathSpec(bath, n_max)
+        evo, dense = ExactEvolution(sys, spec), DenseEvolution(sys, spec)
+        for tau in np.linspace(0.0, 5.0, 11):
+            for removed in (False, True):
+                assert abs(evo.survival(tau, removed)
+                           - dense.survival(tau, removed)) < 1e-10
+        # the state itself, global phase included
+        assert np.max(np.abs(evo.state(5.0) - dense.state(5.0))) < 1e-10
 
     def test_truncation_convergence(self):
         sys = SystemParams(1.0, 0.02)
