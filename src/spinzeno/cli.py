@@ -76,14 +76,6 @@ def _grid(cfg):
     return tau_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points, cfg.spacing)
 
 
-def _regime_labels(curve):
-    """Per-point regime labels; all "" below 3 finite points."""
-    try:
-        return classify(curve).labels
-    except ValueError:
-        return ("",) * curve.tau_grid.size
-
-
 def _row(mode, tau, gamma, s, validity, sweep=None, regime="", error=""):
     """One output row; a gap's `error` is its exception until `_run`."""
     return {"mode": mode, "sweep": sweep, "tau": tau, "gamma": gamma, "s": s,
@@ -116,7 +108,7 @@ def _curves(cfg, meta, point=False, sweep=False, compare=False):
         curves = [sample_curve(mode, system, kernel, taus, tol=cfg.tol)
                   for mode in cfg.modes]
         for cv in curves:
-            rows.extend(_curve_rows(cv, value, _regime_labels(cv)))
+            rows.extend(_curve_rows(cv, value, classify(cv).labels))
     if compare:
         base = curves[0]
         for mode, cv in zip(cfg.modes[1:], curves[1:]):

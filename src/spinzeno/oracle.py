@@ -15,6 +15,7 @@ replaces is the cross-check in tests/reference/oracle.py.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,7 +83,7 @@ def _coherent_vector(alpha, n_max):
     return coeff
 
 
-def initial_vector_lab(sys, spec):
+def initial_vector_lab(spec):
     """Lab-frame state vector of |up> x polaron vacuum at T = 0.
 
     The polaron-frame product state maps to |up> times coherent
@@ -157,6 +158,7 @@ class LabHamiltonian:
         return out.reshape(np.shape(v))
 
 
+@lru_cache(maxsize=64)
 def _chebyshev_coefficients(x):
     """a_k with exp(-i x cos t) = sum_k a_k T_k(cos t) for real x.
 
@@ -164,7 +166,8 @@ def _chebyshev_coefficients(x):
     of exp(-i x cos t), taken from an FFT on n points.  |J_k(x)| < 1e-40
     for k >= 2|x| + 48, so with n >= 4 (2|x| + 48) the upper half of the
     first n/2 coefficients is rounding noise alone.  The series stops
-    after the last |a_k| above CHEBYSHEV_TOL or twice that noise.
+    after the last |a_k| above CHEBYSHEV_TOL or twice that noise.  The
+    result is cached and read-only: a uniform tau grid repeats one x.
     """
     n = 1 << math.ceil(math.log2(8.0 * abs(x) + 192.0))
     t = 2.0 * np.pi * np.arange(n) / n
@@ -172,7 +175,9 @@ def _chebyshev_coefficients(x):
     a[1:] *= 2.0
     noise = np.max(np.abs(a[n // 4:]))
     big = np.flatnonzero(np.abs(a) > max(CHEBYSHEV_TOL, 2.0 * noise))
-    return a[:max(int(big[-1]) + 1, 2)]
+    a = a[:max(int(big[-1]) + 1, 2)]
+    a.flags.writeable = False
+    return a
 
 
 class ExactEvolution:
@@ -184,14 +189,12 @@ class ExactEvolution:
     """
 
     def __init__(self, sys, spec):
-        self.sys = sys
-        self.spec = spec
         self.h = LabHamiltonian.build(sys, spec)
         lo, hi = self.h.spectral_bounds()
         self._center = 0.5 * (hi + lo)
         self._radius = 0.5 * (hi - lo) or 1.0   # H = center * I if zero
         self._h2 = self.h.affine(self._center, 0.5 * self._radius)
-        psi0 = initial_vector_lab(sys, spec).astype(complex)
+        psi0 = initial_vector_lab(spec).astype(complex)
         self._states = {0.0: psi0}    # tau -> psi(tau)
         h_s = 0.5 * sys.epsilon * SIGMA_Z + 0.5 * sys.delta * SIGMA_X
         self._hs_evals, self._hs_evecs = np.linalg.eigh(h_s)

@@ -95,12 +95,12 @@ def sample_curve(mode, sys, kernel, taus, *, tol=1e-8):
 
 def classify(curve):
     """Label each point by the sign of its three-point slope, and bracket
-    each sign change."""
+    each sign change; below 3 finite points nothing is labelled."""
     mask = curve.finite_mask()
     tau = curve.tau_grid[mask]
     gamma = curve.gamma[mask]
     if tau.size < 3:
-        raise ValueError("classification needs at least 3 finite points")
+        return RegimeReport(("",) * curve.tau_grid.size, ())
     slope = np.gradient(gamma, tau)
     floor = SLOPE_NOISE_FLOOR * np.max(np.abs(gamma))
     signs = np.where(np.abs(slope) > floor, np.sign(slope), 0.0)

@@ -10,7 +10,7 @@ combinations Ctil_mu = B^2 (e^phi +- e^-phi [- 2]) and spin factors P_mu
 contracted in the spin basis (see _spin_tables).  P_mu(t, s) =
 sum_{j,k = -1,0,1} p_jk e^{i Omega_r (j t + k s)}, so a 3x3 DFT gives the
 p_jk exactly and one variable integrates in closed form, leaving a 1-D
-integral of the kernel at x and tau - x.  tests/reference/ checks it
+integral of the kernel at the node x only.  tests/reference/ checks it
 against the 2-D triangle rule and a matrix reconstruction.
 """
 
@@ -119,7 +119,9 @@ def _deficit_integrand(pc, tau, kernel, removed):
 
     Without removal the kernel is Ctil(t'), with x = t'.  With removal it
     is conj Ctil(t') + Ctil(0) - Ctil(t - t' - tau) - Ctil(tau - t), with
-    x = t', t - t', t; Ctil(-y) = conj Ctil(y) puts the last two at tau - x.
+    x = t', t - t', t; Ctil(-y) = conj Ctil(y) puts the last two at
+    y = tau - x, and x -> tau - x moves them back to x.  So every mode
+    needs Ctil at the node alone (and Ctil(0) once).
     """
     p = _spin_tables(pc, tau, removed)
     w = pc.omega_r
@@ -137,11 +139,10 @@ def _deficit_integrand(pc, tau, kernel, removed):
         k_t = line(_J, x, _J + _K, tau - x)    # x = t', t in [x, tau]
         if not removed:
             return np.real(np.sum(ct * k_t, axis=0))
-        k_u = line(_J + _K, x, _J, tau - x)    # x = t - t', t in [x, tau]
-        k_s = line(_J, x, _K, x)               # x = t, t - t' in [0, x]
-        ct_end = np.array(_corr_combos(kernel, tau - x))
-        return np.real(np.sum(ct * np.conj(k_t) + ct_0 * k_t
-                              - ct_end * (np.conj(k_u) + k_s), axis=0))
+        k_u = line(_J + _K, tau - x, _J, x)    # y = t - t', t in [y, tau]
+        k_s = line(_J, tau - x, _K, tau - x)   # y = t, t - t' in [0, y]
+        return np.real(np.sum(ct * (np.conj(k_t) - np.conj(k_u) - k_s)
+                              + ct_0 * k_t, axis=0))
 
     return f
 
@@ -153,7 +154,8 @@ def survival_prob(mode, sys, kernel, tau, *, tol=1e-8):
     if not 0.0 <= tau < math.inf:
         raise DomainError("tau must be finite and nonnegative")
     if tau == 0.0 or sys.delta == 0.0:
-        return SurvivalResult(1.0, 0.0, validity, {"order": 0, "quad_error": 0.0})
+        return SurvivalResult(1.0, 0.0, validity, {
+            "order": 0, "quad_error": 0.0, "zeroth_order": 0.0})
 
     p_full = renormalize(sys, kernel)
     pc = p_full.with_small_delta() if mode.small_delta else p_full

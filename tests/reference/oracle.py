@@ -53,7 +53,7 @@ class DenseEvolution:
     def __init__(self, sys, spec):
         self.h = build_lab_hamiltonian(sys, spec)
         self.evals, self.evecs = np.linalg.eigh(self.h)
-        self._c0 = self.evecs.T @ initial_vector_lab(sys, spec)
+        self._c0 = self.evecs.T @ initial_vector_lab(spec)
         h_s = 0.5 * sys.epsilon * SIGMA_Z + 0.5 * sys.delta * SIGMA_X
         self._hs_evals, self._hs_evecs = np.linalg.eigh(h_s)
 

@@ -22,9 +22,9 @@ TWO_MODE = DiscreteBath(((1.0, 0.2), (3.0, 0.3)))
 THREE_MODE = DiscreteBath(((1.0, 0.2), (2.0, 0.25), (3.0, 0.3)))
 
 
-def initial_state_lab(sys, spec):
+def initial_state_lab(spec):
     """Lab-frame density matrix of the pure state `initial_vector_lab`."""
-    vec = initial_vector_lab(sys, spec)
+    vec = initial_vector_lab(spec)
     return np.outer(vec, vec)
 
 
@@ -36,7 +36,7 @@ def density_matrix_survival(sys, spec, tau, removed=False):
     """
     h = build_lab_hamiltonian(sys, spec)
     u = expm(-1j * tau * h)
-    rho = u @ initial_state_lab(sys, spec) @ u.conj().T
+    rho = u @ initial_state_lab(spec) @ u.conj().T
     dim_b = spec.dimension // 2
     if removed:
         h_s = 0.5 * sys.epsilon * SIGMA_Z + 0.5 * sys.delta * SIGMA_X
@@ -142,19 +142,24 @@ class TestChebyshevCoefficients:
         assert np.max(np.abs(a - want)) < tol
         assert 2.0 * abs(jv(len(a), x)) < tol      # the first dropped term
 
+    def test_coefficients_are_cached_and_read_only(self):
+        # a uniform tau grid repeats one step, so one series serves it
+        a = _chebyshev_coefficients(2.5)
+        assert _chebyshev_coefficients(2.5) is a
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
 
 class TestInitialState:
     def test_zero_coupling_gives_vacuum(self):
         bath = DiscreteBath(((1.0, 0.0), (2.0, 0.0)))
-        rho = initial_state_lab(SystemParams(1.0, 0.1),
-                                TruncatedBathSpec(bath, 3))
+        rho = initial_state_lab(TruncatedBathSpec(bath, 3))
         want = np.zeros(2 * 9)
         want[0] = 1.0
         assert np.allclose(rho, np.outer(want, want), atol=1e-14)
 
     def test_trace_one(self):
-        rho = initial_state_lab(SystemParams(1.0, 0.1),
-                                TruncatedBathSpec(TWO_MODE, 6))
+        rho = initial_state_lab(TruncatedBathSpec(TWO_MODE, 6))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
     def test_coherent_vacuum_overlap(self):
@@ -174,8 +179,7 @@ class TestInitialState:
         assert np.max(np.abs(vec - want)) < 1e-15
 
     def test_vector_is_normalized(self):
-        vec = initial_vector_lab(SystemParams(1.0, 0.1),
-                                 TruncatedBathSpec(TWO_MODE, 6))
+        vec = initial_vector_lab(TruncatedBathSpec(TWO_MODE, 6))
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
 
     def test_truncation_loss_raises(self):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinzeno import (BathKernel, DecayCurve, RegimeLabel, SpectralDensity,
-                      SurvivalMode, SystemParams, classify, sample_curve,
-                      tau_grid, validity_value)
+from spinzeno import (BathKernel, DecayCurve, RegimeLabel, RegimeReport,
+                      SpectralDensity, SurvivalMode, SystemParams, classify,
+                      sample_curve, tau_grid, validity_value)
 from spinzeno.errors import DomainError
 
 J3 = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
@@ -72,9 +72,13 @@ class TestClassify:
         assert report.crossovers == ()
         assert report.labels == ("",) * 10
 
-    def test_needs_three_points(self):
-        with pytest.raises(ValueError):
-            classify(synthetic_curve([0.1, 0.2], [1.0, 2.0]))
+    @pytest.mark.parametrize("gamma", [[1.0, 2.0, np.nan],
+                                       [np.nan, 2.0, np.nan],
+                                       [np.nan] * 3])
+    def test_needs_three_points(self, gamma):
+        # below 3 finite points no slope is defined: no labels, no error
+        report = classify(synthetic_curve([0.1, 0.2, 0.3], gamma))
+        assert report == RegimeReport(("",) * 3, ())
 
     def test_gaps_are_skipped(self):
         tau = np.linspace(0.1, 3.0, 20)

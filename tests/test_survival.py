@@ -319,3 +319,32 @@ class TestDerivedQuantities:
         res = survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, 1.0)
         assert res.diagnostics["order"] >= 64
         assert res.diagnostics["quad_error"] < 1e-8
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("sys, tau", [(SYS_A, 0.0),
+                                          (SystemParams(1.0, 0.0), 1.3),
+                                          (SYS_A, 1.0)],
+                             ids=["tau0", "delta0", "solved"])
+    def test_diagnostics_keys_on_every_path(self, mode, sys, tau):
+        res = survival_prob(mode, sys, KERNEL, tau)
+        assert set(res.diagnostics) == {"order", "quad_error", "zeroth_order"}
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_KERNELS))
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_one_kernel_evaluation_per_node(mode, name):
+    """Every mode samples the kernel at the quadrature nodes alone: the
+    times passed to phi_parts sum to the orders of the doubling schedule
+    8, 16, ..., order, plus the one Ctil(0) of a removed mode."""
+    kernel = _REFERENCE_KERNELS[name]
+    times = []
+    real = BathKernel.phi_parts
+
+    def counting(self, t):
+        times.append(np.size(t))
+        return real(self, t)
+
+    with mock.patch.object(BathKernel, "phi_parts", counting):
+        res = survival_prob(mode, SYS_B, kernel, 2.0)
+    nodes = 2 * res.diagnostics["order"] - 8    # 8 + 16 + ... + order
+    assert sum(times) == nodes + (1 if mode.removed else 0)
