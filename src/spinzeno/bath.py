@@ -57,6 +57,7 @@ from .errors import DivergentKernelError, DomainError, QuadratureError
 EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
              1.0 / 47900160.0, -691.0 / 1307674368000.0)
 MAX_THERMAL_TERMS = 10000  # direct terms of the finite-temperature sum
+KERNEL_TOL = 1e-10         # default bound on the finite-temperature remainder
 
 
 def _one_minus_pow(scale, e, x):
@@ -170,7 +171,7 @@ class BathKernel:
 
     source: object
     beta: float = None
-    tol: float = 1e-10
+    tol: float = KERNEL_TOL
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):

@@ -14,7 +14,6 @@ the run exits 3 or 4 only when every row is a gap (4 if any of them is a
 QuadratureError).
 """
 
-import dataclasses
 import math
 import os
 import sys
@@ -26,7 +25,7 @@ import numpy as np
 from . import __version__
 from .bath import BathKernel, DiscreteBath
 from .config import (VALIDITY_WARN_THRESHOLD, apply_sweep, header_lines,
-                     in_range, parse_config)
+                     parse_config)
 from .errors import ConfigError, QuadratureError, SpinZenoError
 from .oracle import ExactEvolution, TruncatedBathSpec
 from .regimes import classify, sample_curve, tau_grid
@@ -41,17 +40,12 @@ EXIT_OUT_OF_REGIME = 3
 EXIT_QUADRATURE = 4
 
 
-def _load(config_path, tol):
+def _load(config_path):
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
+            return parse_config(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-    if tol is not None:
-        if not in_range("run", "tol", tol):
-            raise ConfigError(f"--tol: must be finite and > 0, got {tol!r}")
-        cfg = dataclasses.replace(cfg, tol=tol)
-    return cfg
 
 
 def _kernel(cfg, system, source, cell=""):
@@ -146,14 +140,14 @@ def _oracle_check(cfg, meta):
     return rows
 
 
-def _run(command, body, required, config_path, format_, out, tol):
+def _run(command, body, required, config_path, format_, out):
     """Load, run `body(cfg, meta)`, write, and exit with its code."""
     try:
         # fail before the solve, not after it
         if out and not os.path.isdir(os.path.dirname(out) or "."):
             raise ConfigError(f"--out: directory {os.path.dirname(out)} "
                               "does not exist")
-        cfg = _load(config_path, tol)
+        cfg = _load(config_path)
         for name in required:
             if getattr(cfg, name) is None:
                 raise ConfigError(f"[run] missing required key {name!r} "
@@ -197,15 +191,13 @@ def main():
 
 def _command(name, body, required, doc):
     @main.command(name=name, help=doc)
-    @click.option("--tol", default=None, type=float,
-                  help="override survival tolerance")
     @click.option("--out", default=None, type=click.Path())
     @click.option("--format", "format_", default="csv",
                   type=click.Choice(["csv", "json"]))
     @click.option("--config", "config_path", required=True,
                   type=click.Path(), help="INI run configuration")
-    def command(config_path, format_, out, tol):
-        _run(name, body, required, config_path, format_, out, tol)
+    def command(config_path, format_, out):
+        _run(name, body, required, config_path, format_, out)
 
     return command
 

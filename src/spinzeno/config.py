@@ -36,10 +36,10 @@ import configparser
 import math
 from dataclasses import dataclass, replace
 
-from .bath import DiscreteBath, SpectralDensity
+from .bath import KERNEL_TOL, DiscreteBath, SpectralDensity
 from .errors import ConfigError, DomainError
 from .polaron import SystemParams
-from .survival import SurvivalMode
+from .survival import TOL, SurvivalMode
 
 REQUIRED = object()             # a key with no default
 
@@ -67,8 +67,8 @@ KEYS = {
         "tau_points": (int, 50, lambda v: v >= 2, "must be at least 2"),
         "spacing": (str, "geometric", None, None),
         "sweep": (str, None, None, None),
-        "tol": (float, 1e-8, lambda v: v > 0.0, "must be > 0"),
-        "kernel_tol": (float, 1e-10, lambda v: v > 0.0, "must be > 0"),
+        "tol": (float, TOL, lambda v: v > 0.0, "must be > 0"),
+        "kernel_tol": (float, KERNEL_TOL, lambda v: v > 0.0, "must be > 0"),
         "n_max": (int, 6, lambda v: v >= 3, "must be at least 3"),
     },
 }

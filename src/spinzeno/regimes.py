@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRegimeError, SpinZenoError
-from .survival import SurvivalMode, survival_prob, validity_value
+from .survival import TOL, SurvivalMode, survival_prob, validity_value
 
 SLOPE_NOISE_FLOOR = 1e-6  # relative to max |Gamma|
 
@@ -64,7 +64,7 @@ def tau_grid(tau_min, tau_max, n_points, spacing="geometric"):
     raise ValueError(f"unknown grid spacing {spacing!r}")
 
 
-def sample_curve(mode, sys, kernel, taus, *, tol=1e-8):
+def sample_curve(mode, sys, kernel, taus, *, tol=TOL):
     """Sample Gamma at each tau of `taus`; failed points become gaps.
 
     `kernel` is the BathKernel of one (bath, beta) pair; every mode sampled

@@ -12,20 +12,31 @@ sum_{j,k = -1,0,1} p_jk e^{i Omega_r (j t + k s)}, so a 3x3 DFT gives the
 p_jk exactly and one variable integrates in closed form, leaving a 1-D
 integral of the kernel at the node x only.  tests/reference/ checks it
 against the 2-D triangle rule and a matrix reconstruction.
+
+That smooth 1-D integral is integrated here with Gauss-Legendre order doubling
+(integrate_triangle); the bath kernels need no quadrature (see bath.py).
 """
 
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+# NumPy loads numpy.polynomial on first attribute access; importing it here
+# keeps that one-off cost out of the first solve
+from numpy.polynomial.legendre import leggauss
 
 from .bath import DiscreteBath
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .polaron import renormalize, rot_coeffs
-from .quadrature import integrate_triangle
 
-SURVIVAL_SLACK = 1e-6  # tolerated truncation excursion of s outside [0, 1]
+TOL = 1e-8              # default bound on each point's integral error
+MAX_ORDER = 1024        # highest Gauss-Legendre order tried
+ROUNDING_FLOOR = 1e-13  # least stop tolerance, relative to the integral of |f|
+SURVIVAL_SLACK = 1e-6   # tolerated truncation excursion of s outside [0, 1]
+
+_gl_nodes = lru_cache(maxsize=32)(leggauss)
 
 
 class SurvivalMode(enum.Enum):
@@ -95,8 +106,8 @@ def _spin_tables(pc, tau, removed):
     u_dn = np.cos(0.5 * pc.omega_r * tau) + 1j * sh * pc.nz   # <u|down>
     t = 2.0 * np.pi / 3.0 * np.arange(3) / pc.omega_r
     tables = []
-    for (m_t, z_t), (m_s, z_s) in zip(_spin_elements(pc, t[:, None]),
-                                      _spin_elements(pc, t[None, :])):
+    for m, z in _spin_elements(pc, t):
+        m_t, z_t, m_s, z_s = m[:, None], z[:, None], m[None, :], z[None, :]
         if removed:
             p = m_t * np.conj(m_s)
         else:
@@ -147,7 +158,46 @@ def _deficit_integrand(pc, tau, kernel, removed):
     return f
 
 
-def survival_prob(mode, sys, kernel, tau, *, tol=1e-8):
+def integrate_triangle(f, tau, tol=TOL, *, start_order=8):
+    """Integrate the triangle's reduced integrand f(x) over 0 <= x <= tau.
+
+    Gauss-Legendre with order doubling from start_order up to MAX_ORDER,
+    until two successive estimates agree within max(tol, ROUNDING_FLOOR *
+    int |f|), int |f| taken from the first estimate's nodes: rounding keeps
+    the estimates from agreeing much closer, so a smaller tol is raised to
+    that floor.  The finer estimate is returned.  f must map a 1-D array
+    of nodes to an array of the same shape.
+
+    Returns (value, error_estimate, order_used); the error estimate is the
+    difference reached.
+    """
+    if tau < 0.0:
+        raise ValueError("tau must be nonnegative")
+    if tau == 0.0:
+        return 0.0, 0.0, start_order
+
+    def nodes(order):
+        x, wgt = _gl_nodes(order)
+        return f(0.5 * tau * (x + 1.0)), wgt
+
+    fx, wgt = nodes(start_order)
+    prev = 0.5 * tau * (fx @ wgt)
+    stop = max(tol, ROUNDING_FLOOR * 0.5 * tau * (np.abs(fx) @ wgt))
+    order = 2 * start_order
+    while order <= MAX_ORDER:
+        fx, wgt = nodes(order)
+        cur = 0.5 * tau * (fx @ wgt)
+        err = np.max(np.abs(cur - prev))
+        if err <= stop:
+            return cur, err, order
+        prev = cur
+        order *= 2
+    raise QuadratureError(
+        f"triangle quadrature did not converge below {stop:g} by order "
+        f"{MAX_ORDER}")
+
+
+def survival_prob(mode, sys, kernel, tau, *, tol=TOL):
     """Survival probability s(tau) for one measurement interval."""
     mode = SurvivalMode(mode)
     validity = validity_value(sys, kernel)
@@ -172,7 +222,8 @@ def survival_prob(mode, sys, kernel, tau, *, tol=1e-8):
     s = 1.0 - zeroth - 0.25 * sys.delta ** 2 * float(integral)
     gamma = math.nan
     if 0.0 < s <= 1.0 + SURVIVAL_SLACK:
-        gamma = -math.log(min(s, 1.0)) / tau
+        # 0.0 - keeps s == 1 from giving -0.0
+        gamma = 0.0 - math.log(min(s, 1.0)) / tau
     diagnostics = {"order": order,
                    "quad_error": 0.25 * sys.delta ** 2 * quad_err,
                    "zeroth_order": zeroth}

@@ -13,8 +13,7 @@ import numpy as np
 
 from spinzeno.errors import DomainError
 from spinzeno.polaron import SIGMA_X, SIGMA_Z, renormalize
-from spinzeno.quadrature import _gl_nodes
-from spinzeno.survival import SurvivalMode
+from spinzeno.survival import SurvivalMode, _gl_nodes
 
 UP = np.array([1.0, 0.0], dtype=complex)
 DOWN = np.array([0.0, 1.0], dtype=complex)

@@ -567,20 +567,28 @@ modes = small_delta
         assert result.stderr == f"config error: {message}\n"
 
     @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf"])
-    def test_out_of_range_tol_option_exit_code(self, tmp_path, tol):
+    def test_out_of_range_run_tol_exit_code(self, tmp_path, tol):
         cfg = tmp_path / "c.ini"
-        cfg.write_text(MINIMAL + "tau_points = 2\n")
-        result = self.run("curve", "--config", str(cfg), "--tol", tol)
+        cfg.write_text(MINIMAL + f"tau_points = 2\ntol = {tol}\n")
+        result = self.run("curve", "--config", str(cfg))
         assert result.exit_code == 2
-        assert "--tol" in result.stderr
+        assert result.stderr.startswith("config error: [run] tol (line 14)")
 
-    def test_tol_option_is_echoed_in_header(self, tmp_path):
+    def test_run_tol_is_echoed_in_header(self, tmp_path):
         cfg = tmp_path / "c.ini"
-        cfg.write_text(MINIMAL + "tau = 1.0\n")
-        result = self.run("compute", "--config", str(cfg), "--tol", "1e-6")
+        cfg.write_text(MINIMAL + "tau = 1.0\ntol = 1e-6\n")
+        result = self.run("compute", "--config", str(cfg))
         assert result.exit_code == 0
         assert "# run.tol = 1e-06\n" in result.output
         assert "1e-08" not in result.output
+
+    def test_tol_option_is_not_accepted(self, tmp_path):
+        # the survival tolerance is set in [run] tol only
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL + "tau = 1.0\n")
+        result = self.run("compute", "--config", str(cfg), "--tol", "1e-6")
+        assert result.exit_code == 2
+        assert "--tol" in result.stderr
 
     def test_missing_out_directory_exit_code(self, tmp_path):
         cfg = tmp_path / "c.ini"

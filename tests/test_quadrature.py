@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinzeno.errors import QuadratureError
-from spinzeno.quadrature import integrate_triangle
+from spinzeno.survival import integrate_triangle
 
 
 class TestTriangle:
@@ -40,7 +40,17 @@ class TestTriangle:
             return rng.standard_normal(x.shape)
 
         with pytest.raises(QuadratureError):
-            integrate_triangle(noisy, 1.0, tol=1e-12, max_order=128)
+            integrate_triangle(noisy, 1.0, tol=1e-12)
+
+    def test_tolerance_below_the_rounding_floor_is_raised_to_it(self):
+        # from order 8 on, the estimates differ by rounding alone (about
+        # 1e-10 here), so a tol of 1e-30 is raised to the floor,
+        # 1e-13 * int |f| (about 2e-7)
+        val, err, order = integrate_triangle(lambda x: 1e6 * np.cos(x), 3.0,
+                                             tol=1e-30)
+        assert order == 16
+        assert val == pytest.approx(1e6 * np.sin(3.0), rel=1e-13)
+        assert err <= 2e-7
 
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(-5.0, 5.0), tau=st.floats(0.01, 10.0))

@@ -46,6 +46,13 @@ class TestTrivialLimits:
         with pytest.raises(ValueError):
             survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, -1.0)
 
+    def test_s_rounding_to_one_gives_positive_zero_gamma(self):
+        kernel = BathKernel(SpectralDensity(G=0.5, s=3.0, omega_c=10.0))
+        res = survival_prob(SurvivalMode.FULL, SystemParams(1.0, 1e-12),
+                            kernel, 0.5)
+        assert res.s == 1.0
+        assert math.copysign(1.0, res.gamma) == 1.0
+
     @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
     def test_bad_tau_is_a_domain_error(self, tau):
         with pytest.raises(DomainError, match="tau"):
@@ -269,6 +276,16 @@ class TestQuadratureSchedule:
         s_fixed = (1.0 - res.diagnostics["zeroth_order"]
                    - 0.25 * delta ** 2 * float(fixed))
         assert abs(res.s - s_fixed) <= 0.25 * delta ** 2 * tol
+
+    def test_tolerance_below_rounding_stops_at_the_floor(self):
+        # removed_full at tau = 6 stops improving at differences of 1-2e-13
+        # by order 256: a tol below that is raised to the rounding floor
+        kernel = BathKernel(SpectralDensity(1.0, 3.0, 10.0))
+        sys = SystemParams(1.0, 1.0)
+        tight, loose = (survival_prob(SurvivalMode.REMOVED_FULL, sys, kernel,
+                                      6.0, tol=tol).s
+                        for tol in (1e-13, 1e-10))
+        assert tight == pytest.approx(loose, abs=1e-12)
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_short_interval_stops_below_order_64(self, mode):
