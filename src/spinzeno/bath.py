@@ -5,7 +5,8 @@ The kernel exponent is split as phi(t) = phi_R(t) - i*phi_I(t) with
     phi_R(t) = int_0^inf dw J(w)/w^2 cos(w t) coth(beta w / 2)
     phi_I(t) = int_0^inf dw J(w)/w^2 sin(w t)
 
-For Ohmic and sub-Ohmic environments phi_R diverges at t = 0: phi_r0()
+A decoupled bath (G = 0) has phi = 0 and B = 1 for every s.  For
+coupled Ohmic and sub-Ohmic environments phi_R diverges at t = 0: phi_r0()
 is then +inf, so the coherence factor B = exp(-phi_R(0)/2) is exactly 0
 by plain arithmetic.  The combinations that enter downstream formulas
 stay finite, so the kernel always exposes
@@ -72,6 +73,15 @@ def _one_minus_pow(scale, e, x):
             -scale * np.exp(a) * np.sin(b))
 
 
+def ohmicity_ok(s):
+    """True for s > 0 whose Gamma(s - 1), the closed forms' prefactor, is a
+    finite float; s = 1 needs none.  Below s ~ 1e-16, s - 1 rounds to -1."""
+    try:
+        return s == 1.0 or 0.0 < s and math.isfinite(math.gamma(s - 1.0))
+    except (OverflowError, ValueError):   # Gamma overflows, or has a pole
+        return False
+
+
 @dataclass(frozen=True)
 class SpectralDensity:
     """Ohmic-family spectral density J(w) = G w^s wc^(1-s) exp(-w/wc)."""
@@ -83,8 +93,9 @@ class SpectralDensity:
     def __post_init__(self):
         if not 0.0 <= self.G < math.inf:           # NaN fails too
             raise DomainError("coupling G must be finite and nonnegative")
-        if not 0.0 < self.s < math.inf:
-            raise DomainError("Ohmicity s must be finite and positive")
+        if not ohmicity_ok(self.s):
+            raise DomainError("Ohmicity s must be > 0 with finite "
+                              "Gamma(s - 1)")
         if not 0.0 < self.omega_c < math.inf:
             raise DomainError("cutoff omega_c must be finite and positive")
 
@@ -187,12 +198,13 @@ class BathKernel:
         """True when the phi_R(0) integral diverges (so B = 0).
 
         Detected symbolically from (s, beta): s <= 1 at zero temperature,
-        s <= 2 at finite temperature.  Discrete baths are finite sums.
+        s <= 2 at finite temperature, for G > 0; G = 0 makes J, and so
+        phi, vanish for every s.  Discrete baths are finite sums.
         """
         if isinstance(self.source, DiscreteBath):
             return False
         limit = 1.0 if self.beta is None else 2.0
-        return self.source.s <= limit
+        return self.source.G > 0.0 and self.source.s <= limit
 
     def _coth(self, omega):
         # tanh keeps full relative accuracy at small arguments
@@ -318,6 +330,8 @@ class BathKernel:
             elif isinstance(self.source, DiscreteBath):
                 a2 = self.source.alphas ** 2
                 val = float(np.sum(a2 * self._coth(self.source.omegas)))
+            elif self.source.G == 0.0:
+                val = 0.0
             elif self.beta is None:
                 val = self.source.G * math.gamma(self.source.s - 1.0)
             else:
@@ -333,7 +347,7 @@ class BathKernel:
         """(psi(t), phi_I(t)) with psi = phi_R(0) - phi_R(t).
 
         Both are finite, except the coth-weighted finite-T phi_I of a
-        continuous bath with s <= 1, which raises DivergentKernelError.
+        coupled continuous bath with s <= 1 (DivergentKernelError).
         """
         t = np.asarray(t, dtype=float)
         sign = np.sign(t)
@@ -345,6 +359,8 @@ class BathKernel:
             psi = (2.0 * np.sin(0.5 * wt) ** 2) @ a2
             a2i = self.source.alphas ** 2
             phi_i = np.sin(wt) @ a2i
+        elif self.source.G == 0.0:
+            psi = phi_i = np.zeros_like(ta)
         elif self.beta is None:
             psi, phi_i = self._zero_temperature_parts(ta)
         else:

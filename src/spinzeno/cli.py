@@ -11,7 +11,8 @@ table, and map errors to exit codes.  A body builds one BathKernel per
 (bath, beta) cell, shares it across modes and taus, and evaluates every
 point through `regimes.sample_curve`: a failed point is a gap row, and
 the run exits 3 or 4 only when every row is a gap (4 if any of them is a
-QuadratureError).
+QuadratureError).  oracle-check writes curve's rows (`_curves`) with an
+exact row after each.
 """
 
 import math
@@ -24,20 +25,20 @@ import numpy as np
 
 from . import __version__
 from .bath import BathKernel, DiscreteBath
-from .config import (VALIDITY_WARN_THRESHOLD, apply_sweep, header_lines,
-                     parse_config)
+from .config import apply_sweep, header_lines, parse_config
 from .errors import ConfigError, QuadratureError, SpinZenoError
 from .oracle import ExactEvolution, TruncatedBathSpec
 from .regimes import classify, sample_curve, tau_grid
 # survival_prob is unused here but stays importable from this module:
 # perfbench/tracer.py wraps spinzeno.cli.survival_prob, and
 # tests/test_benchmark_hooks.py checks that every such hook resolves.
-from .survival import survival_prob, validity_value  # noqa: F401
+from .survival import SurvivalMode, survival_prob, validity_value  # noqa: F401
 from .tables import ResultTable, emit
 
 EXIT_CONFIG = 2
 EXIT_OUT_OF_REGIME = 3
 EXIT_QUADRATURE = 4
+VALIDITY_WARN_THRESHOLD = 0.1
 
 
 def _load(config_path):
@@ -49,8 +50,9 @@ def _load(config_path):
 
 
 def _kernel(cfg, system, source, cell=""):
-    """The cell's shared kernel; notes B = 0 and warns when the validity
-    metric is large, naming the sweep cell (`cell`, e.g. "[g = 1.5] ")."""
+    """The cell's shared kernel and validity value; notes B = 0 and warns
+    when the validity is large, naming the sweep cell (`cell`, e.g.
+    "[g = 1.5] ")."""
     kernel = BathKernel(source, cfg.beta, tol=cfg.kernel_tol)
     # at finite T, s <= 1 makes phi_I diverge too: every point is a gap
     if kernel.divergent and (cfg.beta is None or source.s > 1.0):
@@ -63,26 +65,13 @@ def _kernel(cfg, system, source, cell=""):
         click.echo(f"warning: {cell}validity metric {v:.3g} >= "
                    f"{VALIDITY_WARN_THRESHOLD}; results may be out of the "
                    "method's regime", err=True)
-    return kernel
-
-
-def _grid(cfg):
-    return tau_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points, cfg.spacing)
+    return kernel, v
 
 
 def _row(mode, tau, gamma, s, validity, sweep=None, regime="", error=""):
     """One output row; a gap's `error` is its exception until `_run`."""
     return {"mode": mode, "sweep": sweep, "tau": tau, "gamma": gamma, "s": s,
             "validity": validity, "regime": regime, "error": error}
-
-
-def _curve_rows(cv, sweep=None, labels=None):
-    errors = dict(cv.errors)
-    labels = labels or [""] * cv.tau_grid.size
-    return [_row(cv.mode.value, float(tau), float(cv.gamma[i]),
-                 float(cv.s_values[i]), cv.validity, sweep, labels[i],
-                 errors.get(i, ""))
-            for i, tau in enumerate(cv.tau_grid)]
 
 
 def _curves(cfg, meta, point=False, sweep=False, compare=False):
@@ -92,17 +81,22 @@ def _curves(cfg, meta, point=False, sweep=False, compare=False):
         raise ConfigError("[run] missing required key 'sweep'")
     if compare and len(cfg.modes) < 2:
         raise ConfigError("[run] modes: compare needs at least two modes")
-    taus = (cfg.tau,) if point else _grid(cfg)
+    taus = (cfg.tau,) if point else tau_grid(cfg.tau_min, cfg.tau_max,
+                                             cfg.tau_points, cfg.spacing)
     cells = ((value, *apply_sweep(cfg, value)) for value in cfg.sweep_values) \
         if sweep else [(None, cfg.system, cfg.source)]
     rows = []
     for value, system, source in cells:
         cell = f"[{cfg.sweep_key} = {value:.12g}] " if sweep else ""
-        kernel = _kernel(cfg, system, source, cell)
+        kernel, validity = _kernel(cfg, system, source, cell)
         curves = [sample_curve(mode, system, kernel, taus, tol=cfg.tol)
                   for mode in cfg.modes]
         for cv in curves:
-            rows.extend(_curve_rows(cv, value, classify(cv).labels))
+            labels, errors = classify(cv).labels, dict(cv.errors)
+            rows += [_row(cv.mode.value, float(tau), float(cv.gamma[i]),
+                          float(cv.s_values[i]), validity, value, labels[i],
+                          errors.get(i, ""))
+                     for i, tau in enumerate(cv.tau_grid)]
     if compare:
         base = curves[0]
         for mode, cv in zip(cfg.modes[1:], curves[1:]):
@@ -117,21 +111,19 @@ def _curves(cfg, meta, point=False, sweep=False, compare=False):
 
 
 def _oracle_check(cfg, meta):
-    """Perturbative rows, each followed by the exact row at its tau."""
+    """The rows of curve, each followed by the exact row at its tau."""
     if not isinstance(cfg.source, DiscreteBath):
         raise ConfigError("[bath] oracle-check requires discrete 'modes'")
     if cfg.beta is not None:
         raise ConfigError("[system] oracle-check requires zero temperature")
-    kernel = _kernel(cfg, cfg.system, cfg.source)
+    curve_rows = _curves(cfg, meta)
     evo = ExactEvolution(cfg.system, TruncatedBathSpec(cfg.source, cfg.n_max))
     rows = []
-    for mode in cfg.modes:
-        cv = sample_curve(mode, cfg.system, kernel, _grid(cfg), tol=cfg.tol)
-        for row in _curve_rows(cv):
-            s_exact = evo.survival(row["tau"], removed=mode.removed)
-            rows += [row, _row(f"{mode.value}:exact", row["tau"], math.nan,
-                               s_exact, cv.validity)]
-    meta.append(("oracle.n_max", str(cfg.n_max)))
+    for row in curve_rows:
+        s_exact = evo.survival(row["tau"],
+                               removed=SurvivalMode(row["mode"]).removed)
+        rows += [row, _row(f"{row['mode']}:exact", row["tau"], math.nan,
+                           s_exact, row["validity"])]
     # a point whose solve raised has no s
     diffs = [abs(p["s"] - e["s"]) for p, e in zip(rows[::2], rows[1::2])
              if math.isfinite(p["s"])]

@@ -27,16 +27,17 @@ Configs are INI documents with three sections::
 
 Unknown keys, missing required keys, non-numeric or non-finite values
 (``beta = inf`` is the one spelling of zero temperature), non-integer
-``tau_points`` or ``n_max`` and out-of-range values are rejected with the
-offending key and line number.  Section names are lowercase, ``[DEFAULT]``
-is an unknown section like any other, and ``%`` is a literal character.
+``tau_points`` or ``n_max``, out-of-range values (``s`` also needs a finite
+Gamma(s - 1)) and a mode listed twice are rejected with the offending key
+and line number.  Section names are lowercase, ``[DEFAULT]`` is an unknown
+section like any other, and ``%`` is a literal character.
 """
 
 import configparser
 import math
 from dataclasses import dataclass, replace
 
-from .bath import KERNEL_TOL, DiscreteBath, SpectralDensity
+from .bath import KERNEL_TOL, DiscreteBath, SpectralDensity, ohmicity_ok
 from .errors import ConfigError, DomainError
 from .polaron import SystemParams
 from .survival import TOL, SurvivalMode
@@ -55,7 +56,7 @@ KEYS = {
     },
     "bath": {
         "g": (float, None, lambda v: v >= 0.0, "must be >= 0"),
-        "s": (float, 3.0, lambda v: v > 0.0, "must be > 0"),
+        "s": (float, 3.0, ohmicity_ok, "must be > 0 with finite Gamma(s - 1)"),
         "omega_c": (float, None, lambda v: v > 0.0, "must be > 0"),
         "modes": (str, None, None, None),
     },
@@ -76,8 +77,6 @@ KEYS = {
 # Sweepable key -> the SystemParams or SpectralDensity field it replaces
 SWEEPS = {"g": "G", "s": "s", "omega_c": "omega_c", "epsilon": "epsilon",
           "delta": "delta"}
-
-VALIDITY_WARN_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -201,6 +200,8 @@ def parse_config(text):
             modes.append(SurvivalMode(token.strip().lower()))
         except ValueError:
             _fail(text, "run", "modes", f"unknown mode {token!r}")
+        if modes[-1] in modes[:-1]:
+            _fail(text, "run", "modes", f"mode {token!r} is listed twice")
     if not modes:
         raise ConfigError("[run] modes: at least one mode required")
 

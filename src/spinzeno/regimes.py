@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRegimeError, SpinZenoError
-from .survival import TOL, SurvivalMode, survival_prob, validity_value
+from .survival import TOL, SurvivalMode, survival_prob
 
 SLOPE_NOISE_FLOOR = 1e-6  # relative to max |Gamma|
 
@@ -39,7 +39,6 @@ class DecayCurve:
     gamma: np.ndarray
     s_values: np.ndarray
     mode: SurvivalMode
-    validity: float
     errors: tuple = ()  # (index, exception) pairs for gap points
 
     def finite_mask(self):
@@ -89,8 +88,7 @@ def sample_curve(mode, sys, kernel, taus, *, tol=TOL):
         if not np.isfinite(res.gamma):
             errors.append((i, OutOfRegimeError(
                 f"survival {res.s:.6g} out of regime")))
-    return DecayCurve(taus, gammas, svals, mode, validity_value(sys, kernel),
-                      tuple(errors))
+    return DecayCurve(taus, gammas, svals, mode, tuple(errors))
 
 
 def classify(curve):

@@ -60,21 +60,15 @@ class SurvivalMode(enum.Enum):
 class SurvivalResult:
     s: float
     gamma: float
-    validity: float
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-def cutoff_scale(source):
-    """Frequency scale playing the role of omega_c in validity estimates."""
-    if isinstance(source, DiscreteBath):
-        return float(source.omegas.max())
-    return source.omega_c
-
-
 def validity_value(sys, kernel):
-    """(delta/omega_c)^2 (1 - B^4)."""
-    b = kernel.coherence_b()
-    return (sys.delta / cutoff_scale(kernel.source)) ** 2 * (1.0 - b ** 4)
+    """(delta/omega_c)^2 (1 - B^4); omega_c of a discrete bath is its top
+    mode frequency."""
+    src, b = kernel.source, kernel.coherence_b()
+    w_c = src.omegas.max() if isinstance(src, DiscreteBath) else src.omega_c
+    return (sys.delta / float(w_c)) ** 2 * (1.0 - b ** 4)
 
 
 def _corr_combos(kernel, x):
@@ -200,11 +194,10 @@ def integrate_triangle(f, tau, tol=TOL, *, start_order=8):
 def survival_prob(mode, sys, kernel, tau, *, tol=TOL):
     """Survival probability s(tau) for one measurement interval."""
     mode = SurvivalMode(mode)
-    validity = validity_value(sys, kernel)
     if not 0.0 <= tau < math.inf:
         raise DomainError("tau must be finite and nonnegative")
     if tau == 0.0 or sys.delta == 0.0:
-        return SurvivalResult(1.0, 0.0, validity, {
+        return SurvivalResult(1.0, 0.0, {
             "order": 0, "quad_error": 0.0, "zeroth_order": 0.0})
 
     p_full = renormalize(sys, kernel)
@@ -227,4 +220,4 @@ def survival_prob(mode, sys, kernel, tau, *, tol=TOL):
     diagnostics = {"order": order,
                    "quad_error": 0.25 * sys.delta ** 2 * quad_err,
                    "zeroth_order": zeroth}
-    return SurvivalResult(float(s), gamma, validity, diagnostics)
+    return SurvivalResult(float(s), gamma, diagnostics)

@@ -11,6 +11,7 @@ from scipy.special import gamma as gamma_fn
 
 from reference.reconstruct import correlation, phi
 from spinzeno import BathKernel, DiscreteBath, SpectralDensity
+from spinzeno.bath import ohmicity_ok
 from spinzeno.errors import (DivergentKernelError, DomainError,
                              QuadratureError)
 
@@ -109,6 +110,19 @@ class TestSpectralDensity:
             SpectralDensity(G=1.0, s=3.0, omega_c=-1.0)
         with pytest.raises(DomainError):
             SpectralDensity(G=-0.5, s=3.0, omega_c=10.0)
+
+    @pytest.mark.parametrize("s", [172.7, 173.0, 200.0, 1e-17])
+    def test_rejects_ohmicity_without_finite_gamma(self, s):
+        # Gamma(s - 1) overflows above s ~ 172.6; below s ~ 1e-16, s - 1
+        # rounds to the pole at -1
+        assert not ohmicity_ok(s)
+        with pytest.raises(DomainError, match="Ohmicity s"):
+            SpectralDensity(G=1.0, s=s, omega_c=10.0)
+
+    @pytest.mark.parametrize("s", [1e-16, 0.5, 1.0, 2.0, 172.6])
+    def test_accepts_ohmicity_with_finite_gamma(self, s):
+        assert ohmicity_ok(s)
+        SpectralDensity(G=1.0, s=s, omega_c=10.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field, match", [("G", "coupling G"),
@@ -284,6 +298,20 @@ class TestDivergenceDetection:
             assert kern.coherence_b() == 0.0
             _, e_minus = kern.scaled_exponentials(np.array([0.0, 0.5, 3.0]))
         assert np.all(e_minus == 0.0)
+
+
+    @pytest.mark.parametrize("beta", [None, 2.0])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 3.0])
+    def test_decoupled_bath_is_never_divergent(self, s, beta):
+        # G = 0: phi = 0 and B = 1 for every s, without touching
+        # Gamma(s - 1), the s - 2 division or the phi_I divergence
+        kern = BathKernel(SpectralDensity(G=0.0, s=s, omega_c=10.0), beta)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert not kern.divergent
+            assert kern.phi_r0() == 0.0 and kern.coherence_b() == 1.0
+            psi, phi_i = kern.phi_parts(np.array([0.0, 0.5, 3.0]))
+        assert np.all(psi == 0.0) and np.all(phi_i == 0.0)
 
 
 class TestScaledExponentials:

@@ -87,7 +87,9 @@ class TestParseConfig:
         "tau = -1", "tau = inf", "tau = nan", "tau_min = 0", "tau_min = -0.5",
         "tau_min = nan", "tau_max = 0.05", "tau_max = 0.01", "tau_max = inf",
         "tau_points = 1", "tau_points = 0", "n_max = 2", "tol = 0",
-        "tol = -1e-8", "tol = nan", "kernel_tol = 0", "kernel_tol = inf"])
+        "tol = -1e-8", "tol = nan", "kernel_tol = 0", "kernel_tol = inf",
+        "modes = full, full", "modes = full, small_delta, small_delta",
+        "modes = full FULL"])
     def test_out_of_range_value_rejected(self, entry):
         text, line = _with_run_entry(MINIMAL, entry)
         key = entry.split(" = ")[0]
@@ -105,6 +107,8 @@ class TestParseConfig:
         ("g = 1.0", "g = -1.0"),
         ("g = 1.0", "g = 1.0\ns = inf"),
         ("g = 1.0", "g = 1.0\ns = 0"),
+        ("g = 1.0", "g = 1.0\ns = 173"),          # Gamma(s - 1) overflows
+        ("g = 1.0", "g = 1.0\ns = 1e-17"),        # s - 1 rounds to -1
         ("omega_c = 10.0", "omega_c = inf"),
         ("omega_c = 10.0", "omega_c = 0"),
         ("g = 1.0\nomega_c = 10.0", "modes = 1.0:nan 3.0:0.3"),
@@ -112,7 +116,8 @@ class TestParseConfig:
         ("g = 1.0\nomega_c = 10.0", "modes = 3.0:0.3 1.0:0.2"),
         ("g = 1.0", "modes = 1.0:0.2\ng = -1.0"),
         ("tau_max = 3.0", "tau_max = 3.0\nsweep = g: 0.5 -0.5"),
-        ("tau_max = 3.0", "tau_max = 3.0\nsweep = omega_c: 10 0")])
+        ("tau_max = 3.0", "tau_max = 3.0\nsweep = omega_c: 10 0"),
+        ("tau_max = 3.0", "tau_max = 3.0\nsweep = s: 3 173")])
     def test_out_of_range_system_or_bath_value_rejected(self, old, new):
         text = MINIMAL.replace(old, new)
         entry = new.split("\n")[-1]
@@ -368,6 +373,41 @@ modes = small_delta
         assert result.exit_code == 0, result.stderr
         assert result.stderr.count("note: ") == (2 if noted else 0)
         assert result.stderr.count("small-delta mode") == (2 if noted else 0)
+
+    def test_decoupled_cell_has_no_note(self, tmp_path):
+        # g = 0 is no bath at all, so B = 1 there even for s = 0.5
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL.replace("g = 1.0", "g = 0.5\ns = 0.5")
+                       + "tau_points = 2\nsweep = g: 0 0.5\n")
+        result = self.run("sweep", "--config", str(cfg))
+        assert result.exit_code == 0, result.stderr
+        assert result.stderr.count("note: ") == 1
+        assert result.stderr.startswith("note: [g = 0.5] bath is Ohmic")
+
+    def test_oracle_rows_are_curve_rows_plus_exact_rows(self, tmp_path):
+        # oracle-check writes curve's rows, regime labels included, each
+        # followed by its exact row; the header only adds the oracle error
+        text = dict((n, c) for n, _, c in GOLDEN_CASES)["oracle_check"]
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        curve, oracle = (self.run(command, "--config", str(cfg))
+                         for command in ("curve", "oracle-check"))
+        assert curve.exit_code == oracle.exit_code == 0, oracle.stderr
+        rows = _data_rows(oracle.stdout)
+        assert rows[::2] == _data_rows(curve.stdout)
+        assert any(r["regime"] for r in rows[::2])
+        for pert, exact in zip(rows[::2], rows[1::2]):
+            assert exact["mode"] == pert["mode"] + ":exact"
+            assert (exact["tau"], exact["validity"]) == \
+                (pert["tau"], pert["validity"])
+            assert exact["gamma"] == "nan" and not exact["regime"]
+        header = [dict(ln[2:].split(" = ", 1) for ln in out.stdout
+                       .splitlines() if ln.startswith("# "))
+                  for out in (curve, oracle)]
+        assert header[1].pop("oracle.max_abs_error")
+        assert header[1].pop("command") == "oracle-check"
+        assert header[0].pop("command") == "curve"
+        assert header[0] == header[1]
 
     def test_sweep_note_names_its_cell(self, tmp_path):
         # only the s = 0.5 cell has B = 0; its note says which cell it is
@@ -669,6 +709,11 @@ CONFIG_ERROR_CASES = [
     ("oracle-check", _DISCRETE.replace("delta = 0.2",
                                        "delta = 0.2\nbeta = 2.0")),
     ("compute", MINIMAL),                                 # no tau
+    ("curve", MINIMAL.replace("g = 1.0", "g = 1.0\ns = 173")),
+    ("curve", MINIMAL.replace("delta = 0.2", "delta = 0.2\nbeta = 2.0")
+     .replace("g = 1.0", "g = 1.0\ns = 200")),
+    ("sweep", MINIMAL + "sweep = s: 3 173\n"),
+    ("compare", MINIMAL + "modes = full, full\n"),
 ]
 
 
@@ -694,7 +739,9 @@ class TestCliGolden:
     @pytest.mark.parametrize("command, text", CONFIG_ERROR_CASES,
                              ids=["sweep-without-sweep", "compare-one-mode",
                                   "oracle-continuous", "oracle-finite-t",
-                                  "compute-without-tau"])
+                                  "compute-without-tau", "curve-s-173",
+                                  "curve-s-200-finite-t", "sweep-s-173",
+                                  "compare-mode-twice"])
     def test_config_error(self, tmp_path, command, text):
         cfg = tmp_path / "c.ini"
         cfg.write_text(text)

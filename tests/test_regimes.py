@@ -16,8 +16,7 @@ K3 = BathKernel(J3, None)
 def synthetic_curve(tau, gamma):
     tau = np.asarray(tau, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    return DecayCurve(tau, gamma, np.exp(-gamma * tau), SurvivalMode.FULL,
-                      0.0)
+    return DecayCurve(tau, gamma, np.exp(-gamma * tau), SurvivalMode.FULL)
 
 
 class TestTauGrid:

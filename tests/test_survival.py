@@ -59,6 +59,29 @@ class TestTrivialLimits:
             survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, tau)
 
 
+class TestDecoupledBath:
+    @pytest.mark.parametrize("beta", [None, 2.0])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_every_ohmicity_gives_the_bare_system(self, s, beta):
+        # G = 0 means J = 0 and phi = 0, so B = 1 whatever s and beta are:
+        # every mode gives its s = 3, T = 0 value, which is the bare
+        # 1 - (delta/Omega)^2 sin^2(Omega tau/2) for full and 1 with removal
+        sys, tau = SystemParams(1.0, 0.5), 2.0
+        decoupled = BathKernel(SpectralDensity(G=0.0, s=s, omega_c=10.0),
+                               beta)
+        reference = BathKernel(SpectralDensity(G=0.0, s=3.0, omega_c=10.0),
+                               None)
+        omega = math.hypot(sys.epsilon, sys.delta)
+        bare = 1.0 - (sys.delta / omega * math.sin(0.5 * omega * tau)) ** 2
+        for mode in ALL_MODES:
+            got = survival_prob(mode, sys, decoupled, tau).s
+            assert got == survival_prob(mode, sys, reference, tau).s, mode
+            if mode is SurvivalMode.FULL:
+                assert got == pytest.approx(bare, abs=1e-14)
+            elif mode.removed:
+                assert got == 1.0
+
+
 class TestRegression:
     def test_full_survival_at_tau_one(self):
         res = survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, 1.0)
