@@ -7,7 +7,8 @@ from .bath import BathKernel, DiscreteBath, KernelTable, SpectralDensity
 from .config import RunConfig, apply_sweep, parse_config
 from .tables import ResultTable, emit_csv, emit_json
 from .errors import (ConfigError, DegenerateSystemError, DimensionBudgetError,
-                     DivergentKernelError, DomainError, OutOfRegimeError,
+                     DivergentKernelError, DomainError,
+                     NonFiniteIntegrandError, OutOfRegimeError,
                      QuadratureError, SpinZenoError, TruncationError)
 from .oracle import (ExactEvolution, LabHamiltonian, TruncatedBathSpec,
                      discretize_bath, initial_vector_lab)

@@ -31,9 +31,13 @@ turns each integral into a sum of zero-temperature closed forms: term n
 has the cutoff 1/a_n with a_n = 1/w_c + n beta, the weight c_n (1 for
 n = 0, 2 after) and the factor (w_c a_n)^(1-s),
 
-    psi(t) + i phi_I(t) = G Gamma(s-1) w_c^(1-s)
-                          sum_n c_n [a_n^(1-s) - (a_n + i t)^(1-s)]
-    phi_R(0)            = G Gamma(s-1) w_c^(1-s) sum_n c_n a_n^(1-s)   (s > 2)
+    psi(t) + i phi_I(t) = G Gamma(s-1)
+                          sum_n c_n (w_c a_n)^(1-s) [1 - (1 + i t/a_n)^(1-s)]
+    phi_R(0)            = G Gamma(s-1) sum_n c_n (w_c a_n)^(1-s)       (s > 2)
+
+Since w_c a_n >= 1, the power (w_c a_n)^(1-s) is at most 1 for s > 1 and
+cannot overflow, however large s is; G Gamma(s-1) is finite because the
+spectral density admits only such s.
 
 The terms n <= N are summed directly; the rest is an analytic
 Euler-Maclaurin tail (the integral over n plus end corrections up to
@@ -224,7 +228,8 @@ class BathKernel:
         return _one_minus_pow(J.G * math.gamma(J.s - 1.0), 1.0 - J.s, x)
 
     def _thermal_terms(self):
-        """(a_n, c_n for n = 0..N, G Gamma(s-1) w_c^(1-s)) of the finite-T sum.
+        """(a_n, c_n G Gamma(s-1) (w_c a_n)^(1-s) for n = 0..N) of the finite-T
+        sum.
 
         The weights are trapezoidal: c_0 = 1, c_n = 2, and c_N = 1 because
         the tail starts at n = N with half of its term.  N is the smallest
@@ -251,8 +256,9 @@ class BathKernel:
             a = 1.0 / J.omega_c + beta * np.arange(n + 1)
             c = np.full(n + 1, 2.0)
             c[0] = c[-1] = 1.0
-            scale = J.G * math.gamma(J.s - 1.0) * J.omega_c ** (1.0 - J.s)
-            self._cache["terms"] = (a, c, scale)
+            weights = c * J.G * math.gamma(J.s - 1.0) \
+                * (J.omega_c * a) ** (1.0 - J.s)
+            self._cache["terms"] = (a, weights)
         return self._cache["terms"]
 
     def _thermal_parts(self, ta):
@@ -262,21 +268,24 @@ class BathKernel:
             raise DivergentKernelError(
                 "divergent kernel: the coth-weighted phi_I integral does not "
                 f"converge at finite T for s <= 1 (s={J.s})")
-        a, c, scale = self._thermal_terms()
+        a, weights = self._thermal_terms()
         e = 1.0 - J.s
         psi = phi_i = 0.0
-        for a_n, c_n in zip(a, c):
-            p, q = _one_minus_pow(c_n * scale * a_n ** e, e, ta / a_n)
+        for a_n, w_n in zip(a, weights):
+            p, q = _one_minus_pow(w_n, e, ta / a_n)
             psi = psi + p
             phi_i = phi_i + q
         big_a = float(a[-1])
         x = ta / big_a
+        # the tail's scale G Gamma(s-1) (w_c A)^(1-s), the last term's
+        # weight (c_N = 1)
+        scale = float(weights[-1])
         # integral over n >= N: k [(1 + ix)^(2-s) - 1] / (2-s), with
-        # k = (2 scale / beta) A^(2-s).  Below s = 1.5 it is written through
+        # k = 2 scale A / beta.  Below s = 1.5 it is written through
         # W = 1 - (1 + ix)^(1-s), because scale ~ 1/(s-1) would amplify the
         # rounding of the direct form; at s = 2 it is k log(1 + ix).
         e2 = 2.0 - J.s
-        k = 2.0 * scale / beta * big_a ** e2
+        k = 2.0 * scale * big_a / beta
         if J.s < 1.5:
             w_r, w_i = _one_minus_pow(k / e2, e, x)
             p, q = x * w_i - w_r, x * (k / e2) - w_i - x * w_r
@@ -286,12 +295,13 @@ class BathKernel:
             p, q = _one_minus_pow(-k / e2, e2, x)
         psi = psi + p
         phi_i = phi_i + q
-        # end corrections with D^(m)(A) = A^(e-m) [1 - (1 + ix)^(e-m)]
+        # end corrections with D^(m)(A) = A^(e-m) [1 - (1 + ix)^(e-m)],
+        # scale carrying the A^e
         z_inv = 1.0 / (1.0 + 1j * x)
         z_pow = (1.0 + 1j * x) ** e * z_inv       # (1 + ix)^(e-m), m = 1
         corr = 0.0
         for m, coeff in self._end_corrections(e):
-            corr = corr + coeff * big_a ** (e - m) * (1.0 - z_pow)
+            corr = corr + coeff * big_a ** -m * (1.0 - z_pow)
             z_pow = z_pow * z_inv * z_inv
         return psi + scale * np.real(corr), phi_i + scale * np.imag(corr)
 
@@ -311,14 +321,12 @@ class BathKernel:
     def _thermal_phi_r0(self):
         """phi_R(0) at finite temperature (s > 2) from the same sum."""
         J = self.source
-        a, c, scale = self._thermal_terms()
-        e = 1.0 - J.s
+        a, weights = self._thermal_terms()
         big_a = float(a[-1])
-        total = float(c @ a ** e) \
-            + 2.0 * big_a ** (2.0 - J.s) / (self.beta * (J.s - 2.0))
-        for m, coeff in self._end_corrections(e):
-            total += coeff * big_a ** (e - m)
-        return scale * total
+        tail = 2.0 * big_a / (self.beta * (J.s - 2.0))
+        for m, coeff in self._end_corrections(1.0 - J.s):
+            tail += coeff * big_a ** -m
+        return float(np.sum(weights)) + float(weights[-1]) * tail
 
     # -- kernel pieces ------------------------------------------------------
 

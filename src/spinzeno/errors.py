@@ -35,3 +35,7 @@ class DimensionBudgetError(SpinZenoError):
 
 class ConfigError(SpinZenoError):
     """A run configuration is malformed."""
+
+
+class NonFiniteIntegrandError(SpinZenoError):
+    """The survival integrand is not finite at a quadrature node."""

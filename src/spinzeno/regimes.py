@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRegimeError, SpinZenoError
+from .errors import DomainError, OutOfRegimeError, SpinZenoError
 from .survival import TOL, SurvivalMode, survival_prob
 
 SLOPE_NOISE_FLOOR = 1e-6  # relative to max |Gamma|
@@ -64,31 +64,42 @@ def tau_grid(tau_min, tau_max, n_points, spacing="geometric"):
 
 
 def sample_curve(mode, sys, kernel, taus, *, tol=TOL):
-    """Sample Gamma at each tau of `taus`; failed points become gaps.
+    """Sample Gamma at each tau of `taus` in one pass; failed points are gaps.
 
     `kernel` is the BathKernel of one (bath, beta) pair; every mode sampled
-    with the same kernel shares its caches.  A point whose survival call
-    raises, or whose s leaves (0, 1] (OutOfRegimeError), is NaN in `gamma`
-    with its exception in `errors`; a curve may consist of gaps only, and
-    the caller decides what that means.
+    with the same kernel shares its caches.  The valid taus go, sorted,
+    to one survival_prob call.  A negative or non-finite tau is a gap with
+    a DomainError, a point whose s leaves (0, 1] one with an
+    OutOfRegimeError, and a point whose quadrature panel failed is a gap
+    with that error, as is every larger tau, whose moments include that
+    panel; an error that survival_prob raises makes every point a gap.  Gaps
+    are NaN in `gamma` with their exception in `errors`; a curve may
+    consist of gaps only, and the caller decides what that means.
     """
     mode = SurvivalMode(mode)
     taus = np.asarray(taus, dtype=float)
     gammas = np.full(taus.size, np.nan)
     svals = np.full(taus.size, np.nan)
-    errors = []
-    for i, tau in enumerate(taus):
+    valid = (taus >= 0.0) & (taus < np.inf)
+    errors = {int(i): DomainError("tau must be finite and nonnegative")
+              for i in np.flatnonzero(~valid)}
+    order = np.flatnonzero(valid)[np.argsort(taus[valid], kind="stable")]
+    if order.size:
         try:
-            res = survival_prob(mode, sys, kernel, tau, tol=tol)
+            res = survival_prob(mode, sys, kernel, taus[order], tol=tol)
         except SpinZenoError as exc:
-            errors.append((i, exc))
-            continue
-        svals[i] = res.s
-        gammas[i] = res.gamma
-        if not np.isfinite(res.gamma):
-            errors.append((i, OutOfRegimeError(
-                f"survival {res.s:.6g} out of regime")))
-    return DecayCurve(taus, gammas, svals, mode, tuple(errors))
+            errors.update((int(i), exc) for i in order)
+        else:
+            svals[order] = res.s
+            gammas[order] = res.gamma
+            failed = res.diagnostics["failed"]
+            if failed is not None:
+                errors.update((int(i), failed[1]) for i in order[failed[0]:])
+            for i in order:
+                if i not in errors and not np.isfinite(gammas[i]):
+                    errors[int(i)] = OutOfRegimeError(
+                        f"survival {svals[i]:.6g} out of regime")
+    return DecayCurve(taus, gammas, svals, mode, tuple(sorted(errors.items())))
 
 
 def classify(curve):

@@ -10,13 +10,15 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from reference.tables import parse_json
-from spinzeno import (DiscreteBath, ResultTable, SurvivalMode, emit_csv,
-                      emit_json, parse_config, tau_grid)
+from spinzeno import (BathKernel, DiscreteBath, ResultTable, SurvivalMode,
+                      emit_csv, emit_json, parse_config, tau_grid)
 from spinzeno import config
 from spinzeno.cli import main
 from spinzeno.config import header_lines
@@ -488,6 +490,41 @@ modes = small_delta
         rows = _data_rows(result.stdout)
         assert len(rows) == 1
         assert rows[0]["gamma"] == "nan" and "phi_I" in rows[0]["error"]
+
+    @pytest.mark.parametrize("beta, g, omega_c", [(100.0, 1e-3, 1e-3),
+                                                  (1.0, 1.0, 0.1)])
+    def test_finite_temperature_at_large_ohmicity(self, tmp_path, beta, g,
+                                                  omega_c):
+        # omega_c^(1-s) alone overflows (first) or meets an underflowed
+        # a_n^(1-s) (second); their product (omega_c a_n)^(1-s) is at most
+        # 1.  The bath is then so stiff that B = 0 and nothing decays.
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[system]\nepsilon = 1.0\ndelta = 0.2\nbeta = {beta}\n"
+                       f"[bath]\ng = {g}\ns = 150\nomega_c = {omega_c}\n"
+                       "[run]\ntau = 0.5\n")
+        result = self.run("compute", "--config", str(cfg))
+        assert result.exit_code == 0, result.stderr
+        (row,) = _data_rows(result.stdout)
+        assert (row["s"], row["gamma"], row["error"]) == ("1", "0", "")
+
+    def test_non_finite_kernel_is_a_named_gap(self, tmp_path):
+        # a kernel value that is not finite stops the quadrature at once
+        # with its own error (exit 3), not a quadrature failure (exit 4)
+        real = BathKernel.scaled_exponentials
+
+        def broken(self, t):
+            e_plus, e_minus = real(self, t)
+            return np.full_like(e_plus, np.nan), e_minus
+
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL.replace("tau_min = 0.05\ntau_max = 3.0\n",
+                                       _SMALL_RUN))
+        with mock.patch.object(BathKernel, "scaled_exponentials", broken):
+            result = self.run("curve", "--config", str(cfg))
+        assert result.exit_code == 3, result.stderr
+        rows = _data_rows(result.stdout)
+        assert len(rows) == 3
+        assert all("not finite" in r["error"] for r in rows)
 
     def test_compare_with_zero_base_rate(self, tmp_path):
         # delta = 0: Gamma = 0 everywhere, so no relative gap is defined

@@ -14,9 +14,10 @@ from reference.reconstruct import (DOWN, SIGMA_X, SIGMA_Y, UP,
                                    reconstruct_survival, u_s_matrix)
 from reference.triangle import triangle_survival
 from spinzeno import (BathKernel, DiscreteBath, SpectralDensity, SurvivalMode,
-                      SystemParams, renormalize, survival_prob)
+                      SystemParams, renormalize, sample_curve, survival_prob,
+                      tau_grid)
 from spinzeno import survival as survival_module
-from spinzeno.errors import DomainError
+from spinzeno.errors import DomainError, QuadratureError, SpinZenoError
 
 J3 = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
 KERNEL = BathKernel(J3, None)
@@ -183,7 +184,7 @@ def test_spin_table_rebuilds_spin_factor(name, variant, removed, tau, u, v):
         pc = pc.with_small_delta()
     t = tau * u
     s = t * v
-    p = survival_module._spin_tables(pc, tau, removed)
+    p = survival_module._spin_tables(pc, [tau], removed)[0]
     j = np.arange(-1, 2)
     waves = np.exp(1j * pc.omega_r * np.add.outer(j * t, j * s))
     got = np.sum(p * waves, axis=(1, 2))
@@ -249,10 +250,13 @@ class TestInvariants:
         assert np.allclose(np.abs(m1), np.abs(m1f), atol=1e-12)
 
 
-def _line_at_order(f, tau, order):
-    """The deficit's 1-D Gauss-Legendre rule at one fixed order."""
+def _moments_at_order(f, coeffs, tau, order):
+    """Re sum A M(tau) with the moments from one panel [0, tau] at one
+    fixed Gauss-Legendre order."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * tau * (f(0.5 * tau * (x + 1.0)) @ w)
+    u, v = f(0.5 * tau * (x + 1.0))
+    moments = np.swapaxes(u * (0.5 * tau * w)[:, None], 0, 1) @ v
+    return float(np.real(np.sum(coeffs[0] * moments)))
 
 
 _discrete_baths = st.lists(
@@ -274,9 +278,9 @@ def _kernels(draw):
 
 
 class TestQuadratureSchedule:
-    """The 1-D rule stops at the first pair of orders that agree,
+    """The panel rule stops at the first pair of orders that agree,
     starting from order 8; a false early agreement would leave s away
-    from the same integrand evaluated at a fixed high order."""
+    from the same moments evaluated at a fixed high order."""
 
     @settings(max_examples=30, deadline=None)
     @given(mode=st.sampled_from(ALL_MODES), kernel=_kernels(),
@@ -288,14 +292,14 @@ class TestQuadratureSchedule:
         seen = []
         real = survival_module.integrate_triangle
 
-        def recording(f, tau, **kw):
-            seen.append(f)
-            return real(f, tau, **kw)
+        def recording(f, taus, coeffs, **kw):
+            seen.append((f, coeffs))
+            return real(f, taus, coeffs, **kw)
 
         with mock.patch.object(survival_module, "integrate_triangle",
                                recording):
             res = survival_prob(mode, sys, kernel, tau, tol=tol)
-        fixed = _line_at_order(seen[0], tau, 512)
+        fixed = _moments_at_order(*seen[0], tau, 512)
         s_fixed = (1.0 - res.diagnostics["zeroth_order"]
                    - 0.25 * delta ** 2 * float(fixed))
         assert abs(res.s - s_fixed) <= 0.25 * delta ** 2 * tol
@@ -373,9 +377,10 @@ class TestDerivedQuantities:
 @pytest.mark.parametrize("name", list(_REFERENCE_KERNELS))
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_one_kernel_evaluation_per_node(mode, name):
-    """Every mode samples the kernel at the quadrature nodes alone: the
-    times passed to phi_parts sum to the orders of the doubling schedule
-    8, 16, ..., order, plus the one Ctil(0) of a removed mode."""
+    """Every mode samples the kernel at the quadrature nodes alone: for
+    one tau (one panel) the times passed to phi_parts sum to the orders of
+    the doubling schedule 8, 16, ..., order, plus the one Ctil(0) of a
+    removed mode."""
     kernel = _REFERENCE_KERNELS[name]
     times = []
     real = BathKernel.phi_parts
@@ -388,3 +393,73 @@ def test_one_kernel_evaluation_per_node(mode, name):
         res = survival_prob(mode, SYS_B, kernel, 2.0)
     nodes = 2 * res.diagnostics["order"] - 8    # 8 + 16 + ... + order
     assert sum(times) == nodes + (1 if mode.removed else 0)
+
+
+class TestCurvePath:
+    """A curve is one pass of the panel rule over its sorted taus."""
+
+    @pytest.mark.parametrize("name", list(_REFERENCE_KERNELS))
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @settings(max_examples=8, deadline=None)
+    @given(taus=st.lists(st.floats(0.01, 6.0), min_size=1, max_size=10))
+    def test_curve_matches_one_point_calls(self, mode, name, taus):
+        # any grid, unsorted and with repeats: each point agrees with its
+        # own one-panel survival_prob within the tolerance
+        kernel, tol = _REFERENCE_KERNELS[name], 1e-8
+        curve = sample_curve(mode, SYS_B, kernel, taus, tol=tol)
+        for tau, s_curve in zip(taus, curve.s_values):
+            one = survival_prob(mode, SYS_B, kernel, tau, tol=tol)
+            assert abs(s_curve - one.s) <= 0.25 * SYS_B.delta ** 2 * tol
+
+    def test_array_diagnostics(self):
+        taus = tau_grid(0.05, 3.0, 6)
+        res = survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, taus)
+        assert res.s.shape == res.gamma.shape == taus.shape
+        assert res.diagnostics["failed"] is None
+        assert np.all(res.diagnostics["order"] >= 16)
+        # each point's bound sums over its panels
+        assert np.all(np.diff(res.diagnostics["quad_error"]) >= 0.0)
+
+    def test_unsorted_array_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="sorted"):
+            survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, [1.0, 0.5])
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_unconverged_panel_gaps_it_and_every_later_point(self, mode):
+        # with orders 8 and 16 only, the short panels converge and the
+        # long panel [0.15, 8] does not: its point and the later 8.5 are
+        # gaps with its one error, whatever the order of the grid
+        taus = [8.5, 0.1, 0.05, 8.0, 0.15]
+        with mock.patch.object(survival_module, "MAX_ORDER", 16):
+            curve = sample_curve(mode, SYS_B, KERNEL, taus)
+        assert np.all(np.isfinite(curve.gamma[[1, 2, 4]]))
+        assert np.all(np.isnan(curve.s_values[[0, 3]]))
+        (i, exc), (k, same) = curve.errors
+        assert (i, k) == (0, 3) and same is exc
+        assert isinstance(exc, QuadratureError)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_a_curve_calls_the_kernel_once_per_order(self, mode):
+        # 40 points take one kernel call per doubling level, plus Ctil(0)
+        # for a removed mode: not one or more calls per point
+        taus = tau_grid(0.05, 3.0, 40)
+        calls = []
+        real = BathKernel.phi_parts
+
+        def counting(self, t):
+            calls.append(np.size(t))
+            return real(self, t)
+
+        with mock.patch.object(BathKernel, "phi_parts", counting):
+            curve = sample_curve(mode, SYS_B, KERNEL, taus)
+        assert np.all(np.isfinite(curve.s_values))
+        order = survival_prob(mode, SYS_B, KERNEL, taus).diagnostics["order"]
+        levels = int(np.log2(order.max() // 8)) + 1
+        assert len(calls) <= levels + 1
+
+    def test_error_before_the_quadrature_gaps_every_point(self):
+        # epsilon = 0 has no small-delta reduction
+        curve = sample_curve(SurvivalMode.SMALL_DELTA, SystemParams(0.0, 0.5),
+                             KERNEL, [0.5, 1.0])
+        assert [i for i, _ in curve.errors] == [0, 1]
+        assert isinstance(curve.errors[0][1], SpinZenoError)
