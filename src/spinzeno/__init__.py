@@ -13,9 +13,9 @@ from .errors import (ConfigError, DegenerateSystemError, DimensionBudgetError,
 from .oracle import (ExactEvolution, LabHamiltonian, TruncatedBathSpec,
                      discretize_bath, initial_vector_lab)
 from .polaron import PolaronParams, SystemParams, renormalize, rot_coeffs
-from .regimes import (DecayCurve, RegimeLabel, RegimeReport, classify,
-                      sample_curve, tau_grid)
-from .survival import (SurvivalMode, SurvivalResult, integrate_triangle,
+from .regimes import (RegimeLabel, RegimeReport, classify, sample_curve,
+                      tau_grid)
+from .survival import (DecayCurve, SurvivalMode, integrate_triangle,
                        survival_prob, validity_value)
 
 __version__ = "0.1.0"

@@ -94,7 +94,7 @@ def _curves(cfg, meta, point=False, sweep=False, compare=False):
         for cv in curves:
             labels, errors = classify(cv).labels, dict(cv.errors)
             rows += [_row(cv.mode.value, float(tau), float(cv.gamma[i]),
-                          float(cv.s_values[i]), validity, value, labels[i],
+                          float(cv.s[i]), validity, value, labels[i],
                           errors.get(i, ""))
                      for i, tau in enumerate(cv.tau_grid)]
     if compare:

@@ -73,13 +73,14 @@ def rot_coeffs(p, t):
     Returns (a_x, a_y, a_z, b_x, b_y, b_z), vectorized over t.
     """
     t = np.asarray(t, dtype=float)
-    w = p.omega_r
+    w, nz, nx = p.omega_r, p.nz, p.nx
     s2 = np.sin(0.5 * w * t) ** 2
     sn = np.sin(w * t)
-    a_x = 1.0 - 2.0 * p.epsilon ** 2 / w ** 2 * s2
-    a_y = -(p.epsilon / w) * sn
-    a_z = 2.0 * p.epsilon * p.delta_r / w ** 2 * s2
-    b_x = (p.epsilon / w) * sn
+    # written in nz, nx so that no factor 1/omega_r^2 can overflow
+    a_x = 1.0 - 2.0 * nz ** 2 * s2
+    a_y = -nz * sn
+    a_z = 2.0 * nz * nx * s2
+    b_x = nz * sn
     b_y = np.cos(w * t)
-    b_z = -(p.delta_r / w) * sn
+    b_z = -nx * sn
     return a_x, a_y, a_z, b_x, b_y, b_z

@@ -14,7 +14,8 @@ Where two consecutive labelled points a < b differ in sign, the crossover
 is the bracket [tau[a-1], tau[b+1]] over the finite points, clipped to
 the ends.  Each three-point slope is a positive-weight mix of its two
 interval slopes, so Gamma both rises and falls on the bracket, which
-therefore holds a stationary point.
+therefore holds a stationary point.  `sample_curve` hands a caller's
+taus to survival_prob in sorted order and its DecayCurve back in theirs.
 """
 
 import enum
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OutOfRegimeError, SpinZenoError
-from .survival import TOL, SurvivalMode, survival_prob
+from .errors import DomainError, SpinZenoError
+from .survival import TOL, DecayCurve, SurvivalMode, survival_prob
 
 SLOPE_NOISE_FLOOR = 1e-6  # relative to max |Gamma|
 
@@ -31,18 +32,6 @@ SLOPE_NOISE_FLOOR = 1e-6  # relative to max |Gamma|
 class RegimeLabel(enum.Enum):
     ZENO = "zeno"
     ANTI_ZENO = "anti_zeno"
-
-
-@dataclass(frozen=True)
-class DecayCurve:
-    tau_grid: np.ndarray
-    gamma: np.ndarray
-    s_values: np.ndarray
-    mode: SurvivalMode
-    errors: tuple = ()  # (index, exception) pairs for gap points
-
-    def finite_mask(self):
-        return np.isfinite(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -64,17 +53,15 @@ def tau_grid(tau_min, tau_max, n_points, spacing="geometric"):
 
 
 def sample_curve(mode, sys, kernel, taus, *, tol=TOL):
-    """Sample Gamma at each tau of `taus` in one pass; failed points are gaps.
+    """The DecayCurve of `taus` in their own order, from one survival_prob
+    call on the valid taus, sorted.
 
     `kernel` is the BathKernel of one (bath, beta) pair; every mode sampled
-    with the same kernel shares its caches.  The valid taus go, sorted,
-    to one survival_prob call.  A negative or non-finite tau is a gap with
-    a DomainError, a point whose s leaves (0, 1] one with an
-    OutOfRegimeError, and a point whose quadrature panel failed is a gap
-    with that error, as is every larger tau, whose moments include that
-    panel; an error that survival_prob raises makes every point a gap.  Gaps
-    are NaN in `gamma` with their exception in `errors`; a curve may
-    consist of gaps only, and the caller decides what that means.
+    with the same kernel shares its caches.  A negative or non-finite tau
+    is a gap with a DomainError, the gaps that survival_prob names keep
+    their errors, and an error that survival_prob raises makes every
+    point a gap.  A curve may consist of gaps only, and the caller decides
+    what that means.
     """
     mode = SurvivalMode(mode)
     taus = np.asarray(taus, dtype=float)
@@ -92,13 +79,7 @@ def sample_curve(mode, sys, kernel, taus, *, tol=TOL):
         else:
             svals[order] = res.s
             gammas[order] = res.gamma
-            failed = res.diagnostics["failed"]
-            if failed is not None:
-                errors.update((int(i), failed[1]) for i in order[failed[0]:])
-            for i in order:
-                if i not in errors and not np.isfinite(gammas[i]):
-                    errors[int(i)] = OutOfRegimeError(
-                        f"survival {svals[i]:.6g} out of regime")
+            errors.update((int(order[i]), exc) for i, exc in res.errors)
     return DecayCurve(taus, gammas, svals, mode, tuple(sorted(errors.items())))
 
 

@@ -30,6 +30,7 @@ The coefficients A(tau) come from the p_jk in closed form (_coefficients);
 only the moments need the kernel.  They accumulate panel by panel between
 consecutive grid points, so one pass over the kernel serves a whole
 curve, and a single tau is the one-panel curve (integrate_triangle).
+survival_prob returns that curve as a DecayCurve, with every gap named.
 """
 
 import enum
@@ -43,7 +44,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bath import DiscreteBath
-from .errors import DomainError, NonFiniteIntegrandError, QuadratureError
+from .errors import (DomainError, NonFiniteIntegrandError, OutOfRegimeError,
+                     QuadratureError)
 from .polaron import renormalize, rot_coeffs
 
 TOL = 1e-8              # default bound on each point's integral error
@@ -73,10 +75,17 @@ class SurvivalMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SurvivalResult:
-    s: float
-    gamma: float
+class DecayCurve:
+    tau_grid: np.ndarray
+    gamma: np.ndarray   # NaN at a gap
+    s: np.ndarray
+    mode: SurvivalMode
+    errors: tuple = ()  # (index, exception) pairs for gap points
+    # survival_prob's per-point "order", "quad_error" and "zeroth_order"
     diagnostics: dict = field(default_factory=dict, compare=False)
+
+    def finite_mask(self):
+        return np.isfinite(self.gamma)
 
 
 def validity_value(sys, kernel):
@@ -311,17 +320,18 @@ def _rate(s, tau):
     return 0.0 - math.log(min(s, 1.0)) / tau if tau > 0.0 else 0.0
 
 
-def survival_prob(mode, sys, kernel, tau, *, tol=TOL):
-    """Survival probability s(tau) for one measurement interval, or for
-    each tau of a sorted array in one pass.
+def survival_prob(mode, sys, kernel, taus, *, tol=TOL):
+    """The DecayCurve of s(tau) on a sorted tau grid, in one pass; a scalar
+    tau is the one-point grid.
 
-    A scalar tau gives float s and gamma and raises the error of a failed
-    point.  An array gives arrays, NaN at the failed points, and the
-    diagnostics also hold "failed": None or (index, error), the first of
-    the points from which on every point failed with that error.
+    A point whose quadrature panel failed is a gap with that error, and so
+    is every later point, whose moments include that panel.  A point whose
+    s leaves (0, 1 + SURVIVAL_SLACK] is a gap with an OutOfRegimeError.
+    An s in (1, 1 + SURVIVAL_SLACK] is taken as truncation rounding: Gamma
+    comes from min(s, 1), and the curve keeps s itself.
     """
     mode = SurvivalMode(mode)
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if not np.all((taus >= 0.0) & (taus < math.inf)):
         raise DomainError("tau must be finite and nonnegative")
     if np.any(np.diff(taus) < 0.0):
@@ -343,8 +353,6 @@ def survival_prob(mode, sys, kernel, tau, *, tol=TOL):
         # start_order is passed explicitly so traces can count the nodes.
         integral, err, _, orders[first:], failed = integrate_triangle(
             f, live, coeffs, tol=tol, start_order=8)
-        if failed is not None:
-            failed = (first + failed[0], failed[1])
         # The oscillation term is itself O(delta_r^2), so the small-delta
         # reduction keeps its amplitude and only sends omega_r -> |epsilon|.
         if not mode.removed:
@@ -353,12 +361,10 @@ def survival_prob(mode, sys, kernel, tau, *, tol=TOL):
         s[first:] = 1.0 - zeroth[first:] - 0.25 * sys.delta ** 2 * integral
         quad_err[first:] = 0.25 * sys.delta ** 2 * err
     gamma = np.array([_rate(s_t, t) for s_t, t in zip(s, taus)])
-    if np.ndim(tau) == 0:
-        if failed is not None:
-            raise failed[1]
-        return SurvivalResult(float(s[0]), float(gamma[0]), {
-            "order": int(orders[0]), "quad_error": float(quad_err[0]),
-            "zeroth_order": float(zeroth[0])})
-    return SurvivalResult(s, gamma, {"order": orders, "quad_error": quad_err,
-                                     "zeroth_order": zeroth,
-                                     "failed": failed})
+    errors = tuple(
+        (int(i), failed[1] if failed and i >= first + failed[0] else
+         OutOfRegimeError(f"survival {s[i]:.6g} out of regime"))
+        for i in np.flatnonzero(~np.isfinite(gamma)))
+    return DecayCurve(taus, gamma, s, mode, errors,
+                      {"order": orders, "quad_error": quad_err,
+                       "zeroth_order": zeroth})

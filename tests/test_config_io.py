@@ -9,12 +9,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import textwrap
 from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from reference.tables import parse_json
 from spinzeno import (BathKernel, DiscreteBath, ResultTable, SurvivalMode,
@@ -267,6 +269,23 @@ modes = small_delta
 tau_min = 5.0
 tau_max = 8.0
 tau_points = 4
+"""
+
+# B = e^-450, so delta_r ~ 1e-196 and Omega_r^2 underflows to 0
+UNDERFLOWED_RABI = """
+[system]
+epsilon = 0.0
+delta = 1.0
+
+[bath]
+g = 900
+s = 3.0
+omega_c = 10.0
+
+[run]
+tau_min = 0.1
+tau_max = 1.0
+tau_points = 3
 """
 
 
@@ -525,6 +544,15 @@ modes = small_delta
         rows = _data_rows(result.stdout)
         assert len(rows) == 3
         assert all("not finite" in r["error"] for r in rows)
+
+    def test_underflowed_rabi_frequency_runs(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(UNDERFLOWED_RABI)
+        result = self.run("curve", "--config", str(cfg))
+        assert result.exit_code == 0, result.stderr
+        rows = _data_rows(result.stdout)
+        assert [(r["s"], r["error"]) for r in rows] \
+            == [("0.999999998449", "")] * 3
 
     def test_compare_with_zero_base_rate(self, tmp_path):
         # delta = 0: Gamma = 0 everywhere, so no relative gap is defined
@@ -792,3 +820,51 @@ class TestCliGolden:
 def _mix_supported():
     import inspect
     return "mix_stderr" in inspect.signature(CliRunner.__init__).parameters
+
+
+@st.composite
+def _valid_runs(draw):
+    """(config text, subcommand) of a run that parses: a continuous or a
+    1-3 mode discrete bath, zero or finite temperature."""
+    command = draw(st.sampled_from(["curve", "sweep", "compare", "compute"]))
+    delta = draw(st.floats(0.0, 3.0))
+    text = (f"[system]\nepsilon = {draw(st.floats(-3.0, 3.0))!r}\n"
+            f"delta = {delta!r}\n")
+    beta = draw(st.none() | st.floats(0.1, 10.0))
+    if beta is not None:
+        text += f"beta = {beta!r}\n"
+    if draw(st.booleans()):
+        text += (f"[bath]\ng = {10.0 ** draw(st.floats(-2.0, 3.0))!r}\n"
+                 f"s = {draw(st.floats(0.5, 5.0))!r}\n"
+                 f"omega_c = {draw(st.floats(0.5, 30.0))!r}\n")
+    else:
+        omegas = draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3,
+                               unique=True))
+        text += "[bath]\nmodes = " + " ".join(
+            f"{w!r}:{draw(st.floats(0.0, 2.0))!r}" for w in sorted(omegas))
+        text += "\n"
+    modes = draw(st.lists(st.sampled_from([m.value for m in SurvivalMode]),
+                          min_size=2 if command == "compare" else 1,
+                          max_size=4, unique=True))
+    tau_min = draw(st.floats(0.01, 2.0))
+    tau_max = tau_min * draw(st.floats(1.5, 10.0))
+    text += (f"[run]\nmodes = {', '.join(modes)}\ntau_min = {tau_min!r}\n"
+             f"tau_max = {tau_max!r}\ntau_points = 3\ntau = {tau_max!r}\n"
+             f"sweep = delta: {delta!r} {2.0 * delta + 0.1!r}\n")
+    return text, command
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(run=_valid_runs())
+@example(run=(UNDERFLOWED_RABI, "curve"))
+def test_no_valid_config_exits_1(run):
+    # exit 1 is an uncaught exception: every failure of a config that
+    # parses must be a gap row or one of the documented exit codes
+    text, command = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / "c.ini"
+        cfg.write_text(text)
+        result = _invoke(command, "--config", str(cfg))
+    assert result.exit_code in (0, 2, 3, 4), (text, result.exception)
+    assert result.exception is None \
+        or isinstance(result.exception, SystemExit), text

@@ -142,6 +142,14 @@ class TestSampleCurve:
         assert not np.any(curve.finite_mask())
         assert [i for i, _ in curve.errors] == [0, 1, 2]
 
+    def test_underflowed_rabi_frequency(self):
+        # B = e^-450 makes delta_r ~ 1e-196, so Omega_r^2 underflows to 0
+        kern = BathKernel(SpectralDensity(G=900.0, s=3.0, omega_c=10.0), None)
+        curve = sample_curve(SurvivalMode.FULL, SystemParams(0.0, 1.0), kern,
+                             tau_grid(0.1, 1.0, 3))
+        assert curve.errors == ()
+        assert np.allclose(curve.s, 0.999999998449, rtol=0.0, atol=1e-12)
+
     def test_bad_tau_is_a_gap(self):
         curve = sample_curve(SurvivalMode.FULL, SystemParams(1.0, 0.2), K3,
                              (-1.0, np.nan, 0.5))
