@@ -115,9 +115,16 @@ class SpectralDensity:
 
 @dataclass(frozen=True)
 class DiscreteBath:
-    """Explicit list of bath modes (omega_k, g_k), omega strictly increasing."""
+    """Explicit list of bath modes (omega_k, g_k), omega strictly increasing.
+
+    omegas, couplings and the displacement amplitudes alphas = g_k/omega_k
+    are read-only arrays built once from the modes.
+    """
 
     modes: tuple
+    omegas: np.ndarray = field(init=False, compare=False, repr=False)
+    couplings: np.ndarray = field(init=False, compare=False, repr=False)
+    alphas: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         modes = tuple((float(w), float(g)) for w, g in self.modes)
@@ -134,19 +141,10 @@ class DiscreteBath:
             raise DomainError("mode frequencies must be strictly increasing")
         if np.any(gs < 0.0):
             raise DomainError("couplings g_k must be nonnegative")
-
-    @property
-    def omegas(self):
-        return np.array([w for w, _ in self.modes])
-
-    @property
-    def couplings(self):
-        return np.array([g for _, g in self.modes])
-
-    @property
-    def alphas(self):
-        """Displacement amplitudes alpha_k = g_k / omega_k."""
-        return self.couplings / self.omegas
+        for name, values in (("omegas", omegas), ("couplings", gs),
+                             ("alphas", gs / omegas)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
 
 class KernelTable:
@@ -362,10 +360,10 @@ class BathKernel:
         ta = np.abs(t)
         if isinstance(self.source, DiscreteBath):
             w = self.source.omegas
-            a2 = self.source.alphas ** 2 * self._coth(w)
+            a2i = self.source.alphas ** 2
+            a2 = a2i * self._coth(w)
             wt = np.multiply.outer(ta, w)
             psi = (2.0 * np.sin(0.5 * wt) ** 2) @ a2
-            a2i = self.source.alphas ** 2
             phi_i = np.sin(wt) @ a2i
         elif self.source.G == 0.0:
             psi = phi_i = np.zeros_like(ta)

@@ -31,6 +31,14 @@ only the moments need the kernel.  They accumulate panel by panel between
 consecutive grid points, so one pass over the kernel serves a whole
 curve, and a single tau is the one-panel curve (integrate_triangle).
 survival_prob returns that curve as a DecayCurve, with every gap named.
+
+The factors e^{i Omega_r a x} and Phi_c(x) take one complex exponential
+per node (_basis): with the half-angle form phi1(y) = e^{iy/2}
+sin(y/2)/(y/2), the powers of h = e^{i Omega_r x/2} give them all, and
+the negative frequencies are the conjugates of the positive ones.  The
+same factors at tau enter A, whose nine (j, k) terms are summed by one
+scatter per block.  The magnitudes sum |U| |V| behind the rounding floor
+come from the first estimate only.
 """
 
 import enum
@@ -106,7 +114,6 @@ def _corr_combos(kernel, x):
 # p_jk = (_DFT @ P @ _DFT.T)[j + 1, k + 1], P sampled at Omega_r t = 2 pi a/3
 _DFT = np.exp(-2j * np.pi / 3.0
               * np.outer(np.arange(-1, 2), np.arange(3))) / 3.0
-_FREQ = np.arange(-2, 3)       # a of e^{i Omega_r a x}, and c of Phi_c
 # conj(Phi_c) = Phi_-c: the moment index c + 3 of Phi_c goes to 3 - c
 _CONJ_C = np.array([0, 5, 4, 3, 2, 1])
 
@@ -122,29 +129,76 @@ def _spin_tables(pc, taus, removed):
 
     P_mu contracts v(t) = <u|sigma~_mu(t)|up> = u_dn m + u_up z, with
     |u> = U_S(tau)^dag |down>; with removal it is m_mu(t) conj(m_mu(s)).
+    Each is a sum of products f(t) g(s), whose 3x3 DFT is the outer
+    product of the DFTs of f and g.
     """
-    half = 0.5 * pc.omega_r * np.asarray(taus, dtype=float)[:, None, None]
+    half = 0.5 * pc.omega_r * np.asarray(taus, dtype=float)[:, None]
     u_up = -1j * np.sin(half) * pc.nx                         # <u|up>
     u_dn = np.cos(half) + 1j * np.sin(half) * pc.nz           # <u|down>
     t = 2.0 * np.pi / 3.0 * np.arange(3) / pc.omega_r
     tables = []
     for m, z in _spin_elements(pc, t):
-        m_t, z_t, m_s, z_s = m[:, None], z[:, None], m[None, :], z[None, :]
+        f_m, f_z, f_mc, f_zc = np.array([m, z, m.conj(), z.conj()]) @ _DFT.T
         if removed:
-            p = np.broadcast_to(m_t * np.conj(m_s), half.shape[:1] + (3, 3))
+            p = np.broadcast_to(np.outer(f_m, f_mc), half.shape[:1] + (3, 3))
         else:
-            v_t = u_dn * m_t + u_up * z_t
-            v_s = u_dn * m_s + u_up * z_s
-            # <u|sigma~_mu(t) sigma~_mu(s)|up>, summed over |up>, |down>
-            braket = v_t * z_s + (u_up * np.conj(m_t) - u_dn * z_t) * m_s
-            p = v_s * np.conj(v_t) - braket * np.conj(u_up)
-        tables.append(_DFT @ p @ _DFT.T)
+            f_v = u_dn * f_m + u_up * f_z
+            f_vc = np.conj(u_dn) * f_mc + np.conj(u_up) * f_zc
+            # <u|sigma~_mu(t) sigma~_mu(s)|up>, summed over |up>, |down>, is
+            # v(t) z(s) + w(t) m(s) with w = u_up conj(m) - u_dn z
+            f_w = u_up * f_mc - u_dn * f_z
+            braket = f_v[:, :, None] * f_z + f_w[:, :, None] * f_m
+            p = f_vc[:, :, None] * f_v[:, None, :] \
+                - np.conj(u_up)[:, :, None] * braket
+        tables.append(p)
     return np.stack(tables, axis=1)
 
 
-def _phi1(y):
-    """(e^{iy} - 1)/(iy), without cancellation as y -> 0."""
-    return np.sinc(y / np.pi) + 0.5j * y * np.sinc(y / (2.0 * np.pi)) ** 2
+def _basis(w, x):
+    """(E, Phi) at the times x, each an array (5,) + x.shape: E[a + 2] =
+    e^{i w a x} and Phi[c + 2] = x phi1(w c x), a, c in -2..2.
+
+    One complex exponential h = e^{iz}, z = w x / 2, gives them all:
+    E_1 = h^2, E_2 = E_1^2 and E_-a = conj E_a; phi1(y) = e^{iy/2}
+    sin(y/2)/(y/2) gives Phi_1 = x h sin z/z and Phi_2 = x E_1 sin 2z/(2z),
+    with sin z = Im h and sin 2z = Im E_1, and Phi_-c = conj Phi_c, Phi_0
+    = x.  Both ratios are exactly 1 at z = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    z = 0.5 * w * x
+    h = np.empty(z.shape, dtype=complex)
+    np.cos(z, out=h.real)
+    np.sin(z, out=h.imag)
+    e1 = h * h
+    nonzero = z != 0.0
+    e, phi = np.empty((2, 5) + z.shape, dtype=complex)
+    e[2], e[3], e[4] = 1.0, e1, e1 * e1
+    phi[2] = x
+    phi[3] = x * np.divide(h.imag, z, out=np.ones_like(z), where=nonzero) * h
+    phi[4] = x * np.divide(e1.imag, 2.0 * z, out=np.ones_like(z),
+                           where=nonzero) * e1
+    e[:2], phi[:2] = np.conj(e[:2:-1]), np.conj(phi[:2:-1])
+    return e, phi
+
+
+# The nine (j, k) of p_jk in row-major order, b = j + k, and the flat slot
+# 6 (a + 2) + c' of each term of the three blocks of _coefficients
+_J, _K = np.indices((3, 3)).reshape(2, 9) - 1
+_B = _J + _K
+_T_SLOTS = np.concatenate([6 * (2 - _K), 6 * (2 + _J) + 3 - _B])
+_U_SLOTS = 6 * (2 - _B) + 3 + _J
+_S_SLOTS = np.concatenate([6 * (2 - _B), 6 * (2 - _J) + 3 - _K])
+
+
+def _scatter(terms, slots):
+    """Sum the complex terms (tau, row, term) into an array (tau, row, 5,
+    6) at the slots of each term, in term order."""
+    size = 30 * terms.shape[0] * terms.shape[1]
+    idx = (np.arange(0, size, 30)[:, None] + slots).ravel()
+    sums = np.empty(size, dtype=complex)
+    sums.real = np.bincount(idx, weights=terms.real.ravel(), minlength=size)
+    sums.imag = np.bincount(idx, weights=terms.imag.ravel(), minlength=size)
+    return sums.reshape(terms.shape[:2] + (5, 6))
 
 
 def _coefficients(pc, taus, removed, ct_0=None):
@@ -157,33 +211,28 @@ def _coefficients(pc, taus, removed, ct_0=None):
       k_u: X = tau - x, L = x, a = j + k, b = j   (x = t - t')
       k_s: X = tau - x, L = tau - x, a = j, b = k (x = t)
 
+    and (tau - x) phi1(w b (tau - x)) = tau phi1(w b tau) e^{-i w b x} -
+    Phi_{-b}(x), so each (j, k) adds p_jk times a factor at tau to one or
+    two slots of a block; each block is one scatter over its terms.
+
     Without removal D = Re sum_mu Ctil_mu k_t.  With removal it is
     Re sum_mu [Ctil_mu conj(k_t - k_u) - Ctil_mu k_s + Ctil_mu(0) k_t]: the
     bracket conj Ctil(t') + Ctil(0) - Ctil(t - t' - tau) - Ctil(tau - t),
     with Ctil(-y) = conj Ctil(y) and x -> tau - x moving the last two onto
     the node.  Ctil_mu(0) (ct_0) joins the constant row.
     """
-    p = _spin_tables(pc, taus, removed)
-    tau = np.asarray(taus, dtype=float)[:, None]
-    # e^{i w a tau} and tau phi1(w a tau) at [:, [a + 2]], shape (tau, 1)
-    wave, tau_phi1 = (np.exp(1j * pc.omega_r * _FREQ * tau),
-                      tau * _phi1(pc.omega_r * _FREQ * tau))
-    k_t = np.zeros((tau.size, 2, 5, 6), dtype=complex)
-    k_u, k_s = np.zeros_like(k_t), np.zeros_like(k_t)
-    for j in (-1, 0, 1):
-        for k in (-1, 0, 1):
-            pt, b = p[:, :, j + 1, k + 1], j + k
-            # (tau - x) phi1(w b (tau - x))
-            #   = tau phi1(w b tau) e^{-i w b x} - Phi_{-b}(x)
-            k_t[:, :, 2 - k, 0] += pt * tau_phi1[:, [b + 2]]
-            k_t[:, :, 2 + j, 3 - b] -= pt
-            if removed:
-                k_u[:, :, 2 - b, 3 + j] += pt * wave[:, [b + 2]]
-                pt = pt * wave[:, [j + 2]]
-                k_s[:, :, 2 - b, 0] += pt * tau_phi1[:, [k + 2]]
-                k_s[:, :, 2 - j, 3 - k] -= pt
+    taus = np.asarray(taus, dtype=float)
+    p = _spin_tables(pc, taus, removed).reshape(taus.size, 2, 9)
+    # e^{i w a tau} and tau phi1(w a tau) at [:, 0, a + 2], shape (tau, 1, 5)
+    wave, tau_phi1 = (fac.T[:, None] for fac in _basis(pc.omega_r, taus))
+    k_t = _scatter(np.concatenate([p * tau_phi1[..., _B + 2], -p], axis=-1),
+                   _T_SLOTS)
     if not removed:
         return k_t
+    k_u = _scatter(p * wave[..., _B + 2], _U_SLOTS)
+    p = p * wave[..., _J + 2]
+    k_s = _scatter(np.concatenate([p * tau_phi1[..., _K + 2], -p], axis=-1),
+                   _S_SLOTS)
     # conj(e^{i w a x} Phi_c) = e^{-i w a x} Phi_-c
     conj = np.conj(k_t - k_u)[:, :, ::-1, _CONJ_C]
     constant = np.einsum("m,tmac->tac", ct_0, k_t)[:, None]
@@ -192,50 +241,51 @@ def _coefficients(pc, taus, removed, ct_0=None):
 
 def _moment_integrand(kernel, w, removed):
     """f(x) = (U, V) with U = K_r e^{i w a x} (row-major in (r, a)) and
-    V = Phi_c' at the nodes x; the moments are int U V^T."""
+    V = Phi_c' at the nodes x; the moments are int U V^T.  Both are views
+    of arrays that keep the nodes innermost, the order the products and
+    the panel sums run in."""
     def f(x):
         rows = list(_corr_combos(kernel, x))
         if removed:
             rows.append(np.ones(x.shape))
-        wx = w * x[..., None] * _FREQ
-        u = np.stack(rows, axis=-1)[..., :, None] \
-            * np.exp(1j * wx)[..., None, :]
-        v = np.concatenate([np.ones(x.shape + (1,)),
-                            x[..., None] * _phi1(wx)], axis=-1)
-        return u.reshape(x.shape + (-1,)), v
+        e, phi = _basis(w, x)
+        u = (np.stack(rows)[:, None] * e).reshape((-1,) + x.shape)
+        v = np.concatenate([np.ones((1,) + x.shape), phi])
+        return np.moveaxis(u, 0, -1), np.moveaxis(v, 0, -1)
 
     return f
 
 
-def _panel_sums(f, lo, width, order):
-    """Gauss-Legendre sums of U V^T and |U| |V|^T on each panel at one order.
+def _panel_sums(f, lo, width, order, magnitudes=False):
+    """Gauss-Legendre sums of U V^T on each panel at one order, and of
+    |U| |V|^T if `magnitudes`.
 
     f is called on at most MAX_NODES nodes at a time (always at least one
     panel).  Returns (sums, abs_sums, failed), the sums for the panels
-    before the first failure; failed is None or (panel position, error)
-    for the first panel whose sum is not finite, as any non-finite value
-    of f makes it.
+    before the first failure (abs_sums is None without `magnitudes`);
+    failed is None or (panel position, error) for the first panel whose
+    sum is not finite, as any non-finite value of f makes it.
     """
     x, wgt = _gl_nodes(order)
     per_call = max(1, MAX_NODES // order)
-    sums, mags, failed = [], [], None
+    sums, mags, failed, end = [], [], None, lo.size
     for first in range(0, lo.size, per_call):
         half = 0.5 * width[first:first + per_call, None]
         u, v = f(lo[first:first + per_call, None] + half * (x + 1.0))
         with np.errstate(invalid="ignore", over="ignore"):
             u, vw = np.swapaxes(u, 1, 2), v * (half * wgt)[..., None]
             sums.append(u @ vw)
-            mags.append(np.abs(u) @ np.abs(vw))
+            if magnitudes:
+                mags.append(np.abs(u) @ np.abs(vw))
         finite = np.isfinite(sums[-1]).all(axis=(1, 2))
         if not finite.all():
-            bad = int(np.argmin(finite))
-            i = first + bad
-            failed = (i, NonFiniteIntegrandError(
+            end = first + int(np.argmin(finite))
+            failed = (end, NonFiniteIntegrandError(
                 "survival integrand is not finite on the panel "
-                f"[{lo[i]:.6g}, {lo[i] + width[i]:.6g}]"))
-            sums[-1], mags[-1] = sums[-1][:bad], mags[-1][:bad]
+                f"[{lo[end]:.6g}, {lo[end] + width[end]:.6g}]"))
             break
-    return np.concatenate(sums), np.concatenate(mags), failed
+    return (np.concatenate(sums)[:end],
+            np.concatenate(mags)[:end] if magnitudes else None, failed)
 
 
 def integrate_triangle(f, taus, coeffs, tol=TOL, *, start_order=8):
@@ -280,7 +330,8 @@ def integrate_triangle(f, taus, coeffs, tol=TOL, *, start_order=8):
     prev = floor = None
     order = start_order
     while open_.size:
-        est, mag, bad = _panel_sums(f, lo[open_], width[open_], order)
+        est, mag, bad = _panel_sums(f, lo[open_], width[open_], order,
+                                    magnitudes=prev is None)
         if bad is not None:
             k, exc = bad
             end, failed = int(open_[k]), (int(open_[k]), exc)

@@ -2,6 +2,7 @@
 integrands it integrated, audit integrands, the projection weights
 fgh, the kernel exponent phi and the bath correlation functions, the
 closed-form propagator u_s_matrix, the matrix reconstruction of the
-second-order survival probability, the dense lab-frame Hamiltonian
-and eigendecomposition the exact oracle is checked against, and the
-JSON table reader parse_json."""
+second-order survival probability, the term-by-term loop for the moment
+coefficients and the matrix DFT of the spin tables, the dense lab-frame
+Hamiltonian and eigendecomposition the exact oracle is checked against,
+and the JSON table reader parse_json."""

@@ -149,6 +149,19 @@ class TestDiscreteBath:
         with pytest.raises(DomainError, match="omega_k and g_k"):
             DiscreteBath(modes(value))
 
+    def test_mode_arrays_are_built_once_and_read_only(self):
+        bath = DiscreteBath(((1.0, 0.2), (4.0, 0.3)))
+        assert bath.omegas is bath.omegas
+        assert bath.couplings.tolist() == [0.2, 0.3]
+        assert bath.alphas.tolist() == [0.2 / 1.0, 0.3 / 4.0]
+        for values in (bath.omegas, bath.couplings, bath.alphas):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 5.0
+        # equality, hashing and repr see the modes alone
+        same = DiscreteBath([(1, 0.2), (4, 0.3)])
+        assert bath == same and hash(bath) == hash(same)
+        assert repr(bath) == "DiscreteBath(modes=((1.0, 0.2), (4.0, 0.3)))"
+
     def test_kernel_matches_manual_sum(self):
         bath = DiscreteBath(((1.0, 0.2), (3.0, 0.3)))
         kern = BathKernel(bath, None)

@@ -5,10 +5,12 @@ the 2-D triangle rule, and invariants."""
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference.coefficients import loop_coefficients, matrix_spin_tables
 from reference.integrands import expanded_survival
 from reference.reconstruct import (DOWN, SIGMA_X, SIGMA_Y, UP,
                                    reconstruct_survival, u_s_matrix)
@@ -19,6 +21,7 @@ from spinzeno import (BathKernel, DiscreteBath, SpectralDensity, SurvivalMode,
 from spinzeno import survival as survival_module
 from spinzeno.errors import (DomainError, OutOfRegimeError, QuadratureError,
                              SpinZenoError)
+from spinzeno.polaron import PolaronParams
 
 J3 = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
 KERNEL = BathKernel(J3, None)
@@ -195,12 +198,63 @@ def test_spin_table_rebuilds_spin_factor(name, variant, removed, tau, u, v):
 
 def test_phi1_is_stable_at_zero():
     # phi1(y) = (e^{iy} - 1)/(iy) weights every term of the closed-form
-    # integral; it is exactly 1 at y = 0 (b = 0, e.g. j + k = 0) and
-    # keeps full relative accuracy next to it
-    y = np.array([-7.0, -1e-9, 1e-12, 0.3, 7.0])
-    assert survival_module._phi1(np.array(0.0)) == 1.0
-    assert np.allclose(survival_module._phi1(y),
-                       np.expm1(1j * y) / (1j * y), rtol=1e-14, atol=0.0)
+    # integral; _basis gives it as Phi_c(x)/x = phi1(Omega_r c x), exactly
+    # 1 at y = 0 (c = 0, or Omega_r = 0) and with full relative accuracy
+    # next to it
+    _, phi = survival_module._basis(0.0, np.array([0.5, 1.0, 3.0]))
+    assert np.all(phi / np.array([0.5, 1.0, 3.0]) == 1.0)
+    c = np.array([-2, -1, 1, 2])
+    for w in (-7.0, -1e-9, 1e-12, 0.3, 7.0):
+        _, phi = survival_module._basis(w, 1.0)
+        assert phi[2] == 1.0
+        assert np.allclose(phi[c + 2], np.expm1(1j * w * c) / (1j * w * c),
+                           rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("w", [1e-6, 0.1, 1.0])
+def test_basis_matches_mpmath(w):
+    # E_a = e^{i a w x} and Phi_c = x phi1(c w x) for every a, c, from
+    # x = 0 through w x = 1e3, against 30-digit values at the phase w x
+    # that _basis gets (that product's rounding is the input's, the same
+    # for every form): within 4e-16 of 1 for E and of |x| for Phi
+    x = np.array([0.0] + [p / w for p in (1e-12, 1e-6, 0.1, 1.0, 10.0, 1e3)])
+    e, phi = survival_module._basis(w, x)
+    with mpmath.workdps(30):
+        for i, x_i in enumerate(x):
+            for a in range(-2, 3):
+                y = a * mpmath.mpf(w * x_i)
+                phi1 = mpmath.expm1(1j * y) / (1j * y) if y else 1
+                assert abs(complex(e[a + 2, i]) - mpmath.exp(1j * y)) \
+                    <= 4e-16
+                assert abs(complex(phi[a + 2, i]) - x_i * phi1) \
+                    <= 4e-16 * x_i
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(ALL_MODES),
+       epsilon=st.floats(-3.0, 3.0).filter(lambda e: abs(e) >= 0.01),
+       delta_r=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+       log_phases=st.lists(st.floats(-8.0, 3.0), min_size=1, max_size=6),
+       ct_0=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
+def test_coefficients_match_the_references(mode, epsilon, delta_r, log_phases,
+                                           ct_0):
+    """_coefficients' one scatter per block against the loop that adds one
+    (j, k) term at a time, and _spin_tables against the matrix DFT, for
+    Omega_r tau from 1e-8 to 1e3."""
+    pc = PolaronParams(epsilon, delta_r, math.hypot(epsilon, delta_r))
+    if mode.small_delta:
+        pc = pc.with_small_delta()
+    taus = np.sort(10.0 ** np.array(log_phases)) / pc.omega_r
+    ct_0 = np.array(ct_0[:2]) + 1j * np.array(ct_0[2:]) if mode.removed \
+        else None
+    got = survival_module._coefficients(pc, taus, mode.removed, ct_0)
+    want = loop_coefficients(pc, taus, mode.removed, ct_0)
+    assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max())
+    # the spin tables, as outer products of 3-point DFTs, against the DFT
+    # of the whole sampled matrix
+    got = survival_module._spin_tables(pc, taus, mode.removed)
+    want = matrix_spin_tables(pc, taus, mode.removed)
+    assert np.abs(got - want).max() <= 16 * np.spacing(np.abs(want).max())
 
 
 class TestInvariants:
@@ -313,6 +367,30 @@ class TestQuadratureSchedule:
                                       6.0, tol=tol).s
                         for tol in (1e-13, 1e-10))
         assert tight == pytest.approx(loose, abs=1e-12)
+
+    def test_magnitudes_come_from_the_first_estimate_only(self):
+        # the rounding floor takes sum |U| |V| from the first estimate, so
+        # only that panel call computes it; at a tol below the floor the
+        # floor sets the panel orders, pinned here as the rule gave them
+        # when it computed the magnitudes at every order
+        taus, asked = tau_grid(0.05, 6.0, 12), []
+        real = survival_module._panel_sums
+
+        def recording(*args, magnitudes=False):
+            asked.append(magnitudes)
+            sums, mags, failed = real(*args, magnitudes=magnitudes)
+            assert (mags is not None) == magnitudes
+            return sums, mags, failed
+
+        with mock.patch.object(survival_module, "_panel_sums", recording):
+            full = survival_prob(SurvivalMode.FULL, SYS_B, KERNEL, taus,
+                                 tol=1e-30)
+        assert asked == [True, False, False, False]
+        assert full.diagnostics["order"].tolist() == [32] + [16] * 9 \
+            + [32, 64]
+        removed = survival_prob(SurvivalMode.REMOVED_FULL, SYS_B, KERNEL,
+                                taus, tol=1e-30)
+        assert removed.diagnostics["order"].tolist() == [32] + [16] * 11
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_short_interval_stops_below_order_64(self, mode):
