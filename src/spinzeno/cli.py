@@ -8,9 +8,10 @@ error, 3 out-of-regime / all-cells-failed, 4 quadrature failure.
 Every subcommand goes through one runner (`_run`): load the config, run
 the subcommand's body to get rows and extra header lines, write the
 table, and map errors to exit codes.  A body builds one BathKernel per
-(bath, beta) cell, shares it across modes and taus, and evaluates every
-point through `regimes.sample_curve`: a failed point is a gap row, and
-the run exits 3 or 4 only when every row is a gap (4 if any of them is a
+(bath, beta) cell, shares it across modes and taus, and gets each mode's
+curve from survival_prob, by its alias `regimes.sample_curve` (which the
+benchmark tracer wraps): a failed point is a gap row, and the run exits
+3 or 4 only when every row is a gap (4 if any of them is a
 QuadratureError).  oracle-check writes curve's rows (`_curves`) with an
 exact row after each.
 """

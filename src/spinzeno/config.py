@@ -28,9 +28,10 @@ Configs are INI documents with three sections::
 Unknown keys, missing required keys, non-numeric or non-finite values
 (``beta = inf`` is the one spelling of zero temperature), non-integer
 ``tau_points`` or ``n_max``, out-of-range values (``s`` also needs a finite
-Gamma(s - 1)) and a mode listed twice are rejected with the offending key
-and line number.  Section names are lowercase, ``[DEFAULT]`` is an unknown
-section like any other, and ``%`` is a literal character.
+Gamma(s - 1)), a mode listed twice and a tau grid whose points coincide
+are rejected with the offending key and line number.  Section names are
+lowercase, ``[DEFAULT]`` is an unknown section like any other, and ``%``
+is a literal character.
 """
 
 import configparser
@@ -40,14 +41,16 @@ from dataclasses import dataclass, replace
 from .bath import KERNEL_TOL, DiscreteBath, SpectralDensity, ohmicity_ok
 from .errors import ConfigError, DomainError
 from .polaron import SystemParams
+from .regimes import tau_grid
 from .survival import TOL, SurvivalMode
 
 REQUIRED = object()             # a key with no default
 
 # Every key, in header order: section -> key -> (type, default or REQUIRED,
 # range check or None, reason).  Floats must be finite.  str values, and the
-# rules that join keys (g and omega_c unless [bath] modes, tau_max > tau_min),
-# are checked in parse_config.  Sweep values get their key's check.
+# rules that join keys (g and omega_c unless [bath] modes, tau_max > tau_min
+# and distinct grid points), are checked in parse_config.  Sweep values get
+# their key's check.
 KEYS = {
     "system": {
         "epsilon": (float, REQUIRED, None, None),
@@ -211,6 +214,12 @@ def parse_config(text):
     if run["spacing"] not in ("geometric", "linear"):
         _fail(text, "run", "spacing",
               f"must be geometric or linear, got {run['spacing']!r}")
+    if run["tau_min"] and run["tau_max"]:    # 0 < tau_min < tau_max
+        grid = tau_grid(run["tau_min"], run["tau_max"], run["tau_points"],
+                        run["spacing"])
+        if not (grid[1:] > grid[:-1]).all():
+            _fail(text, "run", "tau_points",
+                  "the grid from tau_min to tau_max has coinciding points")
 
     sweep_key, sweep_values = None, ()
     sweep_raw = run.pop("sweep")

@@ -5,17 +5,18 @@ Zeno regime where Gamma(tau) decreases as tau decreases (positive slope
 in tau) and in the anti-Zeno regime where it increases as tau decreases
 (negative slope).
 
-`classify` labels each finite point by the sign of `np.gradient(gamma,
-tau)` there: the slope of the parabola through the point and its two
+`classify` takes a curve in any tau order.  It labels each finite point
+by the sign of `np.gradient(gamma, tau)` over the distinct finite taus,
+sorted: the slope of the parabola through the point and its two
 neighbours, or of the one adjacent interval at either end.  A gap, and a
 point whose |slope| is at most SLOPE_NOISE_FLOOR * max|Gamma|, is left
 unlabelled (""); nothing is filled in, so a flat curve has no labels.
 Where two consecutive labelled points a < b differ in sign, the crossover
-is the bracket [tau[a-1], tau[b+1]] over the finite points, clipped to
+is the bracket [tau[a-1], tau[b+1]] over those sorted taus, clipped to
 the ends.  Each three-point slope is a positive-weight mix of its two
 interval slopes, so Gamma both rises and falls on the bracket, which
-therefore holds a stationary point.  `sample_curve` hands a caller's
-taus to survival_prob in sorted order and its DecayCurve back in theirs.
+therefore holds a stationary point.  Curves come from
+survival.survival_prob; `sample_curve` is that function's older name.
 """
 
 import enum
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SpinZenoError
-from .survival import TOL, DecayCurve, SurvivalMode, survival_prob
+from .survival import TOL, survival_prob
 
 SLOPE_NOISE_FLOOR = 1e-6  # relative to max |Gamma|
 
@@ -53,42 +53,19 @@ def tau_grid(tau_min, tau_max, n_points, spacing="geometric"):
 
 
 def sample_curve(mode, sys, kernel, taus, *, tol=TOL):
-    """The DecayCurve of `taus` in their own order, from one survival_prob
-    call on the valid taus, sorted.
-
-    `kernel` is the BathKernel of one (bath, beta) pair; every mode sampled
-    with the same kernel shares its caches.  A negative or non-finite tau
-    is a gap with a DomainError, the gaps that survival_prob names keep
-    their errors, and an error that survival_prob raises makes every
-    point a gap.  A curve may consist of gaps only, and the caller decides
-    what that means.
-    """
-    mode = SurvivalMode(mode)
-    taus = np.asarray(taus, dtype=float)
-    gammas = np.full(taus.size, np.nan)
-    svals = np.full(taus.size, np.nan)
-    valid = (taus >= 0.0) & (taus < np.inf)
-    errors = {int(i): DomainError("tau must be finite and nonnegative")
-              for i in np.flatnonzero(~valid)}
-    order = np.flatnonzero(valid)[np.argsort(taus[valid], kind="stable")]
-    if order.size:
-        try:
-            res = survival_prob(mode, sys, kernel, taus[order], tol=tol)
-        except SpinZenoError as exc:
-            errors.update((int(i), exc) for i in order)
-        else:
-            svals[order] = res.s
-            gammas[order] = res.gamma
-            errors.update((int(order[i]), exc) for i, exc in res.errors)
-    return DecayCurve(taus, gammas, svals, mode, tuple(sorted(errors.items())))
+    """survival_prob under its older name, kept only because the benchmark
+    tracer wraps spinzeno.cli.sample_curve; it goes with that hook."""
+    return survival_prob(mode, sys, kernel, taus, tol=tol)
 
 
 def classify(curve):
-    """Label each point by the sign of its three-point slope, and bracket
-    each sign change; below 3 finite points nothing is labelled."""
+    """Label each point by the sign of its three-point slope over the
+    distinct finite taus, sorted (a repeated tau takes its first Gamma),
+    and bracket each sign change; below 3 such taus nothing is labelled."""
     mask = curve.finite_mask()
-    tau = curve.tau_grid[mask]
-    gamma = curve.gamma[mask]
+    tau, first, inverse = np.unique(curve.tau_grid[mask], return_index=True,
+                                    return_inverse=True)
+    gamma = curve.gamma[mask][first]
     if tau.size < 3:
         return RegimeReport(("",) * curve.tau_grid.size, ())
     slope = np.gradient(gamma, tau)
@@ -97,7 +74,7 @@ def classify(curve):
     names = {1.0: RegimeLabel.ZENO.value, -1.0: RegimeLabel.ANTI_ZENO.value,
              0.0: ""}
     labels = np.full(curve.tau_grid.size, "", dtype=object)
-    labels[mask] = [names[sign] for sign in signs]
+    labels[mask] = [names[sign] for sign in signs[inverse]]
 
     crossovers = []
     labelled = np.flatnonzero(signs)

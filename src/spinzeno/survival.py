@@ -30,7 +30,8 @@ The coefficients A(tau) come from the p_jk in closed form (_coefficients);
 only the moments need the kernel.  They accumulate panel by panel between
 consecutive grid points, so one pass over the kernel serves a whole
 curve, and a single tau is the one-panel curve (integrate_triangle).
-survival_prob returns that curve as a DecayCurve, with every gap named.
+survival_prob runs that pass over any grid's valid taus, sorted, and
+returns the DecayCurve in the grid's own order, with every gap named.
 
 The factors e^{i Omega_r a x} and Phi_c(x) take one complex exponential
 per node (_basis): with the half-angle form phi1(y) = e^{iy/2}
@@ -53,7 +54,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .bath import DiscreteBath
 from .errors import (DomainError, NonFiniteIntegrandError, OutOfRegimeError,
-                     QuadratureError)
+                     QuadratureError, SpinZenoError)
 from .polaron import renormalize, rot_coeffs
 
 TOL = 1e-8              # default bound on each point's integral error
@@ -371,51 +372,61 @@ def _rate(s, tau):
     return 0.0 - math.log(min(s, 1.0)) / tau if tau > 0.0 else 0.0
 
 
-def survival_prob(mode, sys, kernel, taus, *, tol=TOL):
-    """The DecayCurve of s(tau) on a sorted tau grid, in one pass; a scalar
-    tau is the one-point grid.
+def _sorted_curve(mode, sys, kernel, taus, tol):
+    """(s, quad_error, zeroth_order, orders, failed) on sorted taus > 0."""
+    p_full = renormalize(sys, kernel)
+    pc = p_full.with_small_delta() if mode.small_delta else p_full
+    ct_0 = np.array(_corr_combos(kernel, 0.0)) if mode.removed else None
+    coeffs = _coefficients(pc, taus, mode.removed, ct_0)
+    coeffs = coeffs.reshape(taus.size, -1, coeffs.shape[-1])
+    f = _moment_integrand(kernel, pc.omega_r, mode.removed)
+    # start_order is passed explicitly so traces can count the nodes.
+    integral, err, _, orders, failed = integrate_triangle(
+        f, taus, coeffs, tol=tol, start_order=8)
+    # The oscillation term is itself O(delta_r^2), so the small-delta
+    # reduction keeps its amplitude and only sends omega_r -> |epsilon|.
+    zeroth = 0.0 if mode.removed else \
+        (p_full.delta_r / pc.omega_r * np.sin(0.5 * pc.omega_r * taus)) ** 2
+    return (1.0 - zeroth - 0.25 * sys.delta ** 2 * integral,
+            0.25 * sys.delta ** 2 * err, zeroth, orders, failed)
 
-    A point whose quadrature panel failed is a gap with that error, and so
-    is every later point, whose moments include that panel.  A point whose
-    s leaves (0, 1 + SURVIVAL_SLACK] is a gap with an OutOfRegimeError.
-    An s in (1, 1 + SURVIVAL_SLACK] is taken as truncation rounding: Gamma
-    comes from min(s, 1), and the curve keeps s itself.
+
+def survival_prob(mode, sys, kernel, taus, *, tol=TOL):
+    """The DecayCurve of any tau grid (a scalar is the one-point grid), in
+    the caller's order, from one pass over its valid taus, stably sorted.
+
+    No SpinZenoError is raised: a failed point is a gap, NaN in s and
+    gamma, with its error in `errors`.  A negative or non-finite tau is a
+    DomainError (its diagnostics are NaN).  A failed panel's error goes to
+    its point and every later one in sorted order; an error raised around
+    the quadrature goes to every valid point.  An s outside (0, 1 +
+    SURVIVAL_SLACK] is an OutOfRegimeError; an s in (1, 1 + SURVIVAL_SLACK]
+    is truncation rounding: Gamma comes from min(s, 1), and s is kept.
     """
     mode = SurvivalMode(mode)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if not np.all((taus >= 0.0) & (taus < math.inf)):
-        raise DomainError("tau must be finite and nonnegative")
-    if np.any(np.diff(taus) < 0.0):
-        raise DomainError("taus must be sorted")
-    s, quad_err, zeroth = np.ones(taus.size), np.zeros(taus.size), \
-        np.zeros(taus.size)
+    valid = (taus >= 0.0) & (taus < math.inf)
+    errors = {int(i): DomainError("tau must be finite and nonnegative")
+              for i in np.flatnonzero(~valid)}
+    s, quad_err, zeroth = (np.where(valid, v, np.nan) for v in (1.0, 0.0, 0.0))
     orders = np.zeros(taus.size, dtype=int)
+    # tau = 0 is s = 1 exactly; `live` are the positive taus, stably sorted
+    live = np.flatnonzero(valid & (taus > 0.0))
+    live = live[np.argsort(taus[live], kind="stable")]
     failed = None
-    # tau = 0 is s = 1 exactly; the taus from `first` on are positive
-    first = int(np.searchsorted(taus, 0.0, side="right"))
-    if sys.delta != 0.0 and first < taus.size:
-        live = taus[first:]
-        p_full = renormalize(sys, kernel)
-        pc = p_full.with_small_delta() if mode.small_delta else p_full
-        ct_0 = np.array(_corr_combos(kernel, 0.0)) if mode.removed else None
-        coeffs = _coefficients(pc, live, mode.removed, ct_0)
-        coeffs = coeffs.reshape(live.size, -1, coeffs.shape[-1])
-        f = _moment_integrand(kernel, pc.omega_r, mode.removed)
-        # start_order is passed explicitly so traces can count the nodes.
-        integral, err, _, orders[first:], failed = integrate_triangle(
-            f, live, coeffs, tol=tol, start_order=8)
-        # The oscillation term is itself O(delta_r^2), so the small-delta
-        # reduction keeps its amplitude and only sends omega_r -> |epsilon|.
-        if not mode.removed:
-            zeroth[first:] = (p_full.delta_r / pc.omega_r
-                              * np.sin(0.5 * pc.omega_r * live)) ** 2
-        s[first:] = 1.0 - zeroth[first:] - 0.25 * sys.delta ** 2 * integral
-        quad_err[first:] = 0.25 * sys.delta ** 2 * err
+    if sys.delta != 0.0 and live.size:
+        try:
+            s[live], quad_err[live], zeroth[live], orders[live], failed = \
+                _sorted_curve(mode, sys, kernel, taus[live], tol)
+        except SpinZenoError as exc:
+            s[valid] = quad_err[valid] = np.nan
+            errors.update((int(i), exc) for i in np.flatnonzero(valid))
+    if failed is not None:
+        errors.update((int(i), failed[1]) for i in live[failed[0]:])
     gamma = np.array([_rate(s_t, t) for s_t, t in zip(s, taus)])
-    errors = tuple(
-        (int(i), failed[1] if failed and i >= first + failed[0] else
-         OutOfRegimeError(f"survival {s[i]:.6g} out of regime"))
-        for i in np.flatnonzero(~np.isfinite(gamma)))
-    return DecayCurve(taus, gamma, s, mode, errors,
+    for i in np.flatnonzero(~np.isfinite(gamma)):
+        errors.setdefault(int(i), OutOfRegimeError(
+            f"survival {s[i]:.6g} out of regime"))
+    return DecayCurve(taus, gamma, s, mode, tuple(sorted(errors.items())),
                       {"order": orders, "quad_error": quad_err,
                        "zeroth_order": zeroth})

@@ -2,10 +2,13 @@
 
 CSV output starts with '#'-prefixed header lines echoing every parameter
 that affects the numbers, then a column-name row, then data rows with 12
-significant digits.  JSON output carries the same metadata plus full-
+significant digits, a cell with a comma or a double quote (as an error
+text may have) quoted.  JSON output carries the same metadata plus full-
 precision row values, with NaN written as the string "nan".
 """
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,21 +25,18 @@ class ResultTable:
 
 
 def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".12g")
-    return str(value)
+    # csv.writer writes None as an empty cell; a NaN of either sign is "nan"
+    return format(value, ".12g") if isinstance(value, float) else value
 
 
 def emit_csv(table):
-    lines = [f"# {key} = {val}" for key, val in table.meta]
-    lines.append(",".join(COLUMNS))
-    for row in table.rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in COLUMNS))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    out.writelines(f"# {key} = {val}\n" for key, val in table.meta)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    writer.writerows([_fmt(row.get(col)) for col in COLUMNS]
+                     for row in table.rows)
+    return out.getvalue()
 
 
 def _json_cell(value):

@@ -19,12 +19,14 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from reference.tables import parse_json
-from spinzeno import (BathKernel, DiscreteBath, ResultTable, SurvivalMode,
-                      emit_csv, emit_json, parse_config, tau_grid)
+from spinzeno import (BathKernel, DiscreteBath, ResultTable, SpectralDensity,
+                      SurvivalMode, emit_csv, emit_json, parse_config,
+                      tau_grid)
 from spinzeno import config
 from spinzeno.cli import main
 from spinzeno.config import header_lines
-from spinzeno.errors import ConfigError
+from spinzeno.errors import ConfigError, QuadratureError
+from spinzeno.tables import COLUMNS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -100,6 +102,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
         assert f"{key} (line {line})" in str(exc.value)
+
+    @pytest.mark.parametrize("spacing", ["geometric", "linear"])
+    def test_coinciding_grid_points_name_tau_points(self, spacing):
+        # tau_max is two ulp above tau_min: three points are distinct, and
+        # five must repeat one, which would divide the regime slope by zero
+        text = MINIMAL.replace("tau_max = 3.0", "tau_max = 1.0000000000000004")
+        text = text.replace("tau_min = 0.05", "tau_min = 1.0")
+        text += f"spacing = {spacing}\n"
+        assert parse_config(text + "tau_points = 3\n").tau_points == 3
+        text, line = _with_run_entry(text, "tau_points = 5")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert f"tau_points (line {line})" in str(exc.value)
 
     @pytest.mark.parametrize("old, new", [
         ("delta = 0.2", "delta = 0.2\nbeta = nan"),
@@ -286,6 +301,23 @@ omega_c = 10.0
 tau_min = 0.1
 tau_max = 1.0
 tau_points = 3
+"""
+
+
+# tau_max is two ulp above tau_min, so five grid points cannot all differ
+COINCIDING_GRID = """
+[system]
+epsilon = 1.0
+delta = 0.2
+
+[bath]
+g = 0.5
+omega_c = 10.0
+
+[run]
+tau_min = 1.0
+tau_max = 1.0000000000000004
+tau_points = 5
 """
 
 
@@ -498,6 +530,23 @@ modes = small_delta
         assert result.exit_code == 4, result.stderr
         rows = _data_rows(result.stdout)
         assert rows and all("thermal sum terms" in r["error"] for r in rows)
+
+    def test_error_text_with_a_comma_is_one_cell(self, tmp_path):
+        # the thermal-sum error reads "..., more than 10000": quoted, it is
+        # the last of eight cells in every row
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[system]\nepsilon = 1.0\ndelta = 0.2\nbeta = 2.0\n"
+                       "[bath]\ng = 0.5\ns = 1.5\nomega_c = 3.0\n"
+                       "[run]\n" + _SMALL_RUN + "kernel_tol = 1e-300\n")
+        result = self.run("curve", "--config", str(cfg))
+        kernel = BathKernel(SpectralDensity(G=0.5, s=1.5, omega_c=3.0), 2.0,
+                            tol=1e-300)
+        with pytest.raises(QuadratureError, match=", more than") as exc:
+            kernel.phi_parts(np.array([0.5]))
+        rows = list(csv.reader(ln for ln in result.stdout.splitlines()
+                               if not ln.startswith("#")))
+        assert rows[0] == list(COLUMNS) and len(rows) > 1
+        assert all(len(r) == 8 and r[-1] == str(exc.value) for r in rows[1:])
 
     def test_compute_divergent_kernel_is_a_gap_row(self, tmp_path):
         cfg = tmp_path / "c.ini"
@@ -826,7 +875,8 @@ def _mix_supported():
 def _valid_runs(draw):
     """(config text, subcommand) of a run that parses: a continuous or a
     1-3 mode discrete bath, zero or finite temperature."""
-    command = draw(st.sampled_from(["curve", "sweep", "compare", "compute"]))
+    command = draw(st.sampled_from(["curve", "sweep", "compare", "compute",
+                                    "oracle-check"]))
     delta = draw(st.floats(0.0, 3.0))
     text = (f"[system]\nepsilon = {draw(st.floats(-3.0, 3.0))!r}\n"
             f"delta = {delta!r}\n")
@@ -847,7 +897,9 @@ def _valid_runs(draw):
                           min_size=2 if command == "compare" else 1,
                           max_size=4, unique=True))
     tau_min = draw(st.floats(0.01, 2.0))
-    tau_max = tau_min * draw(st.floats(1.5, 10.0))
+    # a ratio a few ulp above 1 makes a grid whose points may coincide
+    ulps = st.integers(1, 4).map(lambda k: 1.0 + k * 2.0 ** -52)
+    tau_max = tau_min * draw(ulps | st.floats(1.5, 10.0))
     text += (f"[run]\nmodes = {', '.join(modes)}\ntau_min = {tau_min!r}\n"
              f"tau_max = {tau_max!r}\ntau_points = 3\ntau = {tau_max!r}\n"
              f"sweep = delta: {delta!r} {2.0 * delta + 0.1!r}\n")
@@ -857,6 +909,7 @@ def _valid_runs(draw):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(run=_valid_runs())
 @example(run=(UNDERFLOWED_RABI, "curve"))
+@example(run=(COINCIDING_GRID, "curve"))
 def test_no_valid_config_exits_1(run):
     # exit 1 is an uncaught exception: every failure of a config that
     # parses must be a gap row or one of the documented exit codes

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinzeno import (BathKernel, DecayCurve, RegimeLabel, RegimeReport,
                       SpectralDensity, SurvivalMode, SystemParams, classify,
-                      sample_curve, tau_grid, validity_value)
+                      sample_curve, survival_prob, tau_grid, validity_value)
 from spinzeno.errors import DomainError
 
 J3 = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
@@ -102,6 +102,31 @@ class TestClassify:
         # first interval and before the last one
         if tau[1] < t0 < tau[-2]:
             assert len(report.crossovers) == 1
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_any_grid_order_gives_the_same_report(self, seed):
+        # a shuffled grid: its labels are the sorted curve's, permuted, and
+        # its crossovers are the sorted curve's, brackets in ascending order
+        curve = survival_prob(SurvivalMode.FULL, SystemParams(1.0, 0.2), K3,
+                              tau_grid(0.05, 3.0, 12))
+        sorted_report = classify(curve)
+        perm = np.random.default_rng(seed).permutation(12)
+        shuffled = DecayCurve(curve.tau_grid[perm], curve.gamma[perm],
+                              curve.s[perm], curve.mode)
+        report = classify(shuffled)
+        assert report.labels == tuple(np.array(sorted_report.labels)[perm])
+        assert report.crossovers == sorted_report.crossovers
+
+    def test_repeated_tau_has_one_slope(self):
+        # a repeated tau would divide the slope by zero; it takes its first
+        # Gamma, and both copies get the label of the distinct grid
+        tau = np.linspace(0.1, 3.0, 20)
+        gamma = np.sin(tau) + 2.0
+        distinct = classify(synthetic_curve(tau, gamma))
+        rep = [0, 1, 2, 7, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 19]
+        report = classify(synthetic_curve(tau[rep], gamma[rep]))
+        assert report.labels == tuple(distinct.labels[i] for i in rep)
+        assert report.crossovers == distinct.crossovers
 
     def test_plateau_below_floor_is_unlabelled_and_bracketed(self):
         # rises on [0.1, 1.1], stays within 1e-8 (below the slope floor)

@@ -48,8 +48,13 @@ class TestTrivialLimits:
         assert res.s == 1.0 and res.gamma == 0.0
 
     def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, -1.0)
+        # a bad tau is a gap, not an exception, and leaves the others alone
+        res = survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, [-1.0, 1.0])
+        assert [i for i, _ in res.errors] == [0]
+        assert isinstance(res.errors[0][1], ValueError)
+        assert np.isnan(res.s[0]) and np.isnan(res.gamma[0])
+        assert res.s[1] == survival_prob(SurvivalMode.FULL, SYS_A, KERNEL,
+                                         1.0).s[0]
 
     def test_s_rounding_to_one_gives_positive_zero_gamma(self):
         kernel = BathKernel(SpectralDensity(G=0.5, s=3.0, omega_c=10.0))
@@ -60,8 +65,12 @@ class TestTrivialLimits:
 
     @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
     def test_bad_tau_is_a_domain_error(self, tau):
-        with pytest.raises(DomainError, match="tau"):
-            survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, tau)
+        res = survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, tau)
+        ((i, exc),) = res.errors
+        assert i == 0 and isinstance(exc, DomainError)
+        assert str(exc) == "tau must be finite and nonnegative"
+        assert np.isnan(res.gamma[0]) and np.isnan(res.s[0])
+        assert np.isnan(res.diagnostics["quad_error"][0])
 
 
 class TestDecoupledBath:
@@ -498,9 +507,17 @@ class TestCurvePath:
         # each point's bound sums over its panels
         assert np.all(np.diff(res.diagnostics["quad_error"]) >= 0.0)
 
-    def test_unsorted_array_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="sorted"):
-            survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, [1.0, 0.5])
+    def test_unsorted_array_comes_back_in_caller_order(self):
+        # one pass over the sorted grid, every per-point array permuted back
+        taus = tau_grid(0.05, 3.0, 6)
+        ordered = survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, taus)
+        perm = [3, 0, 5, 1, 4, 2]
+        res = survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, taus[perm])
+        assert np.array_equal(res.tau_grid, taus[perm])
+        assert np.array_equal(res.s, ordered.s[perm])
+        assert np.array_equal(res.gamma, ordered.gamma[perm])
+        for key, value in ordered.diagnostics.items():
+            assert np.array_equal(res.diagnostics[key], value[perm]), key
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_unconverged_panel_gaps_it_and_every_later_point(self, mode):
