@@ -383,9 +383,13 @@ class BathKernel:
         is exactly 0 in the B = 0 limit, where phi_R(0) = +inf.
         """
         psi, phi_i = self.phi_parts(t)
-        e_plus = np.exp(-psi - 1j * phi_i)
+        # the phase u = e^{-i phi_I} once; E- takes conj(u) rather than
+        # conj(E+) exp(2 psi - 2 phi_R(0)), whose factor exp(-2 phi_R(t))
+        # overflows while E- itself is tiny
+        u = np.exp(-1j * phi_i)
+        e_plus = np.exp(-psi) * u
         with np.errstate(over="ignore", under="ignore"):
-            e_minus = np.exp(psi - 2.0 * self.phi_r0() + 1j * phi_i)
+            e_minus = np.exp(psi - 2.0 * self.phi_r0()) * u.conj()
         return e_plus, e_minus
 
     # -- tabulation (kept for the benchmark tracer) ---------------------------

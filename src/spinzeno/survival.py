@@ -30,6 +30,10 @@ The coefficients A(tau) come from the p_jk in closed form (_coefficients);
 only the moments need the kernel.  They accumulate panel by panel between
 consecutive grid points, so one pass over the kernel serves a whole
 curve, and a single tau is the one-panel curve (integrate_triangle).
+Each panel runs QUADPACK's 15-point Gauss-Kronrod rule, whose embedded
+7-point Gauss rule gives the error estimate, and is bisected until it
+meets its share of the tolerance: one kernel call per level for every
+open sub-panel of the curve.
 survival_prob runs that pass over any grid's valid taus, sorted, and
 returns the DecayCurve in the grid's own order, with every gap named.
 
@@ -39,18 +43,14 @@ sin(y/2)/(y/2), the powers of h = e^{i Omega_r x/2} give them all, and
 the negative frequencies are the conjugates of the positive ones.  The
 same factors at tau enter A, whose nine (j, k) terms are summed by one
 scatter per block.  The magnitudes sum |U| |V| behind the rounding floor
-come from the first estimate only.
+come from the first level only.
 """
 
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-# NumPy loads numpy.polynomial on first attribute access; importing it here
-# keeps that one-off cost out of the first solve
-from numpy.polynomial.legendre import leggauss
 
 from .bath import DiscreteBath
 from .errors import (DomainError, NonFiniteIntegrandError, OutOfRegimeError,
@@ -58,12 +58,29 @@ from .errors import (DomainError, NonFiniteIntegrandError, OutOfRegimeError,
 from .polaron import renormalize, rot_coeffs
 
 TOL = 1e-8              # default bound on each point's integral error
-MAX_ORDER = 1024        # highest Gauss-Legendre order tried per panel
+LIMIT = 2048            # most sub-panels one grid interval may be cut into
 ROUNDING_FLOOR = 1e-13  # least stop tolerance, relative to sum |A| int |f|
 SURVIVAL_SLACK = 1e-6   # tolerated truncation excursion of s outside [0, 1]
 MAX_NODES = 2048        # nodes per integrand call: bounds the work arrays
 
-_gl_nodes = lru_cache(maxsize=32)(leggauss)
+# QUADPACK's qk15 rule on [-1, 1] (Piessens et al., QUADPACK, 1983) to
+# double precision, the half x >= 0 of the symmetric rule: each node, its
+# 15-point Kronrod weight and its weight in the embedded 7-point Gauss
+# rule, 0 at a Kronrod-only node
+_QK15 = np.array([
+    [0.9914553711208126, 0.022935322010529224, 0.0],
+    [0.9491079123427585, 0.06309209262997856, 0.1294849661688697],
+    [0.8648644233597691, 0.10479001032225019, 0.0],
+    [0.7415311855993945, 0.14065325971552592, 0.27970539148927664],
+    [0.5860872354676911, 0.1690047266392679, 0.0],
+    [0.4058451513773972, 0.19035057806478542, 0.3818300505051189],
+    [0.20778495500789848, 0.20443294007529889, 0.0],
+    [0.0, 0.20948214108472782, 0.4179591836734694]])
+# nodes ascending, and their K15 and G7 weights
+_K15_X, _K15_W, _G7_W = np.concatenate([_QK15 * [-1.0, 1.0, 1.0],
+                                        _QK15[-2::-1]]).T
+# (node, rule) weights: the K15 sum and the K15 - G7 difference
+_WEIGHTS = np.stack([_K15_W, _K15_W - _G7_W], axis=-1)
 
 
 class SurvivalMode(enum.Enum):
@@ -257,27 +274,29 @@ def _moment_integrand(kernel, w, removed):
     return f
 
 
-def _panel_sums(f, lo, width, order, magnitudes=False):
-    """Gauss-Legendre sums of U V^T on each panel at one order, and of
-    |U| |V|^T if `magnitudes`.
+def _panel_sums(f, lo, width, magnitudes=False):
+    """K15 sums of U V^T on each panel, their differences from the
+    embedded G7 sums, and the K15 sums of |U| |V|^T if `magnitudes`.
 
     f is called on at most MAX_NODES nodes at a time (always at least one
-    panel).  Returns (sums, abs_sums, failed), the sums for the panels
-    before the first failure (abs_sums is None without `magnitudes`);
-    failed is None or (panel position, error) for the first panel whose
-    sum is not finite, as any non-finite value of f makes it.
+    panel).  Returns (sums, diffs, abs_sums, failed) for the panels before
+    the first failure (abs_sums is None without `magnitudes`); failed is
+    None or (panel position, error) for the first panel whose sums are
+    not finite, as any non-finite value of f makes them.
     """
-    x, wgt = _gl_nodes(order)
-    per_call = max(1, MAX_NODES // order)
+    per_call = max(1, MAX_NODES // _K15_X.size)
     sums, mags, failed, end = [], [], None, lo.size
     for first in range(0, lo.size, per_call):
         half = 0.5 * width[first:first + per_call, None]
-        u, v = f(lo[first:first + per_call, None] + half * (x + 1.0))
+        u, v = f(lo[first:first + per_call, None] + half * (_K15_X + 1.0))
+        # both weight sets in one product: columns (K15, K15 - G7) x j
+        hw = half[..., None] * _WEIGHTS
         with np.errstate(invalid="ignore", over="ignore"):
-            u, vw = np.swapaxes(u, 1, 2), v * (half * wgt)[..., None]
+            u = np.swapaxes(u, 1, 2)
+            vw = (v[:, :, None] * hw[..., None]).reshape(v.shape[:2] + (-1,))
             sums.append(u @ vw)
             if magnitudes:
-                mags.append(np.abs(u) @ np.abs(vw))
+                mags.append(np.abs(u) @ (np.abs(v) * hw[..., :1]))
         finite = np.isfinite(sums[-1]).all(axis=(1, 2))
         if not finite.all():
             end = first + int(np.argmin(finite))
@@ -285,83 +304,108 @@ def _panel_sums(f, lo, width, order, magnitudes=False):
                 "survival integrand is not finite on the panel "
                 f"[{lo[end]:.6g}, {lo[end] + width[end]:.6g}]"))
             break
-    return (np.concatenate(sums)[:end],
+    sums = np.concatenate(sums)[:end]
+    n = sums.shape[-1] // 2
+    return (sums[..., :n], sums[..., n:],
             np.concatenate(mags)[:end] if magnitudes else None, failed)
 
 
-def integrate_triangle(f, taus, coeffs, tol=TOL, *, start_order=8):
+def integrate_triangle(f, taus, coeffs, tol=TOL):
     """D(tau_t) = Re sum_ij coeffs[t, i, j] int_0^tau_t U_i(x) V_j(x) dx for
     every tau_t of the sorted, nonnegative `taus`, with (U, V) = f(x).
 
-    The panels [0, tau_0], [tau_0, tau_1], ... run Gauss-Legendre order
-    doubling from start_order up to MAX_ORDER in lockstep, so each order
-    is one call of f (MAX_NODES nodes at most) for all open panels; a
-    panel keeps its finer estimate and drops out once its change dM, with
-    A the largest |coeffs| of the points that use it, satisfies
+    The grid intervals [0, tau_0], [tau_0, tau_1], ... start as one
+    sub-panel each.  Every level takes one call of f (MAX_NODES nodes at
+    most) over all open sub-panels, with QUADPACK's 15-point Kronrod rule
+    K15 and its embedded 7-point Gauss rule G7.  A sub-panel of width w
+    in an interval of width W is accepted once its difference dM = K15 -
+    G7, with A the largest |coeffs| of the points that use the interval,
+    satisfies
 
-        sum |A| |dM| <= max(tol * width / tau_max,
-                            ROUNDING_FLOOR * sum |A| int |U| |V|),
+        sum |A| |dM| <= max(tol * w / tau_max, sqrt(w / W) F),
+        F = ROUNDING_FLOOR * sum |A| int |U| |V|,
 
-    int |U| |V| taken from the first estimate's nodes: rounding keeps the
-    estimates from agreeing much closer, so a smaller tol is raised to
-    that floor.  So tol bounds each point's error, apart from the floors.
-    f must map an array of nodes (panel, node) to (U, V) with shapes
-    (panel, node, i) and (panel, node, j).
+    and is bisected otherwise.  At w = W this is the test max(tol W /
+    tau_max, F) on the whole interval.  Truncation errors add up, so a
+    sub-panel's share of tol goes with w.  The rounding floor F is there
+    because K15 and G7 cannot agree much closer than the rounding of the
+    integrand (a smaller tol is raised to it); rounding errors of
+    different sub-panels are independent and add in quadrature, so the
+    shares sqrt(w / W) F do too; if they all had one sign, n sub-panels
+    could accept sqrt(n) F, up to sqrt(LIMIT) F = 45 F.  int |U| |V| over
+    the interval is taken from the first level's K15 sums.  An interval's
+    moments are the K15 sums of its accepted sub-panels, so tol bounds
+    each point's error, apart from the floors.  f must map an array of
+    nodes (panel, node) to (U, V) with shapes (panel, node, i) and
+    (panel, node, j).
 
-    Returns (values, error bounds, highest panel order, panel orders,
-    failed): the error bound of point t is sum over its panels of
-    sum |coeffs[t]| |dM|.  A panel that does not converge by MAX_ORDER,
+    Returns (values, error bounds, largest interval node count, interval
+    node counts, failed): an interval's node count is 15 for each
+    sub-panel it was given, 15 (2 p - 1) for p accepted sub-panels, and
+    0 at a gap; the error bound of point t is the sum over the accepted
+    sub-panels up to it of sum |coeffs[t]| |dM|.  An interval that would
+    need more than LIMIT sub-panels (after at most 2 LIMIT - 1 of them),
     or where f is not finite, makes its point and every later point NaN;
     failed is then (its index, the error), else None.
     """
     taus = np.asarray(taus, dtype=float)
     if not (np.all(taus >= 0.0) and np.all(np.diff(taus) >= 0.0)):
         raise ValueError("taus must be nonnegative and sorted")
+    n = taus.size
     lo = np.concatenate(([0.0], taus[:-1]))
     width = taus - lo
     a_abs = np.abs(coeffs)
     a_max = np.maximum.accumulate(a_abs[::-1])[::-1]
     # tau_max = 0 only when every width is 0
-    stop_tol = tol * width / (taus[-1] or 1.0)
+    rate = tol / (taus[-1] or 1.0)
+    floor = None
     moments = np.zeros(coeffs.shape, dtype=complex)
     changes = np.zeros(coeffs.shape)
-    orders = np.zeros(taus.size, dtype=int)
-    end, failed = taus.size, None        # points from `end` on are gaps
-    open_ = np.arange(taus.size)
-    prev = floor = None
-    order = start_order
-    while open_.size:
-        est, mag, bad = _panel_sums(f, lo[open_], width[open_], order,
-                                    magnitudes=prev is None)
+    pieces = np.ones(n, dtype=int)       # each interval's partition size
+    end, failed = n, None                # points from `end` on are gaps
+    # the open sub-panels in interval order: interval, left end, width
+    owner, sub_lo, sub_w = np.arange(n), lo, width
+    while owner.size:
+        est, diff, mag, bad = _panel_sums(f, sub_lo, sub_w,
+                                          magnitudes=floor is None)
         if bad is not None:
-            k, exc = bad
-            end, failed = int(open_[k]), (int(open_[k]), exc)
-            open_ = open_[:k]
-            if prev is not None:
-                prev, floor = prev[:k], floor[:k]
-        if prev is None:
-            floor = ROUNDING_FLOOR * np.sum(a_max[open_] * mag, axis=(1, 2))
-        else:
-            change = np.abs(est - prev)
-            err = np.sum(a_max[open_] * change, axis=(1, 2))
-            done = err <= np.maximum(stop_tol[open_], floor)
-            moments[open_[done]] = est[done]
-            changes[open_[done]] = change[done]
-            orders[open_[done]] = order
-            open_, est, floor = open_[~done], est[~done], floor[~done]
-        prev = est
-        order *= 2
-        if open_.size and order > MAX_ORDER:
-            stop = max(stop_tol[open_[0]], floor[0])
-            end = int(open_[0])
+            end = int(owner[bad[0]])
+            failed = (end, bad[1])
+        if floor is None:
+            floor = ROUNDING_FLOOR * np.sum(a_max[:len(mag)] * mag,
+                                            axis=(1, 2))
+        k = np.searchsorted(owner, end)
+        owner, sub_lo, sub_w = owner[:k], sub_lo[:k], sub_w[:k]
+        diff = np.abs(diff[:k])
+        err = np.sum(a_max[owner] * diff, axis=(1, 2))
+        # shares: w of tol, sqrt(w / W) of the floor (see the docstring)
+        done = (err <= rate * sub_w) | \
+            (err * np.sqrt(width[owner]) <= floor[owner] * np.sqrt(sub_w))
+        np.add.at(moments, owner[done], est[:k][done])
+        np.add.at(changes, owner[done], diff[done])
+        owner, sub_lo, sub_w = owner[~done], sub_lo[~done], sub_w[~done]
+        pieces += np.bincount(owner, minlength=n)
+        over = owner[pieces[owner] > LIMIT]
+        if over.size:
+            end = int(over[0])
+            stop = max(rate * width[end], floor[end])
             failed = (end, QuadratureError(
-                f"triangle quadrature did not converge below {stop:g} by "
-                f"order {MAX_ORDER}"))
-            break
+                f"triangle quadrature did not converge below {stop:g} in "
+                f"{LIMIT} sub-panels"))
+            k = np.searchsorted(owner, end)
+            owner, sub_lo, sub_w = owner[:k], sub_lo[:k], sub_w[:k]
+        # bisect what is left
+        sub_w = np.repeat(0.5 * sub_w, 2)
+        sub_lo = np.repeat(sub_lo, 2)
+        sub_lo[1::2] += sub_w[1::2]
+        owner = np.repeat(owner, 2)
     values = np.real(np.sum(coeffs * np.cumsum(moments, axis=0), axis=(1, 2)))
     errors = np.sum(a_abs * np.cumsum(changes, axis=0), axis=(1, 2))
     values[end:] = errors[end:] = np.nan
-    return values, errors, int(orders.max(initial=start_order)), orders, failed
+    # p accepted sub-panels are the leaves of a bisection tree of 2p - 1
+    nodes = _K15_X.size * (2 * pieces - 1)
+    nodes[end:] = 0
+    return values, errors, int(nodes.max(initial=0)), nodes, failed
 
 
 def _rate(s, tau):
@@ -380,9 +424,8 @@ def _sorted_curve(mode, sys, kernel, taus, tol):
     coeffs = _coefficients(pc, taus, mode.removed, ct_0)
     coeffs = coeffs.reshape(taus.size, -1, coeffs.shape[-1])
     f = _moment_integrand(kernel, pc.omega_r, mode.removed)
-    # start_order is passed explicitly so traces can count the nodes.
-    integral, err, _, orders, failed = integrate_triangle(
-        f, taus, coeffs, tol=tol, start_order=8)
+    integral, err, _, orders, failed = integrate_triangle(f, taus, coeffs,
+                                                          tol=tol)
     # The oscillation term is itself O(delta_r^2), so the small-delta
     # reduction keeps its amplitude and only sends omega_r -> |epsilon|.
     zeroth = 0.0 if mode.removed else \

@@ -24,18 +24,17 @@ class ResultTable:
     # (nan allowed), "mode"/"regime"/"error" are strings, "sweep" may be None
 
 
-def _fmt(value):
-    # csv.writer writes None as an empty cell; a NaN of either sign is "nan"
-    return format(value, ".12g") if isinstance(value, float) else value
-
-
 def emit_csv(table):
     out = io.StringIO()
     out.writelines(f"# {key} = {val}\n" for key, val in table.meta)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(COLUMNS)
-    writer.writerows([_fmt(row.get(col)) for col in COLUMNS]
-                     for row in table.rows)
+    # column by column, 12 significant digits for a float: csv.writer
+    # writes None as an empty cell; a NaN of either sign is "nan"
+    writer.writerows(zip(*[
+        ["%.12g" % v if isinstance(v, float) else v
+         for v in (row.get(col) for row in table.rows)]
+        for col in COLUMNS]))
     return out.getvalue()
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from spinzeno.errors import DomainError
 from spinzeno.polaron import SIGMA_X, SIGMA_Z, renormalize
-from spinzeno.survival import SurvivalMode, _gl_nodes
+from spinzeno.survival import SurvivalMode
 
 UP = np.array([1.0, 0.0], dtype=complex)
 DOWN = np.array([0.0, 1.0], dtype=complex)
@@ -73,7 +73,7 @@ def reconstruct_survival(mode, sys, kernel, tau, order=96):
     half_delta = 0.5 * sys.delta
     rho0 = np.outer(UP, UP.conj())
 
-    x, w = _gl_nodes(order)
+    x, w = np.polynomial.legendre.leggauss(order)
     t1 = 0.5 * tau * (x + 1.0)
     w1 = 0.5 * tau * w
 

@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import io
 import itertools
 import json
 import math
@@ -246,6 +247,27 @@ class TestEmit:
         text = emit_csv(sample_table())
         assert "0.996361465839" in text
         assert "0.9963614658393140" not in text
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                           min_size=1, max_size=12),
+           sweep=st.lists(st.one_of(st.none(), st.floats()), min_size=12,
+                          max_size=12),
+           error=st.sampled_from(["", "out of regime", 'a, "b"']))
+    def test_csv_cells_match_per_cell_formatting(self, values, sweep, error):
+        # a column of floats, a mixed column and strings that need
+        # quoting: the same text as formatting every cell on its own
+        rows = tuple({"mode": "full", "sweep": sweep[i], "tau": v,
+                      "gamma": -v, "s": np.float64(v), "validity": 0.0,
+                      "regime": "", "error": error}
+                     for i, v in enumerate(values))
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(COLUMNS)
+        writer.writerows([format(v, ".12g") if isinstance(v, float) else v
+                          for v in (row[col] for col in COLUMNS)]
+                         for row in rows)
+        assert emit_csv(ResultTable((), rows)) == want.getvalue()
 
     def test_determinism(self):
         assert emit_csv(sample_table()) == emit_csv(sample_table())

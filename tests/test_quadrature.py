@@ -9,6 +9,8 @@ from spinzeno import survival as survival_module
 from spinzeno.errors import NonFiniteIntegrandError, QuadratureError
 from spinzeno.survival import MAX_NODES, integrate_triangle
 
+K15 = survival_module._K15_W.size
+
 
 def _scalar(g, calls=None):
     """(U, V) = (g, 1): the moments are the integrals of g.  `calls`
@@ -28,19 +30,53 @@ def rule(g, taus, calls=None, **kw):
                               np.ones((taus.size, 1, 1)), **kw)
 
 
+def _monomial_errors(w, powers):
+    """|sum w x^p - int_{-1}^1 x^p dx| on the K15 nodes for each p."""
+    x = survival_module._K15_X
+    return [abs(np.sum(w * x ** p) - (1.0 + (-1.0) ** p) / (p + 1.0))
+            for p in powers]
+
+
+class TestTabulatedRule:
+    def test_kronrod_is_exact_to_degree_22(self):
+        assert max(_monomial_errors(survival_module._K15_W, range(23))) \
+            <= 1e-15
+
+    def test_gauss_is_exact_to_degree_13(self):
+        assert max(_monomial_errors(survival_module._G7_W, range(14))) \
+            <= 1e-15
+        # and no further: degree 14 is where its error shows
+        assert _monomial_errors(survival_module._G7_W, [14])[0] > 1e-6
+
+    def test_gauss_is_leggauss_seven_on_the_odd_nodes(self):
+        x, w = np.polynomial.legendre.leggauss(7)
+        assert np.allclose(survival_module._K15_X[1::2], x, rtol=0.0,
+                           atol=1e-15)
+        assert np.allclose(survival_module._G7_W[1::2], w, rtol=0.0,
+                           atol=1e-15)
+        assert np.all(survival_module._G7_W[::2] == 0.0)
+
+
 class TestTriangle:
     def test_constant(self):
         val, _, _, _, failed = rule(np.ones_like, 2.0)
         assert val[0] == pytest.approx(2.0, abs=1e-12)
         assert failed is None
 
-    def test_doubling_starts_at_order_eight(self):
-        # orders 8 and 16 are both exact for degree 15, so the first pair
-        # agrees; int_0^1 x^15 dx = 1/16
-        val, err, order, orders, _ = rule(lambda x: x ** 15, 1.0)
-        assert order == orders[0] == 16
-        assert val[0] == pytest.approx(1.0 / 16.0, abs=1e-15)
+    def test_first_level_is_exact_to_degree_13(self):
+        # K15 and G7 are both exact for degree 13, so the first level's
+        # difference is rounding and the interval is one sub-panel;
+        # int_0^1 x^13 dx = 1/14
+        val, err, order, orders, _ = rule(lambda x: x ** 13, 1.0)
+        assert order == orders[0] == K15
+        assert val[0] == pytest.approx(1.0 / 14.0, abs=1e-15)
         assert err[0] <= 1e-15
+
+    def test_degree_15_is_bisected(self):
+        # G7 is not exact for degree 15: one bisection, 1 + 2 sub-panels
+        val, _, order, _, failed = rule(lambda x: x ** 15, 1.0)
+        assert order == 3 * K15 and failed is None
+        assert val[0] == pytest.approx(1.0 / 16.0, abs=1e-15)
 
     def test_sine(self):
         val, _, _, _, _ = rule(np.sin, np.pi)
@@ -67,12 +103,12 @@ class TestTriangle:
         assert np.isnan(val[0])
 
     def test_tolerance_below_the_rounding_floor_is_raised_to_it(self):
-        # from order 8 on, the estimates differ by rounding alone (about
-        # 1e-10 here), so a tol of 1e-30 is raised to the floor,
-        # 1e-13 * int |f| (about 2e-7)
+        # K15 and G7 differ by about 6e-8 here, below the floor 1e-13 *
+        # int |f| (about 2e-7), so a tol of 1e-30 is raised to the floor
+        # and the first level is accepted
         val, err, order, _, _ = rule(lambda x: 1e6 * np.cos(x), 3.0,
                                      tol=1e-30)
-        assert order == 16
+        assert order == K15
         assert val[0] == pytest.approx(1e6 * np.sin(3.0), rel=1e-13)
         assert err[0] <= 2e-7
 
@@ -91,19 +127,36 @@ class TestPanels:
         assert np.abs(val - (1.0 - np.cos(taus))).max() <= 1e-12
         assert np.all(np.diff(err) >= 0.0)   # the bound accumulates
 
-    def test_each_order_is_one_call(self):
-        # all open panels share one call per order: 8, 16, 32, ...
-        calls = []
-        _, _, order, _, _ = rule(np.exp, np.linspace(0.1, 4.0, 40), calls)
-        levels = int(np.log2(order // 8)) + 1
-        assert len(calls) == levels
-        assert calls[0] == (40, 8)
+    def test_each_level_is_one_call(self):
+        # every open sub-panel of every interval shares one call per
+        # level, and each bisection gives the next level two of them
+        calls, taus = [], np.linspace(0.1, 4.0, 40)
+        val, _, _, nodes, _ = rule(lambda x: np.cos(100.0 * x), taus, calls)
+        assert abs(val - np.sin(100.0 * taus) / 100.0).max() <= 1e-13
+        assert calls == [(40, K15), (80, K15)]
+        assert sum(p * n for p, n in calls) == nodes.sum()
 
     def test_calls_hold_at_most_max_nodes(self):
         calls = []
-        rule(np.cos, np.linspace(0.01, 50.0, 3 * MAX_NODES // 8), calls)
+        per_call = MAX_NODES // K15
+        rule(np.cos, np.linspace(0.01, 50.0, 3 * per_call), calls)
         assert max(p * n for p, n in calls) <= MAX_NODES
-        assert len(calls) > 3    # the first order alone needs three calls
+        # the first level alone needs three calls
+        assert calls[:3] == [(per_call, K15)] * 3
+
+    def test_limit_covers_what_order_1024_converged(self):
+        # int_0^1 (1 + x) e^{ikx} at k = 1800: Gauss-Legendre doubling
+        # converged here by order 1024 at tol 1e-12 (and not at k = 2000);
+        # the bisection needs 898 sub-panels, within LIMIT but not 512
+        k = 1800.0
+        taus = np.array([1.0])
+        val, _, _, _, failed = integrate_triangle(
+            lambda x: (((1.0 + x) * np.exp(1j * k * x))[..., None],
+                       np.ones(x.shape + (1,))),
+            taus, np.ones((1, 1, 1)), tol=1e-12)
+        e = np.exp(1j * k)
+        want = np.real((2.0 * e - 1.0) / (1j * k) - (e - 1.0) / (1j * k) ** 2)
+        assert failed is None and abs(val[0] - want) <= 1e-12
 
     def test_coefficients_weigh_each_point(self):
         # D_t = Re(c_t int_0^tau_t e^{ix}) with a point-dependent c_t
@@ -125,12 +178,26 @@ class TestPanels:
         assert np.all(np.isnan(val[2:])) and np.all(np.isnan(err[2:]))
 
     def test_unconverged_panel_gaps_it_and_every_later_one(self, monkeypatch):
-        # with orders 8 and 16 only, x^15 converges and x^31 does not
-        monkeypatch.setattr(survival_module, "MAX_ORDER", 16)
+        # with one sub-panel per interval, x^13 converges and x^31 does not
+        monkeypatch.setattr(survival_module, "LIMIT", 1)
         taus = np.array([0.5, 1.0, 1.5, 2.0])
         val, _, order, orders, failed = rule(
-            lambda x: np.where(x > 1.0, x ** 31, x ** 15), taus)
+            lambda x: np.where(x > 1.0, x ** 31, x ** 13), taus)
         assert failed[0] == 2 and isinstance(failed[1], QuadratureError)
-        assert val[:2] == pytest.approx(taus[:2] ** 16 / 16.0, rel=1e-13)
+        assert val[:2] == pytest.approx(taus[:2] ** 14 / 14.0, rel=1e-13)
         assert np.all(np.isnan(val[2:]))
-        assert order == 16 and list(orders[:2]) == [16, 16]
+        assert order == K15 and list(orders[:2]) == [K15, K15]
+
+    def test_non_finite_value_stops_the_whole_interval(self):
+        # x^15 on [0, 1] needs a bisection; a NaN on the right half of
+        # [1, 2] gaps that interval at once, although its left half is
+        # finite, and the rule does not go on cutting it
+        calls = []
+        taus = np.array([1.0, 2.0])
+        val, _, _, _, failed = rule(
+            lambda x: np.where(x > 1.75, np.nan, x ** 15), taus, calls)
+        assert failed[0] == 1
+        assert isinstance(failed[1], NonFiniteIntegrandError)
+        assert val[0] == pytest.approx(1.0 / 16.0, abs=1e-15)
+        assert np.isnan(val[1])
+        assert calls == [(2, K15), (2, K15)]

@@ -341,9 +341,9 @@ def _kernels(draw):
 
 
 class TestQuadratureSchedule:
-    """The panel rule stops at the first pair of orders that agree,
-    starting from order 8; a false early agreement would leave s away
-    from the same moments evaluated at a fixed high order."""
+    """The panel rule accepts a sub-panel once its K15 and G7 sums agree;
+    a false early agreement would leave s away from the same moments
+    evaluated at a fixed high order."""
 
     @settings(max_examples=30, deadline=None)
     @given(mode=st.sampled_from(ALL_MODES), kernel=_kernels(),
@@ -377,37 +377,38 @@ class TestQuadratureSchedule:
                         for tol in (1e-13, 1e-10))
         assert tight == pytest.approx(loose, abs=1e-12)
 
-    def test_magnitudes_come_from_the_first_estimate_only(self):
-        # the rounding floor takes sum |U| |V| from the first estimate, so
-        # only that panel call computes it; at a tol below the floor the
-        # floor sets the panel orders, pinned here as the rule gave them
-        # when it computed the magnitudes at every order
+    def test_magnitudes_come_from_the_first_level_only(self):
+        # the rounding floor takes sum |U| |V| from the first level's K15
+        # sums, so only that panel call computes it; at a tol below the
+        # floor the floor stops every interval within a few levels (the
+        # rounding noise sets exactly where, so the counts are bounded,
+        # not pinned)
         taus, asked = tau_grid(0.05, 6.0, 12), []
         real = survival_module._panel_sums
 
         def recording(*args, magnitudes=False):
             asked.append(magnitudes)
-            sums, mags, failed = real(*args, magnitudes=magnitudes)
+            sums, diffs, mags, failed = real(*args, magnitudes=magnitudes)
             assert (mags is not None) == magnitudes
-            return sums, mags, failed
+            return sums, diffs, mags, failed
 
-        with mock.patch.object(survival_module, "_panel_sums", recording):
-            full = survival_prob(SurvivalMode.FULL, SYS_B, KERNEL, taus,
-                                 tol=1e-30)
-        assert asked == [True, False, False, False]
-        assert full.diagnostics["order"].tolist() == [32] + [16] * 9 \
-            + [32, 64]
-        removed = survival_prob(SurvivalMode.REMOVED_FULL, SYS_B, KERNEL,
-                                taus, tol=1e-30)
-        assert removed.diagnostics["order"].tolist() == [32] + [16] * 11
+        for mode in (SurvivalMode.FULL, SurvivalMode.REMOVED_FULL):
+            asked.clear()
+            with mock.patch.object(survival_module, "_panel_sums",
+                                   recording):
+                res = survival_prob(mode, SYS_B, KERNEL, taus, tol=1e-30)
+            assert not any(isinstance(exc, QuadratureError)
+                           for _, exc in res.errors)
+            assert asked[0] and not any(asked[1:]) and len(asked) <= 4
+            assert res.diagnostics["order"].max() <= 7 * 15
 
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_short_interval_stops_below_order_64(self, mode):
+    def test_short_interval_takes_one_sub_panel(self, mode):
         bath = DiscreteBath(((0.5, 0.1), (1.0, 0.2), (2.0, 0.25),
                              (3.0, 0.3), (4.5, 0.3), (6.0, 0.2)))
         res = survival_prob(mode, SystemParams(1.0, 0.1),
                             BathKernel(bath, None), 0.05)
-        assert res.diagnostics["order"] < 64
+        assert res.diagnostics["order"] == 15
 
 
 # A T = 0, a finite-T, a discrete and a B = 0 kernel
@@ -448,7 +449,9 @@ class TestTwoDimensionalReference:
 class TestDerivedQuantities:
     def test_diagnostics_present(self):
         res = survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, 1.0)
-        assert res.diagnostics["order"] >= 64
+        # a node count 15 (2 p - 1) of p > 1 accepted sub-panels
+        order = res.diagnostics["order"][0]
+        assert order % 30 == 15 and order > 15
         assert res.diagnostics["quad_error"] < 1e-8
 
     @pytest.mark.parametrize("mode", ALL_MODES)
@@ -465,9 +468,9 @@ class TestDerivedQuantities:
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_one_kernel_evaluation_per_node(mode, name):
     """Every mode samples the kernel at the quadrature nodes alone: for
-    one tau (one panel) the times passed to phi_parts sum to the orders of
-    the doubling schedule 8, 16, ..., order, plus the one Ctil(0) of a
-    removed mode."""
+    one tau (one interval) the times passed to phi_parts sum to its node
+    count, 15 for each of its 1 + 2 b sub-panels after b bisections, plus
+    the one Ctil(0) of a removed mode."""
     kernel = _REFERENCE_KERNELS[name]
     times = []
     real = BathKernel.phi_parts
@@ -478,7 +481,8 @@ def test_one_kernel_evaluation_per_node(mode, name):
 
     with mock.patch.object(BathKernel, "phi_parts", counting):
         res = survival_prob(mode, SYS_B, kernel, 2.0)
-    nodes = 2 * res.diagnostics["order"] - 8    # 8 + 16 + ... + order
+    nodes = res.diagnostics["order"][0]
+    assert nodes % 30 == 15
     assert sum(times) == nodes + (1 if mode.removed else 0)
 
 
@@ -503,7 +507,8 @@ class TestCurvePath:
         res = survival_prob(SurvivalMode.FULL, SYS_A, KERNEL, taus)
         assert res.s.shape == res.gamma.shape == taus.shape
         assert res.errors == ()
-        assert np.all(res.diagnostics["order"] >= 16)
+        # each point's interval takes K15 on 1 + 2 b sub-panels
+        assert np.all(res.diagnostics["order"] % 30 == 15)
         # each point's bound sums over its panels
         assert np.all(np.diff(res.diagnostics["quad_error"]) >= 0.0)
 
@@ -521,11 +526,12 @@ class TestCurvePath:
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_unconverged_panel_gaps_it_and_every_later_point(self, mode):
-        # with orders 8 and 16 only, the short panels converge and the
-        # long panel [0.15, 8] does not: its point and the later 8.5 are
-        # gaps with its one error, whatever the order of the grid
+        # with two sub-panels per interval at most, the short intervals
+        # converge and the long one [0.15, 8] does not: its point and the
+        # later 8.5 are gaps with its one error, whatever the order of
+        # the grid
         taus = [8.5, 0.1, 0.05, 8.0, 0.15]
-        with mock.patch.object(survival_module, "MAX_ORDER", 16):
+        with mock.patch.object(survival_module, "LIMIT", 2):
             curve = sample_curve(mode, SYS_B, KERNEL, taus)
         assert np.all(np.isfinite(curve.gamma[[1, 2, 4]]))
         assert np.all(np.isnan(curve.s[[0, 3]]))
@@ -534,10 +540,11 @@ class TestCurvePath:
         assert isinstance(exc, QuadratureError)
 
     def test_survival_prob_names_its_gaps(self):
-        # on a sorted grid: the long panel [0.15, 8] fails at order 16 for
-        # its point and the later 8.5, and a small-delta s below 0 is out of
-        # regime, with the text the CSV's error column shows
-        with mock.patch.object(survival_module, "MAX_ORDER", 16):
+        # on a sorted grid: the long interval [0.15, 8] fails beyond two
+        # sub-panels for its point and the later 8.5, and a small-delta s
+        # below 0 is out of regime, with the text the CSV's error column
+        # shows
+        with mock.patch.object(survival_module, "LIMIT", 2):
             res = survival_prob(SurvivalMode.FULL, SYS_B, KERNEL,
                                 [0.05, 0.1, 0.15, 8.0, 8.5])
         (i, exc), (k, same) = res.errors
@@ -551,23 +558,27 @@ class TestCurvePath:
             assert str(exc) == f"survival {res.s[i]:.6g} out of regime"
 
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_a_curve_calls_the_kernel_once_per_order(self, mode):
-        # 40 points take one kernel call per doubling level, plus Ctil(0)
-        # for a removed mode: not one or more calls per point
+    def test_a_curve_calls_the_kernel_once_per_level(self, mode):
+        # 40 points take one kernel call per bisection level, plus
+        # Ctil(0) for a removed mode: not one or more calls per point
         taus = tau_grid(0.05, 3.0, 40)
-        calls = []
-        real = BathKernel.phi_parts
+        calls, levels = [], []
+        real, real_sums = BathKernel.phi_parts, survival_module._panel_sums
 
         def counting(self, t):
             calls.append(np.size(t))
             return real(self, t)
 
-        with mock.patch.object(BathKernel, "phi_parts", counting):
+        def level(f, lo, width, **kw):
+            levels.append(lo.size)
+            return real_sums(f, lo, width, **kw)
+
+        with mock.patch.object(BathKernel, "phi_parts", counting), \
+                mock.patch.object(survival_module, "_panel_sums", level):
             curve = sample_curve(mode, SYS_B, KERNEL, taus)
         assert np.all(np.isfinite(curve.s))
-        order = survival_prob(mode, SYS_B, KERNEL, taus).diagnostics["order"]
-        levels = int(np.log2(order.max() // 8)) + 1
-        assert len(calls) <= levels + 1
+        assert levels[0] == 40 and len(levels) <= 4
+        assert len(calls) == len(levels) + (1 if mode.removed else 0)
 
     def test_error_before_the_quadrature_gaps_every_point(self):
         # epsilon = 0 has no small-delta reduction
