@@ -3,7 +3,7 @@ measured spin-boson system, computed with a polaron-frame second-order
 perturbative method plus an exact-evolution validation oracle (matrix-free
 Chebyshev propagation on a truncated Fock space)."""
 
-from .bath import BathKernel, DiscreteBath, KernelTable, SpectralDensity
+from .bath import BathKernel, DiscreteBath, SpectralDensity
 from .config import RunConfig, apply_sweep, parse_config
 from .tables import ResultTable, emit_csv, emit_json
 from .errors import (ConfigError, DegenerateSystemError, DimensionBudgetError,

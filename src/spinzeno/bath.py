@@ -5,11 +5,12 @@ The kernel exponent is split as phi(t) = phi_R(t) - i*phi_I(t) with
     phi_R(t) = int_0^inf dw J(w)/w^2 cos(w t) coth(beta w / 2)
     phi_I(t) = int_0^inf dw J(w)/w^2 sin(w t)
 
-A decoupled bath (G = 0) has phi = 0 and B = 1 for every s.  For
-coupled Ohmic and sub-Ohmic environments phi_R diverges at t = 0: phi_r0()
-is then +inf, so the coherence factor B = exp(-phi_R(0)/2) is exactly 0
-by plain arithmetic.  The combinations that enter downstream formulas
-stay finite, so the kernel always exposes
+A decoupled bath (G = 0) has phi = 0 and B = 1 for every s.  For G > 0,
+phi_R(0) diverges at s <= 1 at zero temperature and at s <= 2 at finite
+temperature; phi_r0() alone decides this and is then +inf, so the
+coherence factor B = exp(-phi_R(0)/2) is exactly 0 by plain arithmetic.
+The combinations that enter downstream formulas stay finite, so the
+kernel always exposes
 
     psi(t)   = phi_R(0) - phi_R(t)        (convergent for every s > 0)
     phi_I(t)
@@ -193,20 +194,19 @@ class BathKernel:
         if not 0.0 < self.tol < math.inf:
             raise DomainError("kernel tol must be finite and positive")
 
-    # -- divergence bookkeeping -------------------------------------------
+    # -- divergence and frequency scale ---------------------------------
 
     @property
     def divergent(self):
-        """True when the phi_R(0) integral diverges (so B = 0).
+        """True when the phi_R(0) integral diverges, so B = 0 (see phi_r0)."""
+        return self.phi_r0() == math.inf
 
-        Detected symbolically from (s, beta): s <= 1 at zero temperature,
-        s <= 2 at finite temperature, for G > 0; G = 0 makes J, and so
-        phi, vanish for every s.  Discrete baths are finite sums.
-        """
-        if isinstance(self.source, DiscreteBath):
-            return False
-        limit = 1.0 if self.beta is None else 2.0
-        return self.source.G > 0.0 and self.source.s <= limit
+    @property
+    def omega_scale(self):
+        """omega_c, or the top mode frequency of a discrete bath."""
+        src = self.source
+        return float(src.omegas[-1]) if isinstance(src, DiscreteBath) \
+            else src.omega_c
 
     def _coth(self, omega):
         # tanh keeps full relative accuracy at small arguments
@@ -329,15 +329,16 @@ class BathKernel:
     # -- kernel pieces ------------------------------------------------------
 
     def phi_r0(self):
-        """phi_R(0); +inf where the integral diverges (see `divergent`)."""
+        """phi_R(0); +inf where the integral diverges (B = 0), decided
+        here only: G > 0 with s <= 1 at T = 0 or s <= 2 at finite T."""
         if "phi_r0" not in self._cache:
-            if self.divergent:
-                val = math.inf
-            elif isinstance(self.source, DiscreteBath):
+            if isinstance(self.source, DiscreteBath):
                 a2 = self.source.alphas ** 2
                 val = float(np.sum(a2 * self._coth(self.source.omegas)))
             elif self.source.G == 0.0:
                 val = 0.0
+            elif self.source.s <= (1.0 if self.beta is None else 2.0):
+                val = math.inf
             elif self.beta is None:
                 val = self.source.G * math.gamma(self.source.s - 1.0)
             else:
@@ -371,8 +372,7 @@ class BathKernel:
             psi, phi_i = self._zero_temperature_parts(ta)
         else:
             psi, phi_i = self._thermal_parts(ta)
-        return psi[()] if np.ndim(psi) == 0 else psi, \
-            (sign * phi_i)[()] if np.ndim(phi_i) == 0 else sign * phi_i
+        return psi[()], (sign * phi_i)[()]
 
     # -- stable correlation combinations ------------------------------------
 
@@ -406,12 +406,9 @@ class BathKernel:
         key = ("table", float(t_max), points)
         if key in self._cache:
             return self._cache[key]
-        if isinstance(self.source, DiscreteBath):
-            scale = float(self.source.omegas.max())
-        else:
-            scale = self.source.omega_c
         if points is None:
-            points = int(min(6000, max(800, 60.0 * scale * t_max)))
+            points = int(min(6000,
+                             max(800, 60.0 * self.omega_scale * t_max)))
         # quadratic grading: curvature of the kernel concentrates near t=0
         u = np.linspace(0.0, 1.0, points + 1)
         grid = t_max * u ** 2

@@ -53,15 +53,20 @@ def _load(config_path):
 def _kernel(cfg, system, source, cell=""):
     """The cell's shared kernel and validity value; notes B = 0 and warns
     when the validity is large, naming the sweep cell (`cell`, e.g.
-    "[g = 1.5] ")."""
+    "[g = 1.5] ").  A kernel that fails here gives NaN validity."""
     kernel = BathKernel(source, cfg.beta, tol=cfg.kernel_tol)
-    # at finite T, s <= 1 makes phi_I diverge too: every point is a gap
-    if kernel.divergent and (cfg.beta is None or source.s > 1.0):
+    try:
+        # at finite T, s <= 1 makes phi_I diverge too: every point is a gap
+        noted = kernel.divergent and (cfg.beta is None or source.s > 1.0)
+        v = validity_value(system, kernel)
+    except SpinZenoError:
+        # survival_prob meets the same error and makes the cell's gap rows
+        noted, v = False, math.nan
+    if noted:
         bath = "is Ohmic/sub-Ohmic" if cfg.beta is None \
             else "has s <= 2 at finite temperature"
         click.echo(f"note: {cell}bath {bath} (B = 0), so the full mode "
                    "coincides with the small-delta mode", err=True)
-    v = validity_value(system, kernel)
     if v >= VALIDITY_WARN_THRESHOLD:
         click.echo(f"warning: {cell}validity metric {v:.3g} >= "
                    f"{VALIDITY_WARN_THRESHOLD}; results may be out of the "

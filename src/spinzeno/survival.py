@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import DiscreteBath
 from .errors import (DomainError, NonFiniteIntegrandError, OutOfRegimeError,
                      QuadratureError, SpinZenoError)
 from .polaron import renormalize, rot_coeffs
@@ -115,11 +114,9 @@ class DecayCurve:
 
 
 def validity_value(sys, kernel):
-    """(delta/omega_c)^2 (1 - B^4); omega_c of a discrete bath is its top
-    mode frequency."""
-    src, b = kernel.source, kernel.coherence_b()
-    w_c = src.omegas.max() if isinstance(src, DiscreteBath) else src.omega_c
-    return (sys.delta / float(w_c)) ** 2 * (1.0 - b ** 4)
+    """(delta/omega_c)^2 (1 - B^4), omega_c being `kernel.omega_scale`."""
+    b = kernel.coherence_b()
+    return (sys.delta / kernel.omega_scale) ** 2 * (1.0 - b ** 4)
 
 
 def _corr_combos(kernel, x):
@@ -356,8 +353,8 @@ def integrate_triangle(f, taus, coeffs, tol=TOL):
     width = taus - lo
     a_abs = np.abs(coeffs)
     a_max = np.maximum.accumulate(a_abs[::-1])[::-1]
-    # tau_max = 0 only when every width is 0
-    rate = tol / (taus[-1] or 1.0)
+    # tau_max = 0 only when every width is 0, or the grid is empty
+    rate = tol / (taus.max(initial=0.0) or 1.0)
     floor = None
     moments = np.zeros(coeffs.shape, dtype=complex)
     changes = np.zeros(coeffs.shape)

@@ -326,6 +326,28 @@ class TestDivergenceDetection:
             psi, phi_i = kern.phi_parts(np.array([0.0, 0.5, 3.0]))
         assert np.all(psi == 0.0) and np.all(phi_i == 0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["discrete", "decoupled", "zero_t",
+                                 "finite_t"]),
+           s=st.floats(0.05, 8.0), G=st.floats(0.0, 5.0),
+           omega_c=st.floats(0.1, 10.0), beta=st.floats(0.1, 10.0))
+    @example(kind="zero_t", s=1.0, G=1.0, omega_c=1.0, beta=1.0)
+    @example(kind="finite_t", s=2.0, G=1.0, omega_c=1.0, beta=1.0)
+    @example(kind="finite_t", s=2.0 + 1e-12, G=1.0, omega_c=1.0, beta=1.0)
+    def test_divergent_is_phi_r0_inf_is_the_symbolic_rule(self, kind, s, G,
+                                                          omega_c, beta):
+        # G is bounded so that a finite phi_R(0) cannot overflow to +inf
+        if kind == "discrete":
+            source = DiscreteBath(((omega_c, G), (2.0 * omega_c, G)))
+        else:
+            source = SpectralDensity(G=0.0 if kind == "decoupled" else G,
+                                     s=s, omega_c=omega_c)
+        beta = None if kind == "zero_t" else beta
+        symbolic = kind != "discrete" and source.G > 0.0 \
+            and source.s <= (1.0 if beta is None else 2.0)
+        kern = BathKernel(source, beta)
+        assert kern.divergent == (kern.phi_r0() == math.inf) == symbolic
+
 
 class TestScaledExponentials:
     def test_bounded_and_consistent(self):

@@ -570,6 +570,28 @@ modes = small_delta
         assert rows[0] == list(COLUMNS) and len(rows) > 1
         assert all(len(r) == 8 and r[-1] == str(exc.value) for r in rows[1:])
 
+    def test_sweep_keeps_cells_beside_a_failed_kernel(self, tmp_path):
+        # the s = 3 cell's phi_R(0) needs a thermal sum that cannot reach
+        # kernel_tol: that cell is gap rows with a NaN validity, and the
+        # s = 150 cell's rows are those of a run of it alone
+        cfg = tmp_path / "c.ini"
+        results = {}
+        for values in ("150 3", "150", "3"):
+            cfg.write_text("[system]\nepsilon = 1.0\ndelta = 0.2\n"
+                           "beta = 2.0\n[bath]\ng = 0.5\nomega_c = 3.0\n"
+                           "[run]\n" + _SMALL_RUN + "kernel_tol = 1e-300\n"
+                           f"sweep = s: {values}\n")
+            results[values] = self.run("sweep", "--config", str(cfg))
+        assert results["150 3"].exit_code == results["150"].exit_code == 0
+        assert results["3"].exit_code == 4
+        rows = _data_rows(results["150 3"].stdout)
+        assert [r for r in rows if r["sweep"] == "150"] == \
+            _data_rows(results["150"].stdout)
+        gaps = [r for r in rows if r["sweep"] == "3"]
+        assert len(gaps) == 3
+        assert all(r["gamma"] == r["s"] == r["validity"] == "nan"
+                   and "thermal sum terms" in r["error"] for r in gaps)
+
     def test_compute_divergent_kernel_is_a_gap_row(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[system]\nepsilon = 1.0\ndelta = 0.2\nbeta = 2.0\n"
@@ -817,7 +839,7 @@ _DISCRETE = MINIMAL.replace("g = 1.0\nomega_c = 10.0",
                             "modes = 1.0:0.2 3.0:0.3")
 
 # (golden name, subcommand, config) with at most five tau points each; the
-# finite-T two-mode compare pins the kernel table that its modes share
+# finite-T two-mode compare pins the thermal-sum kernel its modes share
 GOLDEN_CASES = [
     ("compute", "compute",
      MINIMAL + "tau = 0.7\n"

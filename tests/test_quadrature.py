@@ -86,6 +86,13 @@ class TestTriangle:
         val, err, _, _, failed = rule(lambda x: x, 0.0)
         assert val[0] == 0.0 and err[0] == 0.0 and failed is None
 
+    def test_empty_grid_gives_empty_results(self):
+        # no interval, so f is never called
+        calls = []
+        val, err, order, nodes, failed = rule(lambda x: x, [], calls)
+        assert val.size == err.size == nodes.size == 0
+        assert (order, failed, calls) == (0, None, [])
+
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             rule(lambda x: x, -1.0)
