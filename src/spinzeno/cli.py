@@ -51,27 +51,27 @@ def _load(config_path):
 
 
 def _kernel(cfg, system, source, cell=""):
-    """The cell's shared kernel and validity value; notes B = 0 and warns
-    when the validity is large, naming the sweep cell (`cell`, e.g.
-    "[g = 1.5] ").  A kernel that fails here gives NaN validity."""
+    """The cell's shared kernel, its validity value and its stderr lines:
+    a note when B = 0 and a warning when the validity is large, each
+    naming the sweep cell (`cell`, e.g. "[g = 1.5] ").  A kernel that
+    fails here gives NaN validity and no lines."""
     kernel = BathKernel(source, cfg.beta, tol=cfg.kernel_tol)
     try:
-        # at finite T, s <= 1 makes phi_I diverge too: every point is a gap
-        noted = kernel.divergent and (cfg.beta is None or source.s > 1.0)
-        v = validity_value(system, kernel)
+        divergent, v = kernel.divergent, validity_value(system, kernel)
     except SpinZenoError:
         # survival_prob meets the same error and makes the cell's gap rows
-        noted, v = False, math.nan
-    if noted:
+        return kernel, math.nan, []
+    lines = []
+    if divergent:
         bath = "is Ohmic/sub-Ohmic" if cfg.beta is None \
             else "has s <= 2 at finite temperature"
-        click.echo(f"note: {cell}bath {bath} (B = 0), so the full mode "
-                   "coincides with the small-delta mode", err=True)
+        lines.append(f"note: {cell}bath {bath} (B = 0), so the full mode "
+                     "coincides with the small-delta mode")
     if v >= VALIDITY_WARN_THRESHOLD:
-        click.echo(f"warning: {cell}validity metric {v:.3g} >= "
-                   f"{VALIDITY_WARN_THRESHOLD}; results may be out of the "
-                   "method's regime", err=True)
-    return kernel, v
+        lines.append(f"warning: {cell}validity metric {v:.3g} >= "
+                     f"{VALIDITY_WARN_THRESHOLD}; results may be out of the "
+                     "method's regime")
+    return kernel, v, lines
 
 
 def _row(mode, tau, gamma, s, validity, sweep=None, regime="", error=""):
@@ -94,9 +94,13 @@ def _curves(cfg, meta, point=False, sweep=False, compare=False):
     rows = []
     for value, system, source in cells:
         cell = f"[{cfg.sweep_key} = {value:.12g}] " if sweep else ""
-        kernel, validity = _kernel(cfg, system, source, cell)
+        kernel, validity, lines = _kernel(cfg, system, source, cell)
         curves = [sample_curve(mode, system, kernel, taus, tol=cfg.tol)
                   for mode in cfg.modes]
+        # a cell of gap rows has no result for a line to qualify
+        if any(len(cv.errors) < len(cv.tau_grid) for cv in curves):
+            for line in lines:
+                click.echo(line, err=True)
         for cv in curves:
             labels, errors = classify(cv).labels, dict(cv.errors)
             rows += [_row(cv.mode.value, float(tau), float(cv.gamma[i]),
@@ -123,7 +127,8 @@ def _oracle_check(cfg, meta):
     if cfg.beta is not None:
         raise ConfigError("[system] oracle-check requires zero temperature")
     curve_rows = _curves(cfg, meta)
-    evo = ExactEvolution(cfg.system, TruncatedBathSpec(cfg.source, cfg.n_max))
+    evo = ExactEvolution(cfg.system, TruncatedBathSpec(cfg.source, cfg.n_max),
+                         [row["tau"] for row in curve_rows])
     rows = []
     for row in curve_rows:
         s_exact = evo.survival(row["tau"],

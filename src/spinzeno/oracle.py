@@ -6,11 +6,14 @@ theory.  Zero temperature only.
 
 No d x d matrix is formed.  The Hamiltonian is an operator
 (LabHamiltonian) on the state vector of the (2, n_max, ..., n_max) array,
-and exp(-i H dtau) is a Chebyshev series in H (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 3967, 1984) over a Gershgorin bound of its spectrum.
-Memory is O(d K); a tau step costs about (spectral half-width x dtau)
-applications of H, at O(d K) each.  The dense eigendecomposition this
-replaces is the cross-check in tests/reference/oracle.py.
+and exp(-i H tau) is a Chebyshev series in H (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81, 3967, 1984) over a Gershgorin bound of its spectrum,
+with Bessel coefficients from Miller's backward recurrence.  H and the
+initial state are real, so one real recurrence serves a whole tau grid:
+a pass costs about (spectral half-width x tau_max) applications of H, at
+O(d K) each, and memory is O(d (K + CHUNK + number of taus)).  The dense
+eigendecomposition this replaces is the cross-check in
+tests/reference/oracle.py.
 """
 
 import math
@@ -25,7 +28,8 @@ from .polaron import SIGMA_X, SIGMA_Z
 
 DEFAULT_DIM_BUDGET = 4096
 TRUNCATION_TOL = 1e-6  # largest weight a truncated coherent state may lose
-CHEBYSHEV_TOL = 1e-16  # series tail cut, unless the FFT's noise is higher
+CHEBYSHEV_TOL = 1e-16  # series tail cut
+CHUNK = 32            # Chebyshev vectors stored per accumulation product
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,8 @@ class LabHamiltonian:
     """
 
     def __init__(self, diag, hops):
-        # complex weights spare NumPy a real-to-complex cast per product
-        self.diag = diag.astype(complex)
-        self.hops = [(s, w.astype(complex)) for s, w in hops]
+        self.diag = diag
+        self.hops = hops
         self.shape = (diag.size, diag.size)
 
     @classmethod
@@ -145,11 +148,11 @@ class LabHamiltonian:
         for s, w in self.hops:
             radius[s:] += np.abs(w)
             radius[:-s] += np.abs(w)
-        return (float(np.min(self.diag.real - radius)),
-                float(np.max(self.diag.real + radius)))
+        return (float(np.min(self.diag - radius)),
+                float(np.max(self.diag + radius)))
 
     def __matmul__(self, v):
-        """H v for an array of d entries, returned in the shape of v."""
+        """H v for a real or complex array of d entries, in v's shape."""
         psi = np.asarray(v).reshape(-1)
         out = self.diag * psi
         for s, w in self.hops:
@@ -162,19 +165,27 @@ class LabHamiltonian:
 def _chebyshev_coefficients(x):
     """a_k with exp(-i x cos t) = sum_k a_k T_k(cos t) for real x.
 
-    The a_k = 2 (-i)^k J_k(x) (a_0 halved) are the Fourier coefficients
-    of exp(-i x cos t), taken from an FFT on n points.  |J_k(x)| < 1e-40
-    for k >= 2|x| + 48, so with n >= 4 (2|x| + 48) the upper half of the
-    first n/2 coefficients is rounding noise alone.  The series stops
-    after the last |a_k| above CHEBYSHEV_TOL or twice that noise.  The
-    result is cached and read-only: a uniform tau grid repeats one x.
+    a_k = 2 (-i)^k J_k(x), a_0 halved, with J_k(-x) = (-1)^k J_k(x).
+    The J_k(|x|) come from Miller's backward recurrence
+    J_{k-1} = (2k/|x|) J_k - J_{k+1}, started at m = 2(floor|x| + 30),
+    where J_m < 1e-40, and normalized by J_0 + 2 sum_k J_2k = 1.  It is
+    carried as the ratios r_k = J_k / J_{k-1} = |x| / (2k - |x| r_{k+1}),
+    which cannot overflow at small |x|.  The series stops after the last
+    |a_k| above CHEBYSHEV_TOL.  The result is cached, for an evolution
+    with the same spectrum and grid, and read-only, since it is shared.
     """
-    n = 1 << math.ceil(math.log2(8.0 * abs(x) + 192.0))
-    t = 2.0 * np.pi * np.arange(n) / n
-    a = np.fft.fft(np.exp(-1j * x * np.cos(t)))[:n // 2] / n
-    a[1:] *= 2.0
-    noise = np.max(np.abs(a[n // 4:]))
-    big = np.flatnonzero(np.abs(a) > max(CHEBYSHEV_TOL, 2.0 * noise))
+    ax, m = abs(x), 2 * (math.floor(abs(x)) + 30)
+    r = [1.0] + [0.0] * (m + 1)     # r[k] = J_k / J_{k-1}; J_{m+1} = 0
+    for k in range(m, 0, -1):
+        r[k] = ax / (2.0 * k - ax * r[k + 1])
+    j = np.cumprod(r[:-1])           # J_k / J_0 for k = 0..m
+    j /= 2.0 * np.sum(j[::2]) - 1.0
+    k = np.arange(m + 1)
+    a = 2.0 * j * np.array([1.0, -1j, -1.0, 1j])[k % 4]
+    if x < 0.0:
+        a = a.conj()
+    a[0] *= 0.5
+    big = np.flatnonzero(np.abs(a) > CHEBYSHEV_TOL)
     a = a[:max(int(big[-1]) + 1, 2)]
     a.flags.writeable = False
     return a
@@ -183,52 +194,73 @@ def _chebyshev_coefficients(x):
 class ExactEvolution:
     """State-vector propagation of |up> x polaron vacuum in the lab frame.
 
-    Each tau steps from the latest cached state at tau' <= tau with the
-    Chebyshev series of exp(-i H (tau - tau')) and is cached in turn, so
-    the modes of one run share a single pass along the tau grid.
+    psi(tau) = e^{-i c tau} sum_k a_k(r tau) T_k((H - c)/r) psi0, with c
+    and r the centre and half-width of the Gershgorin interval.  H and
+    psi0 are real, so the vectors T_k((H - c)/r) psi0 are real: one real
+    three-term recurrence, as long as the longest series among the taus,
+    serves the whole grid.  Each chunk of CHUNK vectors enters every
+    psi(tau) through one real matrix product, with the real and
+    imaginary parts of the coefficients stacked.  `taus` is the run's
+    grid; a tau off it is propagated as a one-point grid when asked for.
     """
 
-    def __init__(self, sys, spec):
+    def __init__(self, sys, spec, taus=()):
         self.h = LabHamiltonian.build(sys, spec)
         lo, hi = self.h.spectral_bounds()
         self._center = 0.5 * (hi + lo)
         self._radius = 0.5 * (hi - lo) or 1.0   # H = center * I if zero
         self._h2 = self.h.affine(self._center, 0.5 * self._radius)
-        psi0 = initial_vector_lab(spec).astype(complex)
-        self._states = {0.0: psi0}    # tau -> psi(tau)
+        self._psi0 = initial_vector_lab(spec)
+        self._states = {}             # tau -> psi(tau)
         h_s = 0.5 * sys.epsilon * SIGMA_Z + 0.5 * sys.delta * SIGMA_X
         self._hs_evals, self._hs_evecs = np.linalg.eigh(h_s)
+        self._propagate(taus)
 
-    def _step(self, psi, dtau):
-        """exp(-i H dtau) psi by the three-term Chebyshev recurrence."""
-        a = _chebyshev_coefficients(self._radius * dtau)
-        prev, cur = psi, 0.5 * (self._h2 @ psi)   # T_0, T_1 of (H - c)/r
-        out = a[0] * prev + a[1] * cur
-        for ak in a[2:]:
+    def _chebyshev_vectors(self):
+        """T_k((H - c)/r) psi0 for k = 0, 1, ... (real vectors)."""
+        prev, cur = self._psi0, 0.5 * (self._h2 @ self._psi0)
+        yield prev
+        while True:
+            yield cur
             nxt = self._h2 @ cur
             nxt -= prev
             prev, cur = cur, nxt
-            out += ak * cur
-        out *= np.exp(-1j * self._center * dtau)
-        return out
 
-    def _propagate(self, tau):
-        if not 0.0 <= tau < math.inf:
+    def _propagate(self, taus):
+        """Cache psi(tau) for every new tau in `taus`, in one pass."""
+        taus = set(taus)
+        if not all(0.0 <= tau < math.inf for tau in taus):
             raise DomainError("tau must be finite and nonnegative")
-        psi = self._states.get(tau)
-        if psi is None:
-            start = max(t for t in self._states if t <= tau)
-            psi = self._states[tau] = self._step(self._states[start],
-                                                 tau - start)
-        return psi
+        new = sorted(taus - self._states.keys())
+        coeffs = [_chebyshev_coefficients(self._radius * tau) for tau in new]
+        m, n = len(new), max((a.size for a in coeffs), default=0)
+        c = np.zeros((2 * m, n))      # real parts, then imaginary parts
+        for i, a in enumerate(coeffs):
+            c[i, :a.size], c[m + i, :a.size] = a.real, a.imag
+        acc = np.zeros((2 * m, self._psi0.size))
+        vectors = self._chebyshev_vectors()
+        block = np.empty((min(CHUNK, n), self._psi0.size))
+        for k in range(0, n, CHUNK):
+            rows = block[:min(CHUNK, n - k)]
+            for row, v in zip(rows, vectors):
+                row[:] = v
+            acc += c[:, k:k + len(rows)] @ rows
+        for i, tau in enumerate(new):
+            self._states[tau] = (acc[i] + 1j * acc[m + i]) \
+                * np.exp(-1j * self._center * tau)
+
+    def _psi(self, tau):
+        if tau not in self._states:
+            self._propagate((tau,))
+        return self._states[tau]
 
     def state(self, tau):
         """psi(tau) as a complex (2, dim_b) array: spin index first."""
-        return self._propagate(tau).reshape(2, -1).copy()
+        return self._psi(tau).reshape(2, -1).copy()
 
     def survival(self, tau, removed=False):
         """Up-spin probability at tau; `removed` first undoes U_S(tau)."""
-        psi = self._propagate(tau).reshape(2, -1)
+        psi = self._psi(tau).reshape(2, -1)
         if removed:
             phase = np.exp(1j * self._hs_evals * tau)
             u_s_dag = (self._hs_evecs * phase) @ self._hs_evecs.conj().T

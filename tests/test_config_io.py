@@ -592,6 +592,22 @@ modes = small_delta
         assert all(r["gamma"] == r["s"] == r["validity"] == "nan"
                    and "thermal sum terms" in r["error"] for r in gaps)
 
+    def test_no_note_over_a_cell_of_gap_rows(self, tmp_path):
+        # the s = 1.5 cell has B = 0 at finite T, but its psi needs a
+        # thermal sum that cannot reach kernel_tol: every row is a gap, so
+        # no note says that its full and small-delta modes agree
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[system]\nepsilon = 1.0\ndelta = 0.2\nbeta = 2.0\n"
+                       "[bath]\ng = 0.5\nomega_c = 3.0\n"
+                       "[run]\n" + _SMALL_RUN + "kernel_tol = 1e-300\n"
+                       "sweep = s: 150 1.5\n")
+        result = self.run("sweep", "--config", str(cfg))
+        assert result.exit_code == 0, result.stderr
+        gaps = [r for r in _data_rows(result.stdout) if r["sweep"] == "1.5"]
+        assert len(gaps) == 3
+        assert all("thermal sum terms" in r["error"] for r in gaps)
+        assert result.stderr == ""
+
     def test_compute_divergent_kernel_is_a_gap_row(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[system]\nepsilon = 1.0\ndelta = 0.2\nbeta = 2.0\n"

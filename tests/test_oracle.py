@@ -2,6 +2,7 @@
 with the dense reference in tests/reference/oracle.py."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,13 +14,16 @@ from spinzeno import (BathKernel, DiscreteBath, ExactEvolution,
                       LabHamiltonian, SpectralDensity, SurvivalMode,
                       SystemParams, TruncatedBathSpec, discretize_bath,
                       initial_vector_lab, survival_prob)
+from spinzeno.config import parse_config
 from spinzeno.errors import (DimensionBudgetError, DomainError,
                              TruncationError)
 from spinzeno.oracle import _chebyshev_coefficients, _coherent_vector
 from spinzeno.polaron import SIGMA_X, SIGMA_Z
+from spinzeno.regimes import tau_grid
 
 TWO_MODE = DiscreteBath(((1.0, 0.2), (3.0, 0.3)))
 THREE_MODE = DiscreteBath(((1.0, 0.2), (2.0, 0.25), (3.0, 0.3)))
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def initial_state_lab(spec):
@@ -131,7 +135,8 @@ class TestHamiltonian:
 
 
 class TestChebyshevCoefficients:
-    @pytest.mark.parametrize("x", [0.0, 0.5, 7.3, -20.0, 400.0])
+    @pytest.mark.parametrize("x", [0.0, 1e-8, 0.5, 7.3, -20.0, 93.5, 400.0,
+                                   2000.0])
     def test_coefficients_are_bessel(self, x):
         # exp(-i x cos t) = J_0(x) + 2 sum_k (-i)^k J_k(x) cos(k t)
         a = _chebyshev_coefficients(x)
@@ -223,6 +228,9 @@ class TestExactEvolution:
         for removed in (False, True):
             with pytest.raises(DomainError):
                 evo.survival(tau, removed)
+        with pytest.raises(DomainError):
+            ExactEvolution(SystemParams(1.0, 0.3),
+                           TruncatedBathSpec(TWO_MODE, 4), [0.5, tau])
 
     def test_cache_order_does_not_matter(self):
         sys = SystemParams(1.0, 0.3)
@@ -297,3 +305,47 @@ class TestExactEvolution:
             s_p = survival_prob(SurvivalMode.REMOVED_FULL, sys, kern,
                                 float(tau)).s
             assert abs(s_p - evo.survival(float(tau), removed=True)) < 1e-6
+
+
+class TestGridPass:
+    """One Chebyshev pass serves the whole tau grid given at construction."""
+
+    SYS = SystemParams(1.0, 0.3)
+    SPEC = TruncatedBathSpec(TWO_MODE, 6)
+
+    def test_grid_states_equal_one_point_states(self):
+        taus = list(np.linspace(0.25, 5.0, 20))
+        grid = ExactEvolution(self.SYS, self.SPEC, taus)
+        for tau in taus:
+            one = ExactEvolution(self.SYS, self.SPEC).state(tau)
+            assert np.max(np.abs(grid.state(tau) - one)) < 1e-13
+
+    def test_repeated_tau_and_tau_zero(self):
+        evo = ExactEvolution(self.SYS, self.SPEC, [0.0, 2.6, 2.6, 0.0, 1.1])
+        psi0 = initial_vector_lab(self.SPEC).reshape(2, -1)
+        assert np.array_equal(evo.state(0.0), psi0)
+        assert evo.survival(0.0) == 1.0
+        one = ExactEvolution(self.SYS, self.SPEC)
+        for tau in (2.6, 1.1):
+            assert np.max(np.abs(evo.state(tau) - one.state(tau))) < 1e-13
+
+    def test_off_grid_tau_after_a_grid_pass(self):
+        evo = ExactEvolution(self.SYS, self.SPEC, [0.5, 1.0, 1.5])
+        on_grid = evo.state(1.0)
+        for tau in (0.75, 4.0):
+            want = ExactEvolution(self.SYS, self.SPEC).state(tau)
+            assert np.max(np.abs(evo.state(tau) - want)) < 1e-13
+        # an off-grid request leaves the grid's states as they were
+        assert np.array_equal(evo.state(1.0), on_grid)
+
+    def test_shipped_oracle_grid_matches_dense_reference(self):
+        cfg = parse_config((REPO / "configs" / "oracle.ini").read_text())
+        spec = TruncatedBathSpec(cfg.source, cfg.n_max)
+        taus = tau_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points, cfg.spacing)
+        evo = ExactEvolution(cfg.system, spec, taus)
+        dense = DenseEvolution(cfg.system, spec)
+        for tau in taus:
+            for removed in (False, True):
+                assert abs(evo.survival(tau, removed)
+                           - dense.survival(tau, removed)) < 1e-10
+            assert np.max(np.abs(evo.state(tau) - dense.state(tau))) < 1e-10
