@@ -395,7 +395,7 @@ class BathKernel:
     # -- tabulation (kept for the benchmark tracer) ---------------------------
 
     def tabulate(self, t_max, points=None):
-        """Build (or fetch) spline tables of psi and phi_I on [0, t_max].
+        """Build spline tables of psi and phi_I on [0, t_max].
 
         No CLI path calls this; it stays because perfbench/tracer.py wraps
         it (see KernelTable).  It imports SciPy, which only the `test`
@@ -403,9 +403,6 @@ class BathKernel:
         """
         from scipy.interpolate import CubicSpline
 
-        key = ("table", float(t_max), points)
-        if key in self._cache:
-            return self._cache[key]
         if points is None:
             points = int(min(6000,
                              max(800, 60.0 * self.omega_scale * t_max)))
@@ -420,8 +417,6 @@ class BathKernel:
             psi_vals[lo:lo + chunk], phi_i_vals[lo:lo + chunk] = self.phi_parts(sel)
         psi_vals[0] = 0.0
         phi_i_vals[0] = 0.0
-        table = KernelTable(CubicSpline(grid, psi_vals),
-                            CubicSpline(grid, phi_i_vals),
-                            t_max, self.phi_r0(), self.coherence_b())
-        self._cache[key] = table
-        return table
+        return KernelTable(CubicSpline(grid, psi_vals),
+                           CubicSpline(grid, phi_i_vals),
+                           t_max, self.phi_r0(), self.coherence_b())

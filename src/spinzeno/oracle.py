@@ -11,14 +11,14 @@ J. Chem. Phys. 81, 3967, 1984) over a Gershgorin bound of its spectrum,
 with Bessel coefficients from Miller's backward recurrence.  H and the
 initial state are real, so one real recurrence serves a whole tau grid:
 a pass costs about (spectral half-width x tau_max) applications of H, at
-O(d K) each, and memory is O(d (K + CHUNK + number of taus)).  The dense
-eigendecomposition this replaces is the cross-check in
-tests/reference/oracle.py.
+O(d K) each, and memory is O(d (K + CHUNK + number of taus)).  An
+evolution runs that pass once, over the grid it is built with, and holds
+the states of those taus and nothing else.  The dense eigendecomposition
+this replaces is the cross-check in tests/reference/oracle.py.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -161,34 +161,38 @@ class LabHamiltonian:
         return out.reshape(np.shape(v))
 
 
-@lru_cache(maxsize=64)
 def _chebyshev_coefficients(x):
-    """a_k with exp(-i x cos t) = sum_k a_k T_k(cos t) for real x.
+    """a_k with exp(-i x cos t) = sum_k a_k T_k(cos t) for real x >= 0.
 
-    a_k = 2 (-i)^k J_k(x), a_0 halved, with J_k(-x) = (-1)^k J_k(x).
-    The J_k(|x|) come from Miller's backward recurrence
-    J_{k-1} = (2k/|x|) J_k - J_{k+1}, started at m = 2(floor|x| + 30),
-    where J_m < 1e-40, and normalized by J_0 + 2 sum_k J_2k = 1.  It is
-    carried as the ratios r_k = J_k / J_{k-1} = |x| / (2k - |x| r_{k+1}),
-    which cannot overflow at small |x|.  The series stops after the last
-    |a_k| above CHEBYSHEV_TOL.  The result is cached, for an evolution
-    with the same spectrum and grid, and read-only, since it is shared.
+    a_k = 2 (-i)^k J_k(x), a_0 halved.  The J_k(x) come from Miller's
+    backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started at
+    m = 2(floor(x) + 30), where J_m < 1e-40, and normalized by
+    J_0 + 2 sum_k J_2k = 1.  It is carried as the ratios
+    r_k = J_k / J_{k-1} = x / (2k - x r_{k+1}), which cannot overflow at
+    small x.  The series stops after the last |a_k| above CHEBYSHEV_TOL.
     """
-    ax, m = abs(x), 2 * (math.floor(abs(x)) + 30)
+    m = 2 * (math.floor(x) + 30)
     r = [1.0] + [0.0] * (m + 1)     # r[k] = J_k / J_{k-1}; J_{m+1} = 0
     for k in range(m, 0, -1):
-        r[k] = ax / (2.0 * k - ax * r[k + 1])
+        r[k] = x / (2.0 * k - x * r[k + 1])
     j = np.cumprod(r[:-1])           # J_k / J_0 for k = 0..m
     j /= 2.0 * np.sum(j[::2]) - 1.0
     k = np.arange(m + 1)
     a = 2.0 * j * np.array([1.0, -1j, -1.0, 1j])[k % 4]
-    if x < 0.0:
-        a = a.conj()
     a[0] *= 0.5
     big = np.flatnonzero(np.abs(a) > CHEBYSHEV_TOL)
-    a = a[:max(int(big[-1]) + 1, 2)]
-    a.flags.writeable = False
-    return a
+    return a[:max(int(big[-1]) + 1, 2)]
+
+
+def _chebyshev_vectors(h2, psi0):
+    """T_k(h2 / 2) psi0 for k = 0, 1, ... (real vectors)."""
+    prev, cur = psi0, 0.5 * (h2 @ psi0)
+    yield prev
+    while True:
+        yield cur
+        nxt = h2 @ cur
+        nxt -= prev
+        prev, cur = cur, nxt
 
 
 class ExactEvolution:
@@ -201,57 +205,43 @@ class ExactEvolution:
     serves the whole grid.  Each chunk of CHUNK vectors enters every
     psi(tau) through one real matrix product, with the real and
     imaginary parts of the coefficients stacked.  `taus` is the run's
-    grid; a tau off it is propagated as a one-point grid when asked for.
+    grid, propagated once in __init__; the evolution holds the states of
+    those taus and nothing else, and a tau off it is a DomainError.
     """
 
-    def __init__(self, sys, spec, taus=()):
-        self.h = LabHamiltonian.build(sys, spec)
-        lo, hi = self.h.spectral_bounds()
-        self._center = 0.5 * (hi + lo)
-        self._radius = 0.5 * (hi - lo) or 1.0   # H = center * I if zero
-        self._h2 = self.h.affine(self._center, 0.5 * self._radius)
-        self._psi0 = initial_vector_lab(spec)
-        self._states = {}             # tau -> psi(tau)
-        h_s = 0.5 * sys.epsilon * SIGMA_Z + 0.5 * sys.delta * SIGMA_X
-        self._hs_evals, self._hs_evecs = np.linalg.eigh(h_s)
-        self._propagate(taus)
-
-    def _chebyshev_vectors(self):
-        """T_k((H - c)/r) psi0 for k = 0, 1, ... (real vectors)."""
-        prev, cur = self._psi0, 0.5 * (self._h2 @ self._psi0)
-        yield prev
-        while True:
-            yield cur
-            nxt = self._h2 @ cur
-            nxt -= prev
-            prev, cur = cur, nxt
-
-    def _propagate(self, taus):
-        """Cache psi(tau) for every new tau in `taus`, in one pass."""
+    def __init__(self, sys, spec, taus):
         taus = set(taus)
         if not all(0.0 <= tau < math.inf for tau in taus):
             raise DomainError("tau must be finite and nonnegative")
-        new = sorted(taus - self._states.keys())
-        coeffs = [_chebyshev_coefficients(self._radius * tau) for tau in new]
-        m, n = len(new), max((a.size for a in coeffs), default=0)
+        self.h = LabHamiltonian.build(sys, spec)
+        h_s = 0.5 * sys.epsilon * SIGMA_Z + 0.5 * sys.delta * SIGMA_X
+        self._hs_evals, self._hs_evecs = np.linalg.eigh(h_s)
+        self._states = self._propagate(initial_vector_lab(spec), sorted(taus))
+
+    def _propagate(self, psi0, taus):
+        """{tau: psi(tau)} for the sorted, distinct `taus`, in one pass."""
+        lo, hi = self.h.spectral_bounds()
+        center = 0.5 * (hi + lo)
+        radius = 0.5 * (hi - lo) or 1.0     # H = center * I if zero
+        coeffs = [_chebyshev_coefficients(radius * tau) for tau in taus]
+        m, n = len(taus), max((a.size for a in coeffs), default=0)
         c = np.zeros((2 * m, n))      # real parts, then imaginary parts
         for i, a in enumerate(coeffs):
             c[i, :a.size], c[m + i, :a.size] = a.real, a.imag
-        acc = np.zeros((2 * m, self._psi0.size))
-        vectors = self._chebyshev_vectors()
-        block = np.empty((min(CHUNK, n), self._psi0.size))
+        acc = np.zeros((2 * m, psi0.size))
+        vectors = _chebyshev_vectors(self.h.affine(center, 0.5 * radius), psi0)
+        block = np.empty((min(CHUNK, n), psi0.size))
         for k in range(0, n, CHUNK):
             rows = block[:min(CHUNK, n - k)]
             for row, v in zip(rows, vectors):
                 row[:] = v
             acc += c[:, k:k + len(rows)] @ rows
-        for i, tau in enumerate(new):
-            self._states[tau] = (acc[i] + 1j * acc[m + i]) \
-                * np.exp(-1j * self._center * tau)
+        return {tau: (acc[i] + 1j * acc[m + i]) * np.exp(-1j * center * tau)
+                for i, tau in enumerate(taus)}
 
     def _psi(self, tau):
         if tau not in self._states:
-            self._propagate((tau,))
+            raise DomainError(f"tau = {tau!r} is not on this evolution's grid")
         return self._states[tau]
 
     def state(self, tau):

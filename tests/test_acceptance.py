@@ -132,7 +132,7 @@ def test_criterion_07_oracle_equivalence():
 
     def max_err(delta):
         sys = SystemParams(1.0, delta)
-        evo = ExactEvolution(sys, spec)
+        evo = ExactEvolution(sys, spec, taus)
         # np.max, unlike max, keeps a NaN (a gap), which then fails below
         return np.max([abs(survival_prob(SurvivalMode.FULL, sys, kern,
                                          float(t)).s[0]

@@ -396,10 +396,6 @@ class TestKernelTable:
         assert np.max(np.abs(table.psi(t) - psi_ref)) < 1e-8
         assert np.max(np.abs(table.phi_i(t) - phi_i_ref)) < 1e-8
 
-    def test_table_is_cached(self):
-        kern = BathKernel(SUPER_OHMIC, None)
-        assert kern.tabulate(2.0) is kern.tabulate(2.0)
-
     def test_finite_temperature_kernel(self):
         # coth enhancement: psi grows with temperature
         cold = BathKernel(SUPER_OHMIC, None)

@@ -70,4 +70,5 @@ def test_oracle_note_reads_the_dimension(tracer_module, tmp_path):
     layers = _traced_run(tracer_module, ["oracle-check", "--config",
                                          str(cfg)])
     assert layers["oracle.init"]["notes"]["dim"] == [2 * 5 ** 3]
+    assert layers["oracle.init"]["calls"] == 1      # one pass per run
     assert layers["oracle.survival"]["calls"] == 6
