@@ -1,22 +1,25 @@
 #!/usr/bin/env python3
 """Run every shipped figure configuration and write CSV tables.
 
-Usage: python3 scripts/run_figures.py [output_dir]
+Usage: python3 scripts/run_figures.py [-h] [output_dir]
 
-Each config in configs/ is executed with the subcommand it is meant for
-(curve for single-coupling figures, sweep for coupling scans,
-oracle-check for the discrete-bath validation) and the resulting CSV is
-written to the output directory (default: ./figures_out).  The package
-is imported from src/, so a plain checkout needs no install.  The wall
-time of each config and the total go to standard output; the CSVs do
-not depend on them.
+Each config in configs/ runs with the subcommand that COMMANDS gives it
+and writes its CSV to the output directory (default: ./figures_out).  All
+configs run in one process, which imports the package from src/ once, so
+a plain checkout needs no install.  Standard output gets the import time,
+each config's wall time and the total; the CSVs do not depend on them.  A
+failed config is reported, the others still run, and the script exits 1.
 """
 
-import os
+import argparse
 import pathlib
-import subprocess
 import sys
 import time
+import traceback
+
+import click
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 COMMANDS = {
     "fig1a": "compare",
@@ -31,31 +34,46 @@ COMMANDS = {
 }
 
 
-def main():
-    repo = pathlib.Path(__file__).resolve().parent.parent
-    out_dir = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 \
-        else pathlib.Path("figures_out")
+def _exit_code(cli, argv):
+    """The code with which `spinzeno ARGV` would exit as its own process."""
+    try:
+        cli(argv, standalone_mode=False)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 1
+    except click.Abort as exc:  # Ctrl-C ends the run, not just this config
+        raise KeyboardInterrupt from exc
+    except click.ClickException as exc:
+        exc.show()
+        return exc.exit_code
+    except Exception:
+        traceback.print_exc()
+        return 1
+    return 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("output_dir", nargs="?", default="figures_out",
+                        type=pathlib.Path, help="default: ./figures_out")
+    out_dir = parser.parse_args(argv).output_dir
+    start = time.perf_counter()
+    sys.path.insert(0, str(REPO / "src"))
+    from spinzeno.cli import main as cli
+    print(f"import wall {time.perf_counter() - start:.3f} s", flush=True)
     out_dir.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
     failures = 0
-    total = 0.0
     for name, command in COMMANDS.items():
-        config = repo / "configs" / f"{name}.ini"
         out = out_dir / f"{name}.csv"
-        argv = [sys.executable, "-m", "spinzeno.cli", command,
-                "--config", str(config), "--out", str(out)]
         print(f"[{name}] {command} -> {out}", flush=True)
-        start = time.perf_counter()
-        proc = subprocess.run(argv, env=env)
-        wall = time.perf_counter() - start
-        total += wall
-        print(f"[{name}] wall {wall:.2f} s", flush=True)
-        if proc.returncode != 0:
-            print(f"[{name}] FAILED with exit code {proc.returncode}")
+        t0 = time.perf_counter()
+        code = _exit_code(cli, [
+            command, "--config", str(REPO / "configs" / f"{name}.ini"),
+            "--out", str(out)])
+        print(f"[{name}] wall {time.perf_counter() - t0:.3f} s", flush=True)
+        if code != 0:
+            print(f"[{name}] FAILED with exit code {code}", flush=True)
             failures += 1
-    print(f"total wall {total:.2f} s")
+    print(f"total wall {time.perf_counter() - start:.3f} s")
     return 1 if failures else 0
 
 
