@@ -3,17 +3,17 @@
 Subcommands: compute (single point), curve (tau sweep), sweep
 (parameter x tau), compare (multi-mode), oracle-check (discrete-bath
 validation against exact evolution).  Exit codes: 0 success, 2 config
-error, 3 out-of-regime / all-cells-failed, 4 quadrature failure.
+error, and 3 when every row is a gap (4 if any is a QuadratureError).
 
 Every subcommand goes through one runner (`_run`): load the config, run
-the subcommand's body to get rows and extra header lines, write the
-table, and map errors to exit codes.  A body builds one BathKernel per
-(bath, beta) cell, shares it across modes and taus, and gets each mode's
-curve from survival_prob, by its alias `regimes.sample_curve` (which the
-benchmark tracer wraps): a failed point is a gap row, and the run exits
-3 or 4 only when every row is a gap (4 if any of them is a
-QuadratureError).  oracle-check writes curve's rows (`_curves`) with an
-exact row after each.
+the subcommand's body to get rows and extra header lines, and write the
+table.  `_run` catches ConfigError only, and every config fault but an
+--out that cannot be written is raised before any curve is solved.  A
+body builds one BathKernel per (bath, beta) cell, shares it across modes
+and taus, and gets each mode's curve from survival_prob, by its alias
+`regimes.sample_curve` (which the benchmark tracer wraps), where a
+failed point is a gap row.  oracle-check writes curve's rows (`_curves`)
+with an exact row after each.
 """
 
 import math
@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__
 from .bath import BathKernel, DiscreteBath
 from .config import apply_sweep, header_lines, parse_config
-from .errors import ConfigError, QuadratureError, SpinZenoError
+from .errors import (ConfigError, DimensionBudgetError, QuadratureError,
+                     SpinZenoError, TruncationError)
 from .oracle import ExactEvolution, TruncatedBathSpec
 from .regimes import classify, sample_curve, tau_grid
 # survival_prob is unused here but stays importable from this module:
@@ -126,9 +127,14 @@ def _oracle_check(cfg, meta):
         raise ConfigError("[bath] oracle-check requires discrete 'modes'")
     if cfg.beta is not None:
         raise ConfigError("[system] oracle-check requires zero temperature")
+    # on curve's grid, before the curves: a truncation fault is a config fault
+    taus = tau_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points, cfg.spacing)
+    try:
+        evo = ExactEvolution(cfg.system,
+                             TruncatedBathSpec(cfg.source, cfg.n_max), taus)
+    except (DimensionBudgetError, TruncationError) as exc:
+        raise ConfigError(f"[run] n_max: {exc}") from exc
     curve_rows = _curves(cfg, meta)
-    evo = ExactEvolution(cfg.system, TruncatedBathSpec(cfg.source, cfg.n_max),
-                         [row["tau"] for row in curve_rows])
     rows = []
     for row in curve_rows:
         s_exact = evo.survival(row["tau"],
@@ -147,9 +153,10 @@ def _run(command, body, required, config_path, format_, out):
     """Load, run `body(cfg, meta)`, write, and exit with its code."""
     try:
         # fail before the solve, not after it
-        if out and not os.path.isdir(os.path.dirname(out) or "."):
-            raise ConfigError(f"--out: directory {os.path.dirname(out)} "
-                              "does not exist")
+        if out and (os.path.isdir(out)
+                    or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise ConfigError(f"--out: {out} is not a file path in an "
+                              "existing directory")
         cfg = _load(config_path)
         for name in required:
             if getattr(cfg, name) is None:
@@ -173,12 +180,6 @@ def _run(command, body, required, config_path, format_, out):
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    except QuadratureError as exc:
-        click.echo(f"quadrature failure: {exc}", err=True)
-        sys.exit(EXIT_QUADRATURE)
-    except SpinZenoError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_OUT_OF_REGIME)
     if rows and len(failed) == len(rows):
         sys.exit(EXIT_QUADRATURE if any(isinstance(e, QuadratureError)
                                         for e in failed)

@@ -271,8 +271,6 @@ def header_lines(cfg):
 def apply_sweep(cfg, value):
     """System/bath objects with the sweep variable replaced by `value`."""
     system, source = cfg.system, cfg.source
-    if cfg.sweep_key is None:
-        return system, source
     field_name = SWEEPS[cfg.sweep_key]
     if cfg.sweep_key in KEYS["system"]:
         return replace(system, **{field_name: value}), source

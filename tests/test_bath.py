@@ -103,6 +103,10 @@ class TestSpectralDensity:
         w = np.array([1.0, 5.0, 20.0])
         assert np.allclose(J.eval(w), w ** 3 / 100.0 * np.exp(-w / 10.0))
 
+    def test_eval_rejects_negative_frequency(self):
+        with pytest.raises(DomainError, match="omega >= 0"):
+            SUPER_OHMIC.eval(np.array([1.0, -0.5]))
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
             SpectralDensity(G=1.0, s=0.0, omega_c=10.0)

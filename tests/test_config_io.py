@@ -27,7 +27,7 @@ from spinzeno import config
 from spinzeno.cli import main
 from spinzeno.config import header_lines
 from spinzeno.errors import ConfigError, QuadratureError
-from spinzeno.tables import COLUMNS
+from spinzeno.tables import COLUMNS, emit
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -146,6 +146,37 @@ class TestParseConfig:
             parse_config(text)
         key = entry.split(" = ")[0].lower()
         assert f"{key} (line {line})" in str(exc.value)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("tau_max = 3.0", "tau_max = 3.0\n[run]",
+         "malformed config: While reading from '<string>' [line 13]: "
+         "section 'run' already exists"),
+        ("[bath]\ng = 1.0\nomega_c = 10.0\n", "",
+         "missing required section [bath]"),
+        ("g = 1.0\nomega_c = 10.0", "modes = 1.0:0.2 3.0",
+         "[bath] modes (line 7): mode '3.0' is not omega:g"),
+        ("g = 1.0\n", "", "[bath] missing required key 'g'"),
+        ("omega_c = 10.0\n", "", "[bath] missing required key 'omega_c'"),
+        ("g = 1.0\nomega_c = 10.0", "modes =",
+         "[bath] modes (line 7): discrete bath needs at least one mode"),
+        ("g = 1.0\nomega_c = 10.0", "modes = 1.0:-0.2",
+         "[bath] modes (line 7): couplings g_k must be nonnegative"),
+        ("tau_max = 3.0", "tau_max = 3.0\nmodes = ,",
+         "[run] modes: at least one mode required"),
+        ("tau_max = 3.0", "tau_max = 3.0\nspacing = log",
+         "[run] spacing (line 13): must be geometric or linear, got 'log'"),
+        ("tau_max = 3.0", "tau_max = 3.0\nsweep = g 0.1 0.2",
+         "[run] sweep (line 13): expected 'key: v1 v2 ...'"),
+        ("tau_max = 3.0", "tau_max = 3.0\nsweep = beta: 1 2",
+         "[run] sweep (line 13): cannot sweep 'beta'"),
+        ("tau_max = 3.0", "tau_max = 3.0\nsweep = g:",
+         "[run] sweep (line 13): no sweep values given")])
+    def test_rejection_message(self, old, new, message):
+        # the whole message: what is wrong and, where the key has a
+        # line, which line
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL.replace(old, new))
+        assert str(exc.value) == message
 
     def test_unknown_mode(self):
         bad = MINIMAL + "modes = sideways\n"
@@ -268,6 +299,10 @@ class TestEmit:
                           for v in (row[col] for col in COLUMNS)]
                          for row in rows)
         assert emit_csv(ResultTable((), rows)) == want.getvalue()
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="unknown output format 'xml'"):
+            emit(sample_table(), "xml")
 
     def test_determinism(self):
         assert emit_csv(sample_table()) == emit_csv(sample_table())
@@ -813,6 +848,44 @@ modes = small_delta
         assert result.stderr.count("\n") == 1
         assert "--out" in result.stderr
 
+    @pytest.mark.parametrize("command, modes, n_max, message", [
+        ("curve", "1.0:0.2 3.0:0.3", 6,
+         "--out: {out} is not a file path in an existing directory"),
+        ("oracle-check", "1.0:0.2 2.0:0.25 3.0:0.3 4.0:0.3 5.0:0.2", 6,
+         "[run] n_max: total dimension 15552 exceeds budget 4096"),
+        ("oracle-check", "1.0:3.0", 3,
+         "[run] n_max: coherent state |alpha|=1.5 loses weight 0.391 > "
+         "1e-06 at n_max=3")],
+        ids=["out-is-a-directory", "oracle-dimension-budget",
+             "oracle-truncation"])
+    def test_config_fault_exits_before_the_solve(self, tmp_path, command,
+                                                 modes, n_max, message):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(_DISCRETE.replace("1.0:0.2 3.0:0.3", modes)
+                       .replace("tau_min = 0.05\ntau_max = 3.0\n", _SMALL_RUN)
+                       + f"n_max = {n_max}\n")
+        # the directory holding the config is an --out that is a directory
+        out = str(tmp_path) if command == "curve" else str(tmp_path / "o.csv")
+        with mock.patch("spinzeno.cli.sample_curve",
+                        side_effect=AssertionError("a curve was solved")) \
+                as solve:
+            result = self.run(command, "--config", str(cfg), "--out", out)
+        assert not solve.called
+        assert result.exit_code == 2
+        assert result.stderr == f"config error: {message.format(out=out)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_failed_write_after_the_solve_exit_code(self, tmp_path):
+        # writing to /dev/full fails with ENOSPC, for root too
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL + "tau_points = 2\n")
+        result = self.run("curve", "--config", str(cfg), "--out", "/dev/full")
+        assert result.exit_code == 2
+        assert result.stderr == ("config error: --out: cannot write "
+                                 "/dev/full: [Errno 28] No space left on "
+                                 "device\n")
+
     def test_non_utf8_config_exit_code(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_bytes(MINIMAL.replace("g = 1.0", "g = 1.0 ; \xb5").encode(
@@ -888,6 +961,7 @@ CONFIG_ERROR_CASES = [
      .replace("g = 1.0", "g = 1.0\ns = 200")),
     ("sweep", MINIMAL + "sweep = s: 3 173\n"),
     ("compare", MINIMAL + "modes = full, full\n"),
+    ("sweep", _DISCRETE + "sweep = g: 0.1 0.2\n"),
 ]
 
 
@@ -915,7 +989,7 @@ class TestCliGolden:
                                   "oracle-continuous", "oracle-finite-t",
                                   "compute-without-tau", "curve-s-173",
                                   "curve-s-200-finite-t", "sweep-s-173",
-                                  "compare-mode-twice"])
+                                  "compare-mode-twice", "sweep-g-discrete"])
     def test_config_error(self, tmp_path, command, text):
         cfg = tmp_path / "c.ini"
         cfg.write_text(text)

@@ -65,6 +65,13 @@ class TestTruncatedBathSpec:
 
 
 class TestDiscretizeBath:
+    @pytest.mark.parametrize("K, omega_max, match", [
+        (0, 8.0, "mode count K"), (4, 0.0, "omega_max")])
+    def test_rejects_bad_arguments(self, K, omega_max, match):
+        J = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
+        with pytest.raises(DomainError, match=match):
+            discretize_bath(J, K, omega_max)
+
     def test_zero_coupling(self):
         J = SpectralDensity(G=1e-300, s=3.0, omega_c=10.0)
         bath = discretize_bath(J, 4, 40.0)
