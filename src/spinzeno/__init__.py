@@ -4,8 +4,8 @@ perturbative method plus an exact-evolution validation oracle (matrix-free
 Chebyshev propagation on a truncated Fock space)."""
 
 from .bath import BathKernel, DiscreteBath, SpectralDensity
-from .config import RunConfig, apply_sweep, parse_config
-from .tables import ResultTable, emit_csv, emit_json
+from .config import RunConfig, parse_config, sweep_cells
+from .tables import Row, emit_csv, emit_json
 from .errors import (ConfigError, DegenerateSystemError, DimensionBudgetError,
                      DivergentKernelError, DomainError,
                      NonFiniteIntegrandError, OutOfRegimeError,

@@ -6,14 +6,14 @@ validation against exact evolution).  Exit codes: 0 success, 2 config
 error, and 3 when every row is a gap (4 if any is a QuadratureError).
 
 Every subcommand goes through one runner (`_run`): load the config, run
-the subcommand's body to get rows and extra header lines, and write the
-table.  `_run` catches ConfigError only, and every config fault but an
---out that cannot be written is raised before any curve is solved.  A
-body builds one BathKernel per (bath, beta) cell, shares it across modes
-and taus, and gets each mode's curve from survival_prob, by its alias
-`regimes.sample_curve` (which the benchmark tracer wraps), where a
-failed point is a gap row.  oracle-check writes curve's rows (`_curves`)
-with an exact row after each.
+the subcommand's body to get its rows (each a `tables.Row`) and extra
+header lines, and write them.  `_run` catches ConfigError only, and
+every config fault but an --out that cannot be written is raised before
+any curve is solved.  A body builds one BathKernel per (bath, beta)
+cell, shares it across modes and taus, and gets each mode's curve from
+survival_prob, by its alias `regimes.sample_curve` (which the benchmark
+tracer wraps), where a failed point is a gap row.  oracle-check writes
+curve's rows (`_curves`) with an exact row after each.
 """
 
 import math
@@ -26,16 +26,16 @@ import numpy as np
 
 from . import __version__
 from .bath import BathKernel, DiscreteBath
-from .config import apply_sweep, header_lines, parse_config
+from .config import header_lines, parse_config, sweep_cells
 from .errors import (ConfigError, DimensionBudgetError, QuadratureError,
                      SpinZenoError, TruncationError)
-from .oracle import ExactEvolution, TruncatedBathSpec
+from .oracle import DEFAULT_DIM_BUDGET, ExactEvolution, TruncatedBathSpec
 from .regimes import classify, sample_curve, tau_grid
 # survival_prob is unused here but stays importable from this module:
 # perfbench/tracer.py wraps spinzeno.cli.survival_prob, and
 # tests/test_benchmark_hooks.py checks that every such hook resolves.
 from .survival import SurvivalMode, survival_prob, validity_value  # noqa: F401
-from .tables import ResultTable, emit
+from .tables import Row, emit
 
 EXIT_CONFIG = 2
 EXIT_OUT_OF_REGIME = 3
@@ -75,23 +75,16 @@ def _kernel(cfg, system, source, cell=""):
     return kernel, v, lines
 
 
-def _row(mode, tau, gamma, s, validity, sweep=None, regime="", error=""):
-    """One output row; a gap's `error` is its exception until `_run`."""
-    return {"mode": mode, "sweep": sweep, "tau": tau, "gamma": gamma, "s": s,
-            "validity": validity, "regime": regime, "error": error}
-
-
 def _curves(cfg, meta, point=False, sweep=False, compare=False):
     """Rows of compute (the one-point grid at `tau`), curve, sweep (one
-    cell per sweep value) and compare."""
+    cell per sweep value) and compare; a gap's error is its exception."""
     if sweep and cfg.sweep_key is None:
         raise ConfigError("[run] missing required key 'sweep'")
     if compare and len(cfg.modes) < 2:
         raise ConfigError("[run] modes: compare needs at least two modes")
     taus = (cfg.tau,) if point else tau_grid(cfg.tau_min, cfg.tau_max,
                                              cfg.tau_points, cfg.spacing)
-    cells = ((value, *apply_sweep(cfg, value)) for value in cfg.sweep_values) \
-        if sweep else [(None, cfg.system, cfg.source)]
+    cells = sweep_cells(cfg) if sweep else [(None, cfg.system, cfg.source)]
     rows = []
     for value, system, source in cells:
         cell = f"[{cfg.sweep_key} = {value:.12g}] " if sweep else ""
@@ -104,9 +97,9 @@ def _curves(cfg, meta, point=False, sweep=False, compare=False):
                 click.echo(line, err=True)
         for cv in curves:
             labels, errors = classify(cv).labels, dict(cv.errors)
-            rows += [_row(cv.mode.value, float(tau), float(cv.gamma[i]),
-                          float(cv.s[i]), validity, value, labels[i],
-                          errors.get(i, ""))
+            rows += [Row(cv.mode.value, value, float(tau), float(cv.gamma[i]),
+                         float(cv.s[i]), validity, labels[i],
+                         errors.get(i, ""))
                      for i, tau in enumerate(cv.tau_grid)]
     if compare:
         base = curves[0]
@@ -127,7 +120,12 @@ def _oracle_check(cfg, meta):
         raise ConfigError("[bath] oracle-check requires discrete 'modes'")
     if cfg.beta is not None:
         raise ConfigError("[system] oracle-check requires zero temperature")
-    # on curve's grid, before the curves: a truncation fault is a config fault
+    # before the curves, as config faults: too many modes, or truncation
+    k = len(cfg.source.modes)
+    if 2 * 3 ** k > DEFAULT_DIM_BUDGET:
+        raise ConfigError(f"[bath] modes: {k} modes exceed the dimension "
+                          f"budget {DEFAULT_DIM_BUDGET} at every n_max "
+                          f"(2 * 3^{k} = {2 * 3 ** k} at n_max = 3)")
     taus = tau_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points, cfg.spacing)
     try:
         evo = ExactEvolution(cfg.system,
@@ -137,13 +135,12 @@ def _oracle_check(cfg, meta):
     curve_rows = _curves(cfg, meta)
     rows = []
     for row in curve_rows:
-        s_exact = evo.survival(row["tau"],
-                               removed=SurvivalMode(row["mode"]).removed)
-        rows += [row, _row(f"{row['mode']}:exact", row["tau"], math.nan,
-                           s_exact, row["validity"])]
+        s_exact = evo.survival(row.tau, removed=SurvivalMode(row.mode).removed)
+        rows += [row, Row(f"{row.mode}:exact", None, row.tau, math.nan,
+                          s_exact, row.validity)]
     # a point whose solve raised has no s
-    diffs = [abs(p["s"] - e["s"]) for p, e in zip(rows[::2], rows[1::2])
-             if math.isfinite(p["s"])]
+    diffs = [abs(p.s - e.s) for p, e in zip(rows[::2], rows[1::2])
+             if math.isfinite(p.s)]
     if diffs:
         meta.append(("oracle.max_abs_error", format(max(diffs), ".12g")))
     return rows
@@ -165,9 +162,10 @@ def _run(command, body, required, config_path, format_, out):
         meta = [("spinzeno.version", __version__), ("command", command),
                 *header_lines(cfg)]
         rows = body(cfg, meta)
-        failed = [r["error"] for r in rows if r["error"]]
-        rows = tuple(dict(r, error=str(r["error"])) for r in rows)
-        text = emit(ResultTable(tuple(meta), rows), format_)
+        failed = [r.error for r in rows if r.error]
+        rows = [r._replace(error=str(r.error)) if r.error else r
+                for r in rows]
+        text = emit(meta, rows, format_)
         if out:
             try:
                 with open(out, "w", encoding="utf-8") as fh:

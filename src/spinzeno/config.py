@@ -268,13 +268,15 @@ def header_lines(cfg):
     return tuple(lines)
 
 
-def apply_sweep(cfg, value):
-    """System/bath objects with the sweep variable replaced by `value`."""
-    system, source = cfg.system, cfg.source
-    field_name = SWEEPS[cfg.sweep_key]
-    if cfg.sweep_key in KEYS["system"]:
-        return replace(system, **{field_name: value}), source
-    if isinstance(source, DiscreteBath):
+def sweep_cells(cfg):
+    """(value, system, source) for each sweep value, the sweep variable
+    replaced by the value; nothing for a config without a sweep.  A
+    discrete bath's spectral-density sweep fails before the first cell."""
+    on_system = cfg.sweep_key in KEYS["system"]
+    if cfg.sweep_key in KEYS["bath"] and isinstance(cfg.source, DiscreteBath):
         raise ConfigError("cannot sweep spectral-density parameters of "
                           "a discrete bath")
-    return system, replace(source, **{field_name: value})
+    for value in cfg.sweep_values:
+        new = {SWEEPS[cfg.sweep_key]: value}
+        yield (value, replace(cfg.system, **new), cfg.source) if on_system \
+            else (value, cfg.system, replace(cfg.source, **new))

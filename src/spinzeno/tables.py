@@ -1,4 +1,8 @@
-"""Deterministic result tables and their CSV/JSON serializations.
+"""Deterministic result rows and their CSV/JSON serializations.
+
+A table is its metadata, ordered (key, value-string) pairs, and its rows,
+each a `Row`: numeric cells are floats (nan allowed), "mode", "regime"
+and "error" are strings, and "sweep" may be None.
 
 CSV output starts with '#'-prefixed header lines echoing every parameter
 that affects the numbers, then a column-name row, then data rows with 12
@@ -11,30 +15,22 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-COLUMNS = ("mode", "sweep", "tau", "gamma", "s", "validity", "regime", "error")
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    meta: tuple                  # ordered (key, value-string) pairs
-    rows: tuple = field(default_factory=tuple)
-    # each row is a dict with the COLUMNS keys; numeric cells are floats
-    # (nan allowed), "mode"/"regime"/"error" are strings, "sweep" may be None
+Row = namedtuple("Row", "mode sweep tau gamma s validity regime error",
+                 defaults=("", ""))
+COLUMNS = Row._fields
 
 
-def emit_csv(table):
+def emit_csv(meta, rows):
     out = io.StringIO()
-    out.writelines(f"# {key} = {val}\n" for key, val in table.meta)
+    out.writelines(f"# {key} = {val}\n" for key, val in meta)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(COLUMNS)
-    # column by column, 12 significant digits for a float: csv.writer
-    # writes None as an empty cell; a NaN of either sign is "nan"
-    writer.writerows(zip(*[
-        ["%.12g" % v if isinstance(v, float) else v
-         for v in (row.get(col) for row in table.rows)]
-        for col in COLUMNS]))
+    # 12 significant digits for a float: csv.writer writes None as an
+    # empty cell; a NaN of either sign is "nan"
+    writer.writerows(["%.12g" % v if isinstance(v, float) else v
+                      for v in row] for row in rows)
     return out.getvalue()
 
 
@@ -45,19 +41,18 @@ def _json_cell(value):
     return value
 
 
-def emit_json(table):
+def emit_json(meta, rows):
     doc = {
-        "meta": {key: val for key, val in table.meta},
+        "meta": dict(meta),
         "columns": list(COLUMNS),
-        "rows": [[_json_cell(row.get(col)) for col in COLUMNS]
-                 for row in table.rows],
+        "rows": [[_json_cell(v) for v in row] for row in rows],
     }
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def emit(table, format):
+def emit(meta, rows, format):
     if format == "csv":
-        return emit_csv(table)
+        return emit_csv(meta, rows)
     if format == "json":
-        return emit_json(table)
+        return emit_json(meta, rows)
     raise ValueError(f"unknown output format {format!r}")

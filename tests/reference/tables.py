@@ -3,19 +3,17 @@
 import json
 import math
 
-from spinzeno.tables import ResultTable
+from spinzeno.tables import Row
+
+NUMERIC = ("sweep", "tau", "gamma", "s", "validity")
 
 
 def parse_json(text):
-    """Inverse of emit_json; numeric fields round-trip exactly."""
+    """Inverse of emit_json: (meta, rows) with each row a Row; numeric
+    fields round-trip exactly."""
     doc = json.loads(text)
     meta = tuple(sorted(doc["meta"].items()))
-    rows = []
-    for values in doc["rows"]:
-        row = {}
-        for col, val in zip(doc["columns"], values):
-            if val == "nan" and col in ("tau", "gamma", "s", "validity", "sweep"):
-                val = math.nan
-            row[col] = val
-        rows.append(row)
-    return ResultTable(meta=meta, rows=tuple(rows))
+    rows = tuple(Row(**{col: math.nan if val == "nan" and col in NUMERIC
+                        else val for col, val in zip(doc["columns"], values)})
+                 for values in doc["rows"])
+    return meta, rows

@@ -20,9 +20,9 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from reference.tables import parse_json
-from spinzeno import (BathKernel, DiscreteBath, ResultTable, SpectralDensity,
+from spinzeno import (BathKernel, DiscreteBath, Row, SpectralDensity,
                       SurvivalMode, emit_csv, emit_json, parse_config,
-                      tau_grid)
+                      sweep_cells, tau_grid)
 from spinzeno import config
 from spinzeno.cli import main
 from spinzeno.config import header_lines
@@ -196,6 +196,15 @@ class TestParseConfig:
         assert cfg.sweep_key == "g"
         assert cfg.sweep_values == (0.1, 0.5, 0.9)
 
+    def test_sweep_cells(self):
+        assert list(sweep_cells(parse_config(MINIMAL))) == []
+        cfg = parse_config(MINIMAL + "sweep = g: 0.1 0.5\n")
+        assert [(v, system, src.G) for v, system, src in sweep_cells(cfg)] \
+            == [(0.1, cfg.system, 0.1), (0.5, cfg.system, 0.5)]
+        cfg = parse_config(MINIMAL + "sweep = delta: 0.3\n")
+        (value, system, source), = sweep_cells(cfg)
+        assert (value, system.delta, source) == (0.3, 0.3, cfg.source)
+
     def test_bad_sweep_value(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "sweep = g: 0.1 inf\n")
@@ -260,22 +269,22 @@ def _with_run_entry(text, entry):
 
 
 def sample_table():
-    rows = ({"mode": "full", "sweep": None, "tau": 1.0,
-             "gamma": 0.00364516972683, "s": 0.996361465839314,
-             "validity": 3.4e-4, "regime": "zeno", "error": ""},)
-    return ResultTable((("a", "1"), ("b", "2")), rows)
+    """(meta, rows) of a one-row table."""
+    rows = (Row("full", None, 1.0, 0.00364516972683, 0.996361465839314,
+                3.4e-4, "zeno"),)
+    return (("a", "1"), ("b", "2")), rows
 
 
 class TestEmit:
     def test_csv_shape(self):
-        text = emit_csv(sample_table())
+        text = emit_csv(*sample_table())
         lines = text.strip().split("\n")
         assert lines[0] == "# a = 1"
         assert lines[2].startswith("mode,sweep,tau,")
         assert len(lines) == 4  # two meta, header, one data row
 
     def test_csv_significant_digits(self):
-        text = emit_csv(sample_table())
+        text = emit_csv(*sample_table())
         assert "0.996361465839" in text
         assert "0.9963614658393140" not in text
 
@@ -288,41 +297,37 @@ class TestEmit:
     def test_csv_cells_match_per_cell_formatting(self, values, sweep, error):
         # a column of floats, a mixed column and strings that need
         # quoting: the same text as formatting every cell on its own
-        rows = tuple({"mode": "full", "sweep": sweep[i], "tau": v,
-                      "gamma": -v, "s": np.float64(v), "validity": 0.0,
-                      "regime": "", "error": error}
+        rows = tuple(Row("full", sweep[i], v, -v, np.float64(v), 0.0, "",
+                         error)
                      for i, v in enumerate(values))
         want = io.StringIO()
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(COLUMNS)
         writer.writerows([format(v, ".12g") if isinstance(v, float) else v
-                          for v in (row[col] for col in COLUMNS)]
+                          for v in row]
                          for row in rows)
-        assert emit_csv(ResultTable((), rows)) == want.getvalue()
+        assert emit_csv((), rows) == want.getvalue()
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="unknown output format 'xml'"):
-            emit(sample_table(), "xml")
+            emit(*sample_table(), "xml")
 
     def test_determinism(self):
-        assert emit_csv(sample_table()) == emit_csv(sample_table())
-        assert emit_json(sample_table()) == emit_json(sample_table())
+        assert emit_csv(*sample_table()) == emit_csv(*sample_table())
+        assert emit_json(*sample_table()) == emit_json(*sample_table())
 
     def test_json_round_trip_exact(self):
-        table = sample_table()
-        back = parse_json(emit_json(table))
-        for row, orig in zip(back.rows, table.rows):
-            for col in ("tau", "gamma", "s", "validity"):
-                assert row[col] == orig[col]  # bit-exact
+        meta, rows = sample_table()
+        back_meta, back = parse_json(emit_json(meta, rows))
+        assert back_meta == meta
+        assert back == rows  # every cell, floats bit-exact
 
     def test_json_nan_encoding(self):
-        rows = ({"mode": "full", "sweep": None, "tau": 1.0,
-                 "gamma": math.nan, "s": math.nan, "validity": 0.0,
-                 "regime": "", "error": "out_of_regime"},)
-        table = ResultTable((), rows)
-        doc = json.loads(emit_json(table))  # must be strictly valid JSON
-        back = parse_json(emit_json(table))
-        assert math.isnan(back.rows[0]["gamma"])
+        rows = (Row("full", None, 1.0, math.nan, math.nan, 0.0, "",
+                    "out_of_regime"),)
+        doc = json.loads(emit_json((), rows))  # must be strictly valid JSON
+        _, back = parse_json(emit_json((), rows))
+        assert math.isnan(back[0].gamma)
         assert doc["rows"][0][3] == "nan"
 
 
@@ -382,6 +387,12 @@ def _data_rows(text):
     """The CSV data rows of a CLI table as dicts (header comments dropped)."""
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     return list(csv.DictReader(lines))
+
+
+# 2 * 3**7 = 4374 > 4096: over the oracle's budget at the smallest n_max
+_SEVEN_MODES = " ".join(f"{w}.0:0.1" for w in range(1, 8))
+_SEVEN_MODES_MESSAGE = ("[bath] modes: 7 modes exceed the dimension budget "
+                        "4096 at every n_max (2 * 3^7 = 4374 at n_max = 3)")
 
 
 class TestCli:
@@ -855,9 +866,13 @@ modes = small_delta
          "[run] n_max: total dimension 15552 exceeds budget 4096"),
         ("oracle-check", "1.0:3.0", 3,
          "[run] n_max: coherent state |alpha|=1.5 loses weight 0.391 > "
-         "1e-06 at n_max=3")],
+         "1e-06 at n_max=3"),
+        # no n_max >= 3 fits seven modes: the fault is the mode count
+        ("oracle-check", _SEVEN_MODES, 3, _SEVEN_MODES_MESSAGE),
+        ("oracle-check", _SEVEN_MODES, 6, _SEVEN_MODES_MESSAGE)],
         ids=["out-is-a-directory", "oracle-dimension-budget",
-             "oracle-truncation"])
+             "oracle-truncation", "oracle-seven-modes-n3",
+             "oracle-seven-modes-n6"])
     def test_config_fault_exits_before_the_solve(self, tmp_path, command,
                                                  modes, n_max, message):
         cfg = tmp_path / "c.ini"
@@ -912,9 +927,9 @@ modes = small_delta
         result = self.run("curve", "--config", str(cfg), "--format", "json",
                           "--out", str(out))
         assert result.exit_code == 0
-        table = parse_json(out.read_text())
-        assert len(table.rows) == 4
-        assert all(isinstance(r["gamma"], float) for r in table.rows)
+        _, rows = parse_json(out.read_text())
+        assert len(rows) == 4
+        assert all(isinstance(r.gamma, float) for r in rows)
 
     def test_shipped_configs_parse(self):
         for path in sorted((REPO / "configs").glob("*.ini")):
@@ -994,7 +1009,11 @@ class TestCliGolden:
         cfg = tmp_path / "c.ini"
         cfg.write_text(text)
         out = tmp_path / "out.csv"
-        result = _invoke(command, "--config", str(cfg), "--out", str(out))
+        # each fault is found before any curve is solved
+        with mock.patch("spinzeno.cli.sample_curve",
+                        side_effect=AssertionError("a curve was solved")):
+            result = _invoke(command, "--config", str(cfg), "--out",
+                             str(out))
         assert result.exit_code == 2
         assert result.stderr.startswith("config error: ")
         assert not out.exists()

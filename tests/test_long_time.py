@@ -7,8 +7,10 @@ g(tau) = D/(tau Gamma_GR) - 1 on tau = 40, 80, ..., 1280 (wc tau up to
 tau (measured ratios 1.998-2.009), and measured |g(1280)| is 2.69e-4 at
 eps = 1 and 1.44e-4 at eps = 3, which G_BOUND holds to within 1.12x.
 G = 0.5 is left out: at eps = 1 its D passes 1 at tau >= 640, so those
-points are out-of-regime gaps.  B != 0, the removed modes and finite T
-need the full limit, with its coherent term, and are not checked here.
+points are out-of-regime gaps.  B != 0 (s = 3 at T = 0) needs the full
+limit, with its coherent term and K_1 integrated by mpmath, and is
+checked in tests/test_survival.py, so that this module needs no mpmath.
+The removed modes and finite T are not checked.
 """
 
 import numpy as np

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference.coefficients import loop_coefficients, matrix_spin_tables
 from reference.integrands import expanded_survival
+from reference.long_time import golden_rule_terms
 from reference.reconstruct import (DOWN, SIGMA_X, SIGMA_Y, UP,
                                    reconstruct_survival, u_s_matrix)
 from reference.triangle import triangle_survival
@@ -617,3 +618,38 @@ class TestCurvePath:
                              KERNEL, [0.5, 1.0])
         assert [i for i, _ in curve.errors] == [0, 1]
         assert isinstance(curve.errors[0][1], SpinZenoError)
+
+
+GR_SYS = SystemParams(1.0, 0.1)
+GR_BATH = SpectralDensity(G=0.5, s=3.0, omega_c=10.0)
+GR_TAUS = 10.0 * 2.0 ** np.arange(7)
+
+
+@pytest.fixture(scope="module")
+def super_ohmic_golden_rule():
+    return golden_rule_terms(GR_SYS.delta, GR_SYS.epsilon, GR_BATH.G,
+                             GR_BATH.s, GR_BATH.omega_c)
+
+
+TIGHT_TOL_GAPS = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="at tol = 1e-12 every point "
+    "from tau = 40 on is a QuadratureError gap: the rounding floor "
+    "underestimates the integrand's noise")
+
+
+@pytest.mark.parametrize("tol", [
+    1e-10, pytest.param(1e-12, marks=TIGHT_TOL_GAPS)])
+def test_super_ohmic_small_delta_tends_to_the_golden_rule(
+        tol, super_ohmic_golden_rule):
+    """The B != 0 small-delta deficit D = 1 - s at T = 0 against the long-
+    time limit D/tau = Gamma_GR + zeroth_order/tau - K_1/tau + O(1/tau^2)
+    of tests/reference/long_time.py: r, the O(1/tau^2) remainder relative
+    to Gamma_GR, is measured at -3.17e-4 at tau = 10 and 8.4e-10 at
+    tau = 640 (without K_1 it would be 1.29e-2 and 2.1e-4)."""
+    rate, k_1 = super_ohmic_golden_rule
+    curve = survival_prob(SurvivalMode.SMALL_DELTA, GR_SYS,
+                          BathKernel(GR_BATH), GR_TAUS, tol=tol)
+    assert curve.errors == ()
+    r = ((1.0 - curve.s - curve.diagnostics["zeroth_order"] + k_1) / GR_TAUS
+         - rate) / rate
+    assert np.all(np.abs(r) <= 5e-4 * (10.0 / GR_TAUS) ** 2)
