@@ -42,8 +42,8 @@ spectral density admits only such s.
 
 The terms n <= N are summed directly; the rest is an analytic
 Euler-Maclaurin tail (the integral over n plus end corrections up to
-B_12), and N is the smallest count whose remainder bound is below the
-kernel tolerance.  The sum carries the coth weight in phi_I too, as the
+B_12), and N is the smallest count whose remainder bound is below
+KERNEL_SHARE * tol.  The sum carries the coth weight in phi_I too, as the
 half-line quadrature it replaced did, although the integral above has
 none; a strict xfail in tests/test_bath.py pins that known fault.  With
 the weight, phi_I diverges for s <= 1 (DivergentKernelError).
@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergentKernelError, DomainError, QuadratureError
+from .survival import TOL
 
 # B_2k / (2k)! for k = 1..6: the Euler-Maclaurin end corrections of the
 # finite-temperature sum.  The remainder after them is bounded by
@@ -63,7 +64,7 @@ from .errors import DivergentKernelError, DomainError, QuadratureError
 EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
              1.0 / 47900160.0, -691.0 / 1307674368000.0)
 MAX_THERMAL_TERMS = 10000  # direct terms of the finite-temperature sum
-KERNEL_TOL = 1e-10         # default bound on the finite-temperature remainder
+KERNEL_SHARE = 1e-2        # the finite-T remainder's bound, relative to tol
 
 
 def _one_minus_pow(scale, e, x):
@@ -178,21 +179,21 @@ class KernelTable:
 class BathKernel:
     """Evaluator for the correlation exponent of a given bath at beta.
 
-    beta=None means the T = 0 limit, where coth == 1.
-    tol bounds the Euler-Maclaurin remainder of the finite-temperature
-    sum of a continuous bath; the other paths are exact closed forms.
+    beta=None means the T = 0 limit, where coth == 1.  tol bounds the
+    error of every curve on the kernel; KERNEL_SHARE * tol bounds the one
+    inexact kernel path, the finite-temperature sum of a continuous bath.
     """
 
     source: object
     beta: float = None
-    tol: float = KERNEL_TOL
+    tol: float = TOL
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.beta is not None and not 0.0 < self.beta < math.inf:
             raise DomainError("beta must be finite and positive, or None")
         if not 0.0 < self.tol < math.inf:
-            raise DomainError("kernel tol must be finite and positive")
+            raise DomainError("tol must be finite and positive")
 
     # -- divergence and frequency scale ---------------------------------
 
@@ -233,24 +234,24 @@ class BathKernel:
         the tail starts at n = N with half of its term.  N is the smallest
         count >= 1 whose Euler-Maclaurin remainder,
         4 |B_12|/12! G Gamma(s+10) w_c^(1-s) beta^11 a_N^(-s-10), is at
-        most the kernel tolerance.
+        most KERNEL_SHARE * tol (a sum of logs: no product underflows).
         """
         if "terms" not in self._cache:
             J, beta = self.source, self.beta
             a_min = 0.0
             if J.G > 0.0:
                 p = len(EM_COEFFS)
-                log_bound = (math.log(4.0 * abs(EM_COEFFS[-1]) * J.G)
+                log_bound = (math.log(4.0 * abs(EM_COEFFS[-1])) + math.log(J.G)
                              + math.lgamma(J.s + 2 * p - 2)
                              + (1.0 - J.s) * math.log(J.omega_c)
                              + (2 * p - 1) * math.log(beta)
-                             - math.log(self.tol))
+                             - math.log(KERNEL_SHARE) - math.log(self.tol))
                 a_min = math.exp(log_bound / (J.s + 2 * p - 2))
             n = max(1, math.ceil((a_min - 1.0 / J.omega_c) / beta))
             if n > MAX_THERMAL_TERMS:
                 raise QuadratureError(
-                    f"kernel tolerance {self.tol:g} needs {n} thermal sum "
-                    f"terms, more than {MAX_THERMAL_TERMS}")
+                    f"tol {self.tol:g} needs {n} thermal sum terms, more "
+                    f"than {MAX_THERMAL_TERMS}")
             a = 1.0 / J.omega_c + beta * np.arange(n + 1)
             c = np.full(n + 1, 2.0)
             c[0] = c[-1] = 1.0
@@ -294,26 +295,27 @@ class BathKernel:
         psi = psi + p
         phi_i = phi_i + q
         # end corrections with D^(m)(A) = A^(e-m) [1 - (1 + ix)^(e-m)],
-        # scale carrying the A^e
+        # scale carrying the A^e and each coefficient its A^-m
         z_inv = 1.0 / (1.0 + 1j * x)
         z_pow = (1.0 + 1j * x) ** e * z_inv       # (1 + ix)^(e-m), m = 1
         corr = 0.0
-        for m, coeff in self._end_corrections(e):
-            corr = corr + coeff * big_a ** -m * (1.0 - z_pow)
+        for coeff in self._end_corrections(e, big_a):
+            corr = corr + coeff * (1.0 - z_pow)
             z_pow = z_pow * z_inv * z_inv
         return psi + scale * np.real(corr), phi_i + scale * np.imag(corr)
 
-    def _end_corrections(self, e):
-        """(m, -2 B_2k/(2k)! beta^m (e)_m) for m = 2k - 1, k = 1..6.
+    def _end_corrections(self, e, big_a):
+        """-2 B_2k/(2k)! (beta/A)^m (e)_m for m = 2k - 1, k = 1..6, A = a_N.
 
         -B_2k/(2k)! F^(m)(N) is the k-th Euler-Maclaurin end correction of
         sum_{n >= N} F(n) for F(n) = 2 D(a_n); d/dn = beta d/da, and
         (e)_m = e (e - 1) ... (e - m + 1) comes from D(a) = a^e - (a+it)^e.
+        beta/A <= 1/N, so no power overflows, however large beta is.
         """
         falling = e
         for k, coeff in enumerate(EM_COEFFS):
             m = 2 * k + 1
-            yield m, -2.0 * coeff * self.beta ** m * falling
+            yield -2.0 * coeff * (self.beta / big_a) ** m * falling
             falling *= (e - m) * (e - m - 1)
 
     def _thermal_phi_r0(self):
@@ -322,8 +324,8 @@ class BathKernel:
         a, weights = self._thermal_terms()
         big_a = float(a[-1])
         tail = 2.0 * big_a / (self.beta * (J.s - 2.0))
-        for m, coeff in self._end_corrections(1.0 - J.s):
-            tail += coeff * big_a ** -m
+        for coeff in self._end_corrections(1.0 - J.s, big_a):
+            tail += coeff
         return float(np.sum(weights)) + float(weights[-1]) * tail
 
     # -- kernel pieces ------------------------------------------------------

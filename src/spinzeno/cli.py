@@ -30,7 +30,7 @@ from .config import header_lines, parse_config, sweep_cells
 from .errors import (ConfigError, DimensionBudgetError, QuadratureError,
                      SpinZenoError, TruncationError)
 from .oracle import DEFAULT_DIM_BUDGET, ExactEvolution, TruncatedBathSpec
-from .regimes import classify, sample_curve, tau_grid
+from .regimes import classify, sample_curve
 # survival_prob is unused here but stays importable from this module:
 # perfbench/tracer.py wraps spinzeno.cli.survival_prob, and
 # tests/test_benchmark_hooks.py checks that every such hook resolves.
@@ -56,7 +56,7 @@ def _kernel(cfg, system, source, cell=""):
     a note when B = 0 and a warning when the validity is large, each
     naming the sweep cell (`cell`, e.g. "[g = 1.5] ").  A kernel that
     fails here gives NaN validity and no lines."""
-    kernel = BathKernel(source, cfg.beta, tol=cfg.kernel_tol)
+    kernel = BathKernel(source, cfg.beta, tol=cfg.tol)
     try:
         divergent, v = kernel.divergent, validity_value(system, kernel)
     except SpinZenoError:
@@ -82,14 +82,13 @@ def _curves(cfg, meta, point=False, sweep=False, compare=False):
         raise ConfigError("[run] missing required key 'sweep'")
     if compare and len(cfg.modes) < 2:
         raise ConfigError("[run] modes: compare needs at least two modes")
-    taus = (cfg.tau,) if point else tau_grid(cfg.tau_min, cfg.tau_max,
-                                             cfg.tau_points, cfg.spacing)
+    taus = (cfg.tau,) if point else cfg.taus
     cells = sweep_cells(cfg) if sweep else [(None, cfg.system, cfg.source)]
     rows = []
     for value, system, source in cells:
         cell = f"[{cfg.sweep_key} = {value:.12g}] " if sweep else ""
         kernel, validity, lines = _kernel(cfg, system, source, cell)
-        curves = [sample_curve(mode, system, kernel, taus, tol=cfg.tol)
+        curves = [sample_curve(mode, system, kernel, taus)
                   for mode in cfg.modes]
         # a cell of gap rows has no result for a line to qualify
         if any(len(cv.errors) < len(cv.tau_grid) for cv in curves):
@@ -126,10 +125,9 @@ def _oracle_check(cfg, meta):
         raise ConfigError(f"[bath] modes: {k} modes exceed the dimension "
                           f"budget {DEFAULT_DIM_BUDGET} at every n_max "
                           f"(2 * 3^{k} = {2 * 3 ** k} at n_max = 3)")
-    taus = tau_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points, cfg.spacing)
     try:
-        evo = ExactEvolution(cfg.system,
-                             TruncatedBathSpec(cfg.source, cfg.n_max), taus)
+        spec = TruncatedBathSpec(cfg.source, cfg.n_max)
+        evo = ExactEvolution(cfg.system, spec, cfg.taus)
     except (DimensionBudgetError, TruncationError) as exc:
         raise ConfigError(f"[run] n_max: {exc}") from exc
     curve_rows = _curves(cfg, meta)

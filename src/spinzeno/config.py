@@ -21,8 +21,7 @@ Configs are INI documents with three sections::
     tau_points = 50
     spacing = geometric
     sweep = g: 0.01 0.05 0.5 0.95
-    tol = 1e-8
-    kernel_tol = 1e-10
+    tol = 1e-8          ; error bound of each point, kernel's share included
     n_max = 6           ; Fock truncation for oracle-check
 
 Unknown keys, missing required keys, non-numeric or non-finite values
@@ -38,7 +37,7 @@ import configparser
 import math
 from dataclasses import dataclass, replace
 
-from .bath import KERNEL_TOL, DiscreteBath, SpectralDensity, ohmicity_ok
+from .bath import DiscreteBath, SpectralDensity, ohmicity_ok
 from .errors import ConfigError, DomainError
 from .polaron import SystemParams
 from .regimes import tau_grid
@@ -72,7 +71,6 @@ KEYS = {
         "spacing": (str, "geometric", None, None),
         "sweep": (str, None, None, None),
         "tol": (float, TOL, lambda v: v > 0.0, "must be > 0"),
-        "kernel_tol": (float, KERNEL_TOL, lambda v: v > 0.0, "must be > 0"),
         "n_max": (int, 6, lambda v: v >= 3, "must be at least 3"),
     },
 }
@@ -93,10 +91,10 @@ class RunConfig:
     tau_max: float
     tau_points: int
     spacing: str
+    taus: tuple               # the tau grid; None without tau_min and tau_max
     sweep_key: str
     sweep_values: tuple
     tol: float
-    kernel_tol: float
     n_max: int
 
 
@@ -214,12 +212,14 @@ def parse_config(text):
     if run["spacing"] not in ("geometric", "linear"):
         _fail(text, "run", "spacing",
               f"must be geometric or linear, got {run['spacing']!r}")
+    run["taus"] = None
     if run["tau_min"] and run["tau_max"]:    # 0 < tau_min < tau_max
         grid = tau_grid(run["tau_min"], run["tau_max"], run["tau_points"],
                         run["spacing"])
         if not (grid[1:] > grid[:-1]).all():
             _fail(text, "run", "tau_points",
                   "the grid from tau_min to tau_max has coinciding points")
+        run["taus"] = tuple(grid.tolist())
 
     sweep_key, sweep_values = None, ()
     sweep_raw = run.pop("sweep")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .survival import TOL, survival_prob
+from .survival import survival_prob
 
 SLOPE_NOISE_FLOOR = 1e-6  # relative to max |Gamma|
 
@@ -52,10 +52,10 @@ def tau_grid(tau_min, tau_max, n_points, spacing="geometric"):
     raise ValueError(f"unknown grid spacing {spacing!r}")
 
 
-def sample_curve(mode, sys, kernel, taus, *, tol=TOL):
+def sample_curve(mode, sys, kernel, taus):
     """survival_prob under its older name, kept only because the benchmark
     tracer wraps spinzeno.cli.sample_curve; it goes with that hook."""
-    return survival_prob(mode, sys, kernel, taus, tol=tol)
+    return survival_prob(mode, sys, kernel, taus)
 
 
 def classify(curve):

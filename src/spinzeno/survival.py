@@ -115,8 +115,8 @@ class DecayCurve:
 
 def validity_value(sys, kernel):
     """(delta/omega_c)^2 (1 - B^4), omega_c being `kernel.omega_scale`."""
-    b = kernel.coherence_b()
-    return (sys.delta / kernel.omega_scale) ** 2 * (1.0 - b ** 4)
+    b, r = kernel.coherence_b(), sys.delta / kernel.omega_scale
+    return r * r * (1.0 - b ** 4)
 
 
 def _corr_combos(kernel, x):
@@ -413,7 +413,7 @@ def _rate(s, tau):
     return 0.0 - math.log(min(s, 1.0)) / tau if tau > 0.0 else 0.0
 
 
-def _sorted_curve(mode, sys, kernel, taus, tol):
+def _sorted_curve(mode, sys, kernel, taus):
     """(s, quad_error, zeroth_order, orders, failed) on sorted taus > 0."""
     p_full = renormalize(sys, kernel)
     pc = p_full.with_small_delta() if mode.small_delta else p_full
@@ -422,18 +422,18 @@ def _sorted_curve(mode, sys, kernel, taus, tol):
     coeffs = coeffs.reshape(taus.size, -1, coeffs.shape[-1])
     f = _moment_integrand(kernel, pc.omega_r, mode.removed)
     integral, err, _, orders, failed = integrate_triangle(f, taus, coeffs,
-                                                          tol=tol)
+                                                          tol=kernel.tol)
     # The oscillation term is itself O(delta_r^2), so the small-delta
     # reduction keeps its amplitude and only sends omega_r -> |epsilon|.
     zeroth = 0.0 if mode.removed else \
         (p_full.delta_r / pc.omega_r * np.sin(0.5 * pc.omega_r * taus)) ** 2
-    return (1.0 - zeroth - 0.25 * sys.delta ** 2 * integral,
-            0.25 * sys.delta ** 2 * err, zeroth, orders, failed)
+    return (1.0 - zeroth - 0.25 * sys.delta * sys.delta * integral,
+            0.25 * sys.delta * sys.delta * err, zeroth, orders, failed)
 
 
-def survival_prob(mode, sys, kernel, taus, *, tol=TOL):
-    """The DecayCurve of any tau grid (a scalar is the one-point grid), in
-    the caller's order, from one pass over its valid taus, stably sorted.
+def survival_prob(mode, sys, kernel, taus):
+    """The DecayCurve of any tau grid (one point for a scalar) to kernel.tol,
+    in the caller's order, from one pass over its valid taus, stably sorted.
 
     No SpinZenoError is raised: a failed point is a gap, NaN in s and
     gamma, with its error in `errors`.  A negative or non-finite tau is a
@@ -457,7 +457,7 @@ def survival_prob(mode, sys, kernel, taus, *, tol=TOL):
     if sys.delta != 0.0 and live.size:
         try:
             s[live], quad_err[live], zeroth[live], orders[live], failed = \
-                _sorted_curve(mode, sys, kernel, taus[live], tol)
+                _sorted_curve(mode, sys, kernel, taus[live])
         except SpinZenoError as exc:
             s[valid] = quad_err[valid] = np.nan
             errors.update((int(i), exc) for i in np.flatnonzero(valid))

@@ -338,6 +338,7 @@ class TestDivergenceDetection:
     @example(kind="zero_t", s=1.0, G=1.0, omega_c=1.0, beta=1.0)
     @example(kind="finite_t", s=2.0, G=1.0, omega_c=1.0, beta=1.0)
     @example(kind="finite_t", s=2.0 + 1e-12, G=1.0, omega_c=1.0, beta=1.0)
+    @example(kind="finite_t", s=3.0, G=5e-324, omega_c=1.0, beta=1.0)
     def test_divergent_is_phi_r0_inf_is_the_symbolic_rule(self, kind, s, G,
                                                           omega_c, beta):
         # G is bounded so that a finite phi_R(0) cannot overflow to +inf

@@ -21,8 +21,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from reference.tables import parse_json
 from spinzeno import (BathKernel, DiscreteBath, Row, SpectralDensity,
-                      SurvivalMode, emit_csv, emit_json, parse_config,
-                      sweep_cells, tau_grid)
+                      SurvivalMode, SystemParams, emit_csv, emit_json,
+                      parse_config, survival_prob, sweep_cells, tau_grid)
 from spinzeno import config
 from spinzeno.cli import main
 from spinzeno.config import header_lines
@@ -55,6 +55,7 @@ class TestParseConfig:
         assert cfg.tol == 1e-8
         assert cfg.tau_points == 50
         assert cfg.spacing == "geometric"
+        assert cfg.taus == tuple(tau_grid(0.05, 3.0, 50))
 
     def test_unknown_key_names_key_and_line(self):
         bad = MINIMAL.replace("delta = 0.2", "delta = 0.2\nwhatever = 1")
@@ -86,7 +87,7 @@ class TestParseConfig:
         assert cfg.modes == (SurvivalMode.FULL,)
         assert (cfg.tau, cfg.tau_min, cfg.tau_max) == (None, None, None)
         assert (cfg.tau_points, cfg.spacing, cfg.n_max) == (50, "geometric", 6)
-        assert (cfg.tol, cfg.kernel_tol) == (1e-8, 1e-10)
+        assert (cfg.tol, cfg.taus) == (1e-8, None)
         assert (cfg.sweep_key, cfg.sweep_values) == (None, ())
         assert cfg.beta is None
 
@@ -94,7 +95,7 @@ class TestParseConfig:
         "tau = -1", "tau = inf", "tau = nan", "tau_min = 0", "tau_min = -0.5",
         "tau_min = nan", "tau_max = 0.05", "tau_max = 0.01", "tau_max = inf",
         "tau_points = 1", "tau_points = 0", "n_max = 2", "tol = 0",
-        "tol = -1e-8", "tol = nan", "kernel_tol = 0", "kernel_tol = inf",
+        "tol = -1e-8", "tol = nan", "tol = inf",
         "modes = full, full", "modes = full, small_delta, small_delta",
         "modes = full FULL"])
     def test_out_of_range_value_rejected(self, entry):
@@ -229,7 +230,6 @@ class TestParseConfig:
             ("run", "spacing", add, add + "spacing = linear\n"),
             ("run", "sweep", add, add + "sweep = g: 0.5 0.9\n"),
             ("run", "tol", add, add + "tol = 1e-6\n"),
-            ("run", "kernel_tol", add, add + "kernel_tol = 1e-9\n"),
             ("run", "n_max", add, add + "n_max = 4\n"),
         ]
         assert {(sec, key) for sec, key, _, _ in mutations} == {
@@ -381,6 +381,14 @@ tau_min = 1.0
 tau_max = 1.0000000000000004
 tau_points = 5
 """
+
+
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 
 def _data_rows(text):
@@ -587,13 +595,13 @@ modes = small_delta
 
     @pytest.mark.parametrize("command", ["curve", "compute"])
     def test_quadrature_failure_exit_code(self, tmp_path, command):
-        # the thermal sum cannot reach this kernel tolerance at any point;
+        # the thermal sum cannot reach this tolerance's share at any point;
         # the exit code comes from the error's type, not its text
         cfg = tmp_path / "c.ini"
         cfg.write_text("[system]\nepsilon = 1.0\ndelta = 0.2\nbeta = 2.0\n"
                        "[bath]\ng = 0.5\ns = 1.5\nomega_c = 3.0\n"
                        "[run]\ntau = 0.5\n" + _SMALL_RUN
-                       + "kernel_tol = 1e-300\n")
+                       + "tol = 1e-300\n")
         result = self.run(command, "--config", str(cfg))
         assert result.exit_code == 4, result.stderr
         rows = _data_rows(result.stdout)
@@ -605,7 +613,7 @@ modes = small_delta
         cfg = tmp_path / "c.ini"
         cfg.write_text("[system]\nepsilon = 1.0\ndelta = 0.2\nbeta = 2.0\n"
                        "[bath]\ng = 0.5\ns = 1.5\nomega_c = 3.0\n"
-                       "[run]\n" + _SMALL_RUN + "kernel_tol = 1e-300\n")
+                       "[run]\n" + _SMALL_RUN + "tol = 1e-300\n")
         result = self.run("curve", "--config", str(cfg))
         kernel = BathKernel(SpectralDensity(G=0.5, s=1.5, omega_c=3.0), 2.0,
                             tol=1e-300)
@@ -618,14 +626,14 @@ modes = small_delta
 
     def test_sweep_keeps_cells_beside_a_failed_kernel(self, tmp_path):
         # the s = 3 cell's phi_R(0) needs a thermal sum that cannot reach
-        # kernel_tol: that cell is gap rows with a NaN validity, and the
+        # tol's share: that cell is gap rows with a NaN validity, and the
         # s = 150 cell's rows are those of a run of it alone
         cfg = tmp_path / "c.ini"
         results = {}
         for values in ("150 3", "150", "3"):
             cfg.write_text("[system]\nepsilon = 1.0\ndelta = 0.2\n"
                            "beta = 2.0\n[bath]\ng = 0.5\nomega_c = 3.0\n"
-                           "[run]\n" + _SMALL_RUN + "kernel_tol = 1e-300\n"
+                           "[run]\n" + _SMALL_RUN + "tol = 1e-300\n"
                            f"sweep = s: {values}\n")
             results[values] = self.run("sweep", "--config", str(cfg))
         assert results["150 3"].exit_code == results["150"].exit_code == 0
@@ -640,12 +648,12 @@ modes = small_delta
 
     def test_no_note_over_a_cell_of_gap_rows(self, tmp_path):
         # the s = 1.5 cell has B = 0 at finite T, but its psi needs a
-        # thermal sum that cannot reach kernel_tol: every row is a gap, so
+        # thermal sum that cannot reach tol's share: every row is a gap, so
         # no note says that its full and small-delta modes agree
         cfg = tmp_path / "c.ini"
         cfg.write_text("[system]\nepsilon = 1.0\ndelta = 0.2\nbeta = 2.0\n"
                        "[bath]\ng = 0.5\nomega_c = 3.0\n"
-                       "[run]\n" + _SMALL_RUN + "kernel_tol = 1e-300\n"
+                       "[run]\n" + _SMALL_RUN + "tol = 1e-300\n"
                        "sweep = s: 150 1.5\n")
         result = self.run("sweep", "--config", str(cfg))
         assert result.exit_code == 0, result.stderr
@@ -762,13 +770,10 @@ modes = small_delta
                   "assert res.exit_code == 0, res.output\n"
                   "print(sorted(m for m in sys.modules "
                   "if m.split('.')[0] == 'scipy'))\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
         proc = subprocess.run([sys.executable, "-c", script, str(cfg),
                                command],
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
+                              capture_output=True, text=True,
+                              env=_src_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -849,6 +854,62 @@ modes = small_delta
         result = self.run("compute", "--config", str(cfg), "--tol", "1e-6")
         assert result.exit_code == 2
         assert "--tol" in result.stderr
+
+    def test_kernel_tol_is_an_unknown_key(self, tmp_path):
+        # [run] tol bounds the thermal sum too; there is no second setting
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL + "tau = 1.0\nkernel_tol = 1e-9\n")
+        result = self.run("compute", "--config", str(cfg))
+        assert result.exit_code == 2
+        assert result.stderr == \
+            "config error: [run] kernel_tol (line 14): unknown key\n"
+
+    def test_run_tol_bounds_the_thermal_sum(self, tmp_path):
+        # the thermal sum's bound shrinks with tol: a fixed 1e-10 bound
+        # leaves s 6.8e-12 off here
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[system]\nepsilon = 1.0\ndelta = 1.0\nbeta = 2.0\n"
+                       "[bath]\ng = 0.05\ns = 3.0\nomega_c = 10.0\n"
+                       "[run]\nmodes = removed_full\ntau_min = 0.05\n"
+                       "tau_max = 1.5\ntau_points = 20\ntol = 1e-12\n")
+        result = self.run("curve", "--config", str(cfg), "--format", "json")
+        assert result.exit_code == 0, result.stderr
+        _, rows = parse_json(result.stdout)
+        kernel = BathKernel(SpectralDensity(G=0.05, s=3.0, omega_c=10.0), 2.0,
+                            tol=1e-14)
+        ref = survival_prob(SurvivalMode.REMOVED_FULL, SystemParams(1.0, 1.0),
+                            kernel, [r.tau for r in rows])
+        assert ref.errors == () and len(rows) == 20
+        assert np.max(np.abs(np.array([r.s for r in rows]) - ref.s)) <= 1e-12
+
+    @pytest.mark.parametrize("edits", [
+        {"delta = 0.2": "delta = 0.2\nbeta = 1e29"},
+        {"delta = 0.2": "delta = 0.2\nbeta = 2.0", "g = 1.0": "g = 1e-320"},
+        {"omega_c = 10.0": "omega_c = 1e-300"},
+        {"delta = 0.2": "delta = 1e155"}],
+        ids=["beta-1e29", "g-1e-320-finite-t", "omega_c-1e-300",
+             "delta-1e155"])
+    def test_extreme_finite_value_ends_with_a_cli_exit_code(self, tmp_path,
+                                                          edits):
+        # each value is finite and in range, so no float expression may
+        # overflow or take log(0) into a traceback; NumPy's overflow
+        # warnings are errors here, so none may be hidden either
+        text = MINIMAL
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text + "tau = 0.5\n")
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                               "-m", "spinzeno.cli", "compute", "--config",
+                               str(cfg)], capture_output=True, text=True,
+                              env=_src_env(), timeout=120)
+        assert proc.returncode in (0, 3, 4), proc.stderr
+        assert "Traceback" not in proc.stderr
+        if "beta = 1e29" in text:
+            # so cold that the thermal sum is its T = 0 term
+            cfg.write_text(MINIMAL + "tau = 0.5\n")
+            assert _data_rows(proc.stdout) == _data_rows(
+                self.run("compute", "--config", str(cfg)).stdout)
 
     def test_missing_out_directory_exit_code(self, tmp_path):
         cfg = tmp_path / "c.ini"

@@ -28,10 +28,9 @@ G_BOUND = 3e-4
 @pytest.mark.parametrize("epsilon", [1.0, 3.0])
 def test_small_delta_tends_to_the_golden_rule_rate(epsilon):
     kernel = BathKernel(SpectralDensity(G=G, s=1.0, omega_c=OMEGA_C),
-                        beta=None)
+                        beta=None, tol=1e-12)
     curve = survival_prob(SurvivalMode.SMALL_DELTA,
-                          SystemParams(epsilon, DELTA), kernel, TAUS,
-                          tol=1e-12)
+                          SystemParams(epsilon, DELTA), kernel, TAUS)
     assert curve.errors == ()
     rate = ohmic_golden_rule_rate(DELTA, epsilon, G, OMEGA_C)
     g = (1.0 - curve.s) / (TAUS * rate) - 1.0

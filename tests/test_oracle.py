@@ -19,7 +19,6 @@ from spinzeno.errors import (DimensionBudgetError, DomainError,
                              TruncationError)
 from spinzeno.oracle import _chebyshev_coefficients, _coherent_vector
 from spinzeno.polaron import SIGMA_X, SIGMA_Z
-from spinzeno.regimes import tau_grid
 
 TWO_MODE = DiscreteBath(((1.0, 0.2), (3.0, 0.3)))
 THREE_MODE = DiscreteBath(((1.0, 0.2), (2.0, 0.25), (3.0, 0.3)))
@@ -350,10 +349,9 @@ class TestGridPass:
     def test_shipped_oracle_grid_matches_dense_reference(self):
         cfg = parse_config((REPO / "configs" / "oracle.ini").read_text())
         spec = TruncatedBathSpec(cfg.source, cfg.n_max)
-        taus = tau_grid(cfg.tau_min, cfg.tau_max, cfg.tau_points, cfg.spacing)
-        evo = ExactEvolution(cfg.system, spec, taus)
+        evo = ExactEvolution(cfg.system, spec, cfg.taus)
         dense = DenseEvolution(cfg.system, spec)
-        for tau in taus:
+        for tau in cfg.taus:
             for removed in (False, True):
                 assert abs(evo.survival(tau, removed)
                            - dense.survival(tau, removed)) < 1e-10

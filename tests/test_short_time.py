@@ -49,7 +49,7 @@ CASES = list(_cases())
 
 
 def _check(mode, source, beta, sys):
-    kernel = BathKernel(source, beta)
+    kernel = BathKernel(source, beta, tol=1e-14)
     b2 = kernel.coherence_b() ** 2
     allowance = 0.0
     rule = mode
@@ -58,7 +58,7 @@ def _check(mode, source, beta, sys):
             rule = SurvivalMode.SMALL_DELTA
         allowance = 2.0 * (1.0 - b2) ** 2 * sys.delta ** 4 / 48.0
     c2, c4 = series(rule, sys, source, beta)
-    curve = survival_prob(mode, sys, kernel, FIT_TAUS, tol=1e-14)
+    curve = survival_prob(mode, sys, kernel, FIT_TAUS)
     assert np.all(np.isfinite(curve.s)), curve.errors
     got = fit_c4(FIT_TAUS, curve.s, c2)
     assert abs(got - c4) <= FIT_BOUND * abs(c4) + allowance, (got, c4)

@@ -382,7 +382,7 @@ class TestQuadratureSchedule:
            epsilon=st.floats(0.25, 2.0), delta=st.floats(0.02, 1.0),
            tau=st.floats(0.01, 8.0))
     def test_matches_fixed_order_512(self, mode, kernel, epsilon, delta, tau):
-        tol = 1e-8
+        tol = kernel.tol
         sys = SystemParams(epsilon, delta)
         seen = []
         real = survival_module.integrate_triangle
@@ -393,7 +393,7 @@ class TestQuadratureSchedule:
 
         with mock.patch.object(survival_module, "integrate_triangle",
                                recording):
-            res = survival_prob(mode, sys, kernel, tau, tol=tol)
+            res = survival_prob(mode, sys, kernel, tau)
         fixed = _moments_at_order(*seen[0], tau, 512)
         s_fixed = (1.0 - res.diagnostics["zeroth_order"]
                    - 0.25 * delta ** 2 * float(fixed))
@@ -402,10 +402,10 @@ class TestQuadratureSchedule:
     def test_tolerance_below_rounding_stops_at_the_floor(self):
         # removed_full at tau = 6 stops improving at differences of 1-2e-13
         # by order 256: a tol below that is raised to the rounding floor
-        kernel = BathKernel(SpectralDensity(1.0, 3.0, 10.0))
+        bath = SpectralDensity(1.0, 3.0, 10.0)
         sys = SystemParams(1.0, 1.0)
-        tight, loose = (survival_prob(SurvivalMode.REMOVED_FULL, sys, kernel,
-                                      6.0, tol=tol).s
+        tight, loose = (survival_prob(SurvivalMode.REMOVED_FULL, sys,
+                                      BathKernel(bath, tol=tol), 6.0).s
                         for tol in (1e-13, 1e-10))
         assert tight == pytest.approx(loose, abs=1e-12)
 
@@ -428,7 +428,8 @@ class TestQuadratureSchedule:
             asked.clear()
             with mock.patch.object(survival_module, "_panel_sums",
                                    recording):
-                res = survival_prob(mode, SYS_B, KERNEL, taus, tol=1e-30)
+                res = survival_prob(mode, SYS_B, BathKernel(J3, tol=1e-30),
+                                    taus)
             assert not any(isinstance(exc, QuadratureError)
                            for _, exc in res.errors)
             assert asked[0] and not any(asked[1:]) and len(asked) <= 4
@@ -528,11 +529,12 @@ class TestCurvePath:
     def test_curve_matches_one_point_calls(self, mode, name, taus):
         # any grid, unsorted and with repeats: each point agrees with its
         # own one-panel survival_prob within the tolerance
-        kernel, tol = _REFERENCE_KERNELS[name], 1e-8
-        curve = sample_curve(mode, SYS_B, kernel, taus, tol=tol)
+        kernel = _REFERENCE_KERNELS[name]
+        curve = sample_curve(mode, SYS_B, kernel, taus)
         for tau, s_curve in zip(taus, curve.s):
-            one = survival_prob(mode, SYS_B, kernel, tau, tol=tol)
-            assert abs(s_curve - one.s[0]) <= 0.25 * SYS_B.delta ** 2 * tol
+            one = survival_prob(mode, SYS_B, kernel, tau)
+            assert abs(s_curve - one.s[0]) \
+                <= 0.25 * SYS_B.delta ** 2 * kernel.tol
 
     def test_array_diagnostics(self):
         taus = tau_grid(0.05, 3.0, 6)
@@ -648,7 +650,7 @@ def test_super_ohmic_small_delta_tends_to_the_golden_rule(
     tau = 640 (without K_1 it would be 1.29e-2 and 2.1e-4)."""
     rate, k_1 = super_ohmic_golden_rule
     curve = survival_prob(SurvivalMode.SMALL_DELTA, GR_SYS,
-                          BathKernel(GR_BATH), GR_TAUS, tol=tol)
+                          BathKernel(GR_BATH, tol=tol), GR_TAUS)
     assert curve.errors == ()
     r = ((1.0 - curve.s - curve.diagnostics["zeroth_order"] + k_1) / GR_TAUS
          - rate) / rate
