@@ -25,7 +25,9 @@ At zero temperature the Ohmic-family kernel has a closed form
     phi_I(t) = -G Gamma(s-1) Im z
     psi(t)   = (G/2) ln(1 + w_c^2 t^2),  phi_I(t) = G arctan(w_c t)   (s = 1)
 
-for every s > 0.  1 - Re z is formed without cancellation as s -> 1.
+for every s > 0.  1 - Re z is formed without cancellation as s -> 1,
+and ln(1 + w_c^2 t^2)/2 as ln(w_c t) above w_c t = 1e150, whose square
+would overflow.
 
 At finite temperature coth(beta w/2) = 1 + 2 sum_{n>=1} exp(-n beta w)
 turns each integral into a sum of zero-temperature closed forms: term n
@@ -47,11 +49,18 @@ KERNEL_SHARE * tol.  The sum carries the coth weight in phi_I too, as the
 half-line quadrature it replaced did, although the integral above has
 none; a strict xfail in tests/test_bath.py pins that known fault.  With
 the weight, phi_I diverges for s <= 1 (DivergentKernelError).
-Discrete baths are finite sums.  No path integrates over frequency.
+Discrete baths are finite sums, and a mode whose alpha_k^2 = (g_k/w_k)^2
+is not a finite double is rejected.  No path integrates over frequency.
+
+A BathKernel holds only its source, beta and tol.  phi_R(0), the terms
+of the finite-T sum and a discrete bath's weights alpha_k^2 and
+alpha_k^2 coth(beta w_k/2) are cached properties derived from them, so
+dataclasses.replace gives a kernel that computes everything afresh.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,13 +76,22 @@ MAX_THERMAL_TERMS = 10000  # direct terms of the finite-temperature sum
 KERNEL_SHARE = 1e-2        # the finite-T remainder's bound, relative to tol
 
 
+def _half_log1p_sq(x):
+    """0.5 log1p(x^2) for a NumPy x >= 0: log x above 1e150, where x^2 may
+    overflow and the omitted 0.5 log1p(x^-2) < 1e-300 is below rounding."""
+    if not (x > 1e150).any():       # the common case, kept cheap
+        return 0.5 * np.log1p(x * x)
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.where(x > 1e150, np.log(x), 0.5 * np.log1p(x * x))
+
+
 def _one_minus_pow(scale, e, x):
     """scale * (1 - (1 + ix)^e) as (real part, imaginary part).
 
     With (1 + ix)^e = exp(a + ib), 1 - Re = 2 sin^2(b/2) - expm1(a) cos b
     keeps full relative accuracy where a, b -> 0 (e -> 0 or x -> 0).
     """
-    a = e * 0.5 * np.log1p(x * x)
+    a = e * _half_log1p_sq(x)
     b = e * np.arctan(x)
     return (scale * (2.0 * np.sin(0.5 * b) ** 2 - np.expm1(a) * np.cos(b)),
             -scale * np.exp(a) * np.sin(b))
@@ -143,8 +161,13 @@ class DiscreteBath:
             raise DomainError("mode frequencies must be strictly increasing")
         if np.any(gs < 0.0):
             raise DomainError("couplings g_k must be nonnegative")
+        with np.errstate(over="ignore"):
+            alphas = gs / omegas
+            if not np.all(np.isfinite(alphas ** 2)):
+                raise DomainError("(g_k/omega_k)^2 of every mode must be "
+                                  "finite")
         for name, values in (("omegas", omegas), ("couplings", gs),
-                             ("alphas", gs / omegas)):
+                             ("alphas", alphas)):
             values.flags.writeable = False
             object.__setattr__(self, name, values)
 
@@ -187,7 +210,6 @@ class BathKernel:
     source: object
     beta: float = None
     tol: float = TOL
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.beta is not None and not 0.0 < self.beta < math.inf:
@@ -209,13 +231,6 @@ class BathKernel:
         return float(src.omegas[-1]) if isinstance(src, DiscreteBath) \
             else src.omega_c
 
-    def _coth(self, omega):
-        # tanh keeps full relative accuracy at small arguments
-        omega = np.asarray(omega, dtype=float)
-        if self.beta is None:
-            return np.ones_like(omega)
-        return 1.0 / np.tanh(0.5 * self.beta * omega)
-
     # -- closed forms ---------------------------------------------------------
 
     def _zero_temperature_parts(self, ta):
@@ -223,9 +238,10 @@ class BathKernel:
         J = self.source
         x = J.omega_c * ta
         if J.s == 1.0:
-            return 0.5 * J.G * np.log1p(x * x), J.G * np.arctan(x)
+            return J.G * _half_log1p_sq(x), J.G * np.arctan(x)
         return _one_minus_pow(J.G * math.gamma(J.s - 1.0), 1.0 - J.s, x)
 
+    @cached_property
     def _thermal_terms(self):
         """(a_n, c_n G Gamma(s-1) (w_c a_n)^(1-s) for n = 0..N) of the finite-T
         sum.
@@ -236,29 +252,26 @@ class BathKernel:
         4 |B_12|/12! G Gamma(s+10) w_c^(1-s) beta^11 a_N^(-s-10), is at
         most KERNEL_SHARE * tol (a sum of logs: no product underflows).
         """
-        if "terms" not in self._cache:
-            J, beta = self.source, self.beta
-            a_min = 0.0
-            if J.G > 0.0:
-                p = len(EM_COEFFS)
-                log_bound = (math.log(4.0 * abs(EM_COEFFS[-1])) + math.log(J.G)
-                             + math.lgamma(J.s + 2 * p - 2)
-                             + (1.0 - J.s) * math.log(J.omega_c)
-                             + (2 * p - 1) * math.log(beta)
-                             - math.log(KERNEL_SHARE) - math.log(self.tol))
-                a_min = math.exp(log_bound / (J.s + 2 * p - 2))
-            n = max(1, math.ceil((a_min - 1.0 / J.omega_c) / beta))
-            if n > MAX_THERMAL_TERMS:
-                raise QuadratureError(
-                    f"tol {self.tol:g} needs {n} thermal sum terms, more "
-                    f"than {MAX_THERMAL_TERMS}")
-            a = 1.0 / J.omega_c + beta * np.arange(n + 1)
-            c = np.full(n + 1, 2.0)
-            c[0] = c[-1] = 1.0
-            weights = c * J.G * math.gamma(J.s - 1.0) \
-                * (J.omega_c * a) ** (1.0 - J.s)
-            self._cache["terms"] = (a, weights)
-        return self._cache["terms"]
+        J, beta = self.source, self.beta
+        a_min = 0.0
+        if J.G > 0.0:
+            p = len(EM_COEFFS)
+            log_bound = (math.log(4.0 * abs(EM_COEFFS[-1])) + math.log(J.G)
+                         + math.lgamma(J.s + 2 * p - 2)
+                         + (1.0 - J.s) * math.log(J.omega_c)
+                         + (2 * p - 1) * math.log(beta)
+                         - math.log(KERNEL_SHARE) - math.log(self.tol))
+            a_min = math.exp(log_bound / (J.s + 2 * p - 2))
+        n = max(1, math.ceil((a_min - 1.0 / J.omega_c) / beta))
+        if n > MAX_THERMAL_TERMS:
+            raise QuadratureError(
+                f"tol {self.tol:g} needs {n} thermal sum terms, more "
+                f"than {MAX_THERMAL_TERMS}")
+        a = 1.0 / J.omega_c + beta * np.arange(n + 1)
+        c = np.full(n + 1, 2.0)
+        c[0] = c[-1] = 1.0
+        return a, c * J.G * math.gamma(J.s - 1.0) \
+            * (J.omega_c * a) ** (1.0 - J.s)
 
     def _thermal_parts(self, ta):
         """(psi, phi_I) at finite temperature for times ta >= 0."""
@@ -267,7 +280,7 @@ class BathKernel:
             raise DivergentKernelError(
                 "divergent kernel: the coth-weighted phi_I integral does not "
                 f"converge at finite T for s <= 1 (s={J.s})")
-        a, weights = self._thermal_terms()
+        a, weights = self._thermal_terms
         e = 1.0 - J.s
         psi = phi_i = 0.0
         for a_n, w_n in zip(a, weights):
@@ -289,7 +302,7 @@ class BathKernel:
             w_r, w_i = _one_minus_pow(k / e2, e, x)
             p, q = x * w_i - w_r, x * (k / e2) - w_i - x * w_r
         elif e2 == 0.0:
-            p, q = k * 0.5 * np.log1p(x * x), k * np.arctan(x)
+            p, q = k * _half_log1p_sq(x), k * np.arctan(x)
         else:
             p, q = _one_minus_pow(-k / e2, e2, x)
         psi = psi + p
@@ -321,7 +334,7 @@ class BathKernel:
     def _thermal_phi_r0(self):
         """phi_R(0) at finite temperature (s > 2) from the same sum."""
         J = self.source
-        a, weights = self._thermal_terms()
+        a, weights = self._thermal_terms
         big_a = float(a[-1])
         tail = 2.0 * big_a / (self.beta * (J.s - 2.0))
         for coeff in self._end_corrections(1.0 - J.s, big_a):
@@ -330,23 +343,31 @@ class BathKernel:
 
     # -- kernel pieces ------------------------------------------------------
 
+    @cached_property
+    def _mode_weights(self):
+        """(alpha_k^2, alpha_k^2 coth(beta omega_k / 2)) of a discrete bath;
+        tanh keeps full relative accuracy at small arguments."""
+        a2 = self.source.alphas ** 2
+        if self.beta is None:
+            return a2, a2
+        return a2, a2 * (1.0 / np.tanh(0.5 * self.beta * self.source.omegas))
+
+    @cached_property
+    def _phi_r0(self):
+        if isinstance(self.source, DiscreteBath):
+            return float(np.sum(self._mode_weights[1]))
+        if self.source.G == 0.0:
+            return 0.0
+        if self.source.s <= (1.0 if self.beta is None else 2.0):
+            return math.inf
+        if self.beta is None:
+            return self.source.G * math.gamma(self.source.s - 1.0)
+        return self._thermal_phi_r0()
+
     def phi_r0(self):
         """phi_R(0); +inf where the integral diverges (B = 0), decided
         here only: G > 0 with s <= 1 at T = 0 or s <= 2 at finite T."""
-        if "phi_r0" not in self._cache:
-            if isinstance(self.source, DiscreteBath):
-                a2 = self.source.alphas ** 2
-                val = float(np.sum(a2 * self._coth(self.source.omegas)))
-            elif self.source.G == 0.0:
-                val = 0.0
-            elif self.source.s <= (1.0 if self.beta is None else 2.0):
-                val = math.inf
-            elif self.beta is None:
-                val = self.source.G * math.gamma(self.source.s - 1.0)
-            else:
-                val = self._thermal_phi_r0()
-            self._cache["phi_r0"] = val
-        return self._cache["phi_r0"]
+        return self._phi_r0
 
     def coherence_b(self):
         """B = exp(-phi_R(0)/2), exactly 0 for divergent kernels."""
@@ -362,10 +383,8 @@ class BathKernel:
         sign = np.sign(t)
         ta = np.abs(t)
         if isinstance(self.source, DiscreteBath):
-            w = self.source.omegas
-            a2i = self.source.alphas ** 2
-            a2 = a2i * self._coth(w)
-            wt = np.multiply.outer(ta, w)
+            a2i, a2 = self._mode_weights
+            wt = np.multiply.outer(ta, self.source.omegas)
             psi = (2.0 * np.sin(0.5 * wt) ** 2) @ a2
             phi_i = np.sin(wt) @ a2i
         elif self.source.G == 0.0:

@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .bath import BathKernel, DiscreteBath
 from .config import header_lines, parse_config, sweep_cells
-from .errors import (ConfigError, DimensionBudgetError, QuadratureError,
-                     SpinZenoError, TruncationError)
+from .errors import (ConfigError, DimensionBudgetError, DomainError,
+                     QuadratureError, SpinZenoError, TruncationError)
 from .oracle import DEFAULT_DIM_BUDGET, ExactEvolution, TruncatedBathSpec
 from .regimes import classify, sample_curve
 # survival_prob is unused here but stays importable from this module:
@@ -130,6 +130,8 @@ def _oracle_check(cfg, meta):
         evo = ExactEvolution(cfg.system, spec, cfg.taus)
     except (DimensionBudgetError, TruncationError) as exc:
         raise ConfigError(f"[run] n_max: {exc}") from exc
+    except DomainError as exc:      # the Chebyshev series is too long
+        raise ConfigError(f"[run] tau_max: {exc}") from exc
     curve_rows = _curves(cfg, meta)
     rows = []
     for row in curve_rows:

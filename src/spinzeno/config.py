@@ -27,15 +27,20 @@ Configs are INI documents with three sections::
 Unknown keys, missing required keys, non-numeric or non-finite values
 (``beta = inf`` is the one spelling of zero temperature), non-integer
 ``tau_points`` or ``n_max``, out-of-range values (``s`` also needs a finite
-Gamma(s - 1)), a mode listed twice and a tau grid whose points coincide
-are rejected with the offending key and line number.  Section names are
+Gamma(s - 1), and each bath mode a finite (g/omega)^2), a mode listed
+twice and a tau grid whose points coincide are rejected with the offending
+key and line number.  Section names are
 lowercase, ``[DEFAULT]`` is an unknown section like any other, and ``%``
 is a literal character.
+
+RunConfig takes the parsed values only: its tau grid ``taus`` is derived
+from tau_min, tau_max, tau_points and spacing when it is built, and is
+None unless both ends are set.
 """
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .bath import DiscreteBath, SpectralDensity, ohmicity_ok
 from .errors import ConfigError, DomainError
@@ -91,11 +96,16 @@ class RunConfig:
     tau_max: float
     tau_points: int
     spacing: str
-    taus: tuple               # the tau grid; None without tau_min and tau_max
+    taus: tuple = field(init=False)  # the grid; None without both ends
     sweep_key: str
     sweep_values: tuple
     tol: float
     n_max: int
+
+    def __post_init__(self):
+        keys = (self.tau_min, self.tau_max, self.tau_points, self.spacing)
+        object.__setattr__(self, "taus", tuple(tau_grid(*keys).tolist())
+                           if self.tau_min and self.tau_max else None)
 
 
 def _line_of(text, section, key):
@@ -212,14 +222,6 @@ def parse_config(text):
     if run["spacing"] not in ("geometric", "linear"):
         _fail(text, "run", "spacing",
               f"must be geometric or linear, got {run['spacing']!r}")
-    run["taus"] = None
-    if run["tau_min"] and run["tau_max"]:    # 0 < tau_min < tau_max
-        grid = tau_grid(run["tau_min"], run["tau_max"], run["tau_points"],
-                        run["spacing"])
-        if not (grid[1:] > grid[:-1]).all():
-            _fail(text, "run", "tau_points",
-                  "the grid from tau_min to tau_max has coinciding points")
-        run["taus"] = tuple(grid.tolist())
 
     sweep_key, sweep_values = None, ()
     sweep_raw = run.pop("sweep")
@@ -239,9 +241,13 @@ def parse_config(text):
             _fail(text, "run", "sweep",
                   f"{sweep_key} {KEYS[section][sweep_key][3]}")
 
-    return RunConfig(system=SystemParams(system["epsilon"], system["delta"]),
-                     source=source, modes=tuple(modes), beta=system["beta"],
-                     sweep_key=sweep_key, sweep_values=sweep_values, **run)
+    cfg = RunConfig(system=SystemParams(system["epsilon"], system["delta"]),
+                    source=source, modes=tuple(modes), beta=system["beta"],
+                    sweep_key=sweep_key, sweep_values=sweep_values, **run)
+    if cfg.taus and not all(a < b for a, b in zip(cfg.taus, cfg.taus[1:])):
+        _fail(text, "run", "tau_points",
+              "the grid from tau_min to tau_max has coinciding points")
+    return cfg
 
 
 def header_lines(cfg):

@@ -13,8 +13,10 @@ initial state are real, so one real recurrence serves a whole tau grid:
 a pass costs about (spectral half-width x tau_max) applications of H, at
 O(d K) each, and memory is O(d (K + CHUNK + number of taus)).  An
 evolution runs that pass once, over the grid it is built with, and holds
-the states of those taus and nothing else.  The dense eigendecomposition
-this replaces is the cross-check in tests/reference/oracle.py.
+the states of those taus and nothing else.  A grid whose series would
+need more than MAX_CHEBYSHEV_TERMS Bessel orders is refused before any
+coefficient is formed.  The dense eigendecomposition this replaces is the
+cross-check in tests/reference/oracle.py.
 """
 
 import math
@@ -30,6 +32,7 @@ DEFAULT_DIM_BUDGET = 4096
 TRUNCATION_TOL = 1e-6  # largest weight a truncated coherent state may lose
 CHEBYSHEV_TOL = 1e-16  # series tail cut
 CHUNK = 32            # Chebyshev vectors stored per accumulation product
+MAX_CHEBYSHEV_TERMS = 100000  # Bessel orders of one recurrence, 2(x + 30)
 
 
 @dataclass(frozen=True)
@@ -223,6 +226,13 @@ class ExactEvolution:
         lo, hi = self.h.spectral_bounds()
         center = 0.5 * (hi + lo)
         radius = 0.5 * (hi - lo) or 1.0     # H = center * I if zero
+        # time and memory grow with x: refuse before any coefficient
+        x = radius * max(taus, default=0.0)
+        if not 2.0 * (x + 30.0) <= MAX_CHEBYSHEV_TERMS:
+            raise DomainError(
+                f"tau = {max(taus):g} at spectral half-width {radius:.3g} "
+                f"needs {2.0 * (x + 30.0):.3g} Chebyshev terms, more than "
+                f"{MAX_CHEBYSHEV_TERMS}")
         coeffs = [_chebyshev_coefficients(radius * tau) for tau in taus]
         m, n = len(taus), max((a.size for a in coeffs), default=0)
         c = np.zeros((2 * m, n))      # real parts, then imaginary parts

@@ -3,10 +3,11 @@
 The free polaron-frame Hamiltonian is H_S = (eps/2) sigma_z
 + (delta_r/2) sigma_x with delta_r = delta * B, and all coefficient
 functions below follow from conjugation with U_S(t) = exp(-i H_S t).
-The effective Rabi frequency is Omega_r = sqrt(eps^2 + delta_r^2).
+The effective Rabi frequency is Omega_r = sqrt(eps^2 + delta_r^2);
+PolaronParams takes eps and delta_r and derives Omega_r from them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,11 +36,15 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class PolaronParams:
-    """Derived polaron-frame quantities (delta_r, Omega_r)."""
+    """Polaron-frame bias and delta_r; Omega_r = hypot(eps, delta_r)."""
 
     epsilon: float
     delta_r: float
-    omega_r: float
+    omega_r: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "omega_r",
+                           float(np.hypot(self.epsilon, self.delta_r)))
 
     @property
     def nx(self):
@@ -54,17 +59,16 @@ class PolaronParams:
         if self.epsilon == 0.0:
             raise DegenerateSystemError(
                 "small-delta reduction needs epsilon != 0")
-        return PolaronParams(self.epsilon, 0.0, abs(self.epsilon))
+        return PolaronParams(self.epsilon, 0.0)
 
 
 def renormalize(sys, kernel):
     """Polaron parameters for a system coupled through the given kernel."""
-    delta_r = sys.delta * kernel.coherence_b()
-    omega_r = float(np.hypot(sys.epsilon, delta_r))
-    if omega_r == 0.0:
+    p = PolaronParams(sys.epsilon, sys.delta * kernel.coherence_b())
+    if p.omega_r == 0.0:
         raise DegenerateSystemError(
             "epsilon = delta_r = 0: effective Rabi frequency vanishes")
-    return PolaronParams(sys.epsilon, delta_r, omega_r)
+    return p
 
 
 def rot_coeffs(p, t):

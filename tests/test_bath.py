@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,6 +154,12 @@ class TestDiscreteBath:
         with pytest.raises(DomainError, match="omega_k and g_k"):
             DiscreteBath(modes(value))
 
+    def test_rejects_an_amplitude_whose_square_overflows(self):
+        # (1/1e-160)^2 = 1e320 is no double; phi_I ~ alpha g t could not
+        # be one either
+        with pytest.raises(DomainError, match="omega_k\\)\\^2"):
+            DiscreteBath(((1e-160, 1.0),))
+
     def test_mode_arrays_are_built_once_and_read_only(self):
         bath = DiscreteBath(((1.0, 0.2), (4.0, 0.3)))
         assert bath.omegas is bath.omegas
@@ -222,6 +229,19 @@ class TestClosedFormKernel:
             assert phi_i == pytest.approx(
                 J.G * math.atan(J.omega_c * t), abs=1e-9)
 
+    @pytest.mark.parametrize("s, psi, phi_i", [
+        (1.0, 3.5620754223351714, 0.015707963267948967),
+        (1.001, 2.9950092614825662, 0.010994371403159539),
+        (3.0, 0.01, 0.0)])
+    def test_closed_forms_where_omega_c_t_squared_overflows(self, s, psi,
+                                                           phi_i):
+        # omega_c t = 5e154, whose square is no double; the values are the
+        # closed forms in 40-digit mpmath at the same double inputs
+        kern = BathKernel(SpectralDensity(G=0.01, s=s, omega_c=1e155), None)
+        with np.errstate(over="raise", invalid="raise"):
+            got = kern.phi_parts(0.5)
+        assert got == pytest.approx((psi, phi_i), rel=1e-15, abs=0.0)
+
     @settings(max_examples=60, deadline=None)
     @given(s=st.one_of(st.floats(0.3, 4.0), st.just(1.0),
                        st.floats(1.0 - 1e-6, 1.0 + 1e-6)),
@@ -273,15 +293,45 @@ class TestFiniteTemperatureSum:
         J = SpectralDensity(G=0.95, s=3.0, omega_c=10.0)
         loose, tight = (BathKernel(J, beta=2.0, tol=tol)
                         for tol in (1e-4, 1e-14))
-        assert loose._thermal_terms()[0].size < tight._thermal_terms()[0].size
+        assert loose._thermal_terms[0].size < tight._thermal_terms[0].size
         assert loose.phi_parts(1.5)[0] == pytest.approx(
             tight.phi_parts(1.5)[0], abs=1e-4)
+
+    def test_s2_tail_where_t_over_a_squared_overflows(self):
+        # at s = 2 the coth's 2/(beta w) pole makes psi grow as
+        # (2 G / (beta omega_c)) ln t and phi_I tend to pi G / (beta omega_c)
+        kern = BathKernel(SpectralDensity(G=0.01, s=2.0, omega_c=1.0), 1.0)
+        with np.errstate(over="raise", invalid="raise"):
+            (psi_1, _), (psi_2, phi_i) = (kern.phi_parts(t)
+                                          for t in (1e160, 1e161))
+        assert psi_2 - psi_1 == pytest.approx(0.02 * math.log(10.0),
+                                              rel=1e-12)
+        assert phi_i == pytest.approx(0.01 * math.pi, rel=1e-14)
 
     def test_unreachable_tolerance_is_a_quadrature_error(self):
         kern = BathKernel(SpectralDensity(G=1.0, s=1.5, omega_c=10.0),
                           beta=2.0, tol=1e-300)
         with pytest.raises(QuadratureError, match="thermal sum terms"):
             kern.phi_parts(1.0)
+
+
+class TestDerivedValues:
+    """phi_R(0) and the sums behind phi_parts follow the kernel's fields."""
+
+    @pytest.mark.parametrize("source, new_source", [
+        (SpectralDensity(G=0.5, s=3.0, omega_c=10.0),
+         SpectralDensity(G=0.05, s=3.0, omega_c=10.0)),
+        (DiscreteBath(((1.0, 0.2), (3.0, 0.3))),
+         DiscreteBath(((1.0, 0.4),)))], ids=["continuous", "discrete"])
+    @pytest.mark.parametrize("change", ["beta", "source"])
+    def test_replace_gives_a_fresh_kernel(self, source, new_source, change):
+        kern = BathKernel(source, beta=2.0)
+        kern.phi_r0(), kern.phi_parts(1.0)          # both values are read
+        new = {"beta": 0.5} if change == "beta" else {"source": new_source}
+        copy, fresh = replace(kern, **new), BathKernel(**{
+            "source": source, "beta": 2.0, **new})
+        assert copy.phi_r0() == fresh.phi_r0() != kern.phi_r0()
+        assert copy.phi_parts(1.0) == fresh.phi_parts(1.0)
 
 
 class TestDivergenceDetection:

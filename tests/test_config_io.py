@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,7 @@ from spinzeno import (BathKernel, DiscreteBath, Row, SpectralDensity,
                       parse_config, survival_prob, sweep_cells, tau_grid)
 from spinzeno import config
 from spinzeno.cli import main
-from spinzeno.config import header_lines
+from spinzeno.config import RunConfig, header_lines
 from spinzeno.errors import ConfigError, QuadratureError
 from spinzeno.tables import COLUMNS, emit
 
@@ -56,6 +57,12 @@ class TestParseConfig:
         assert cfg.tau_points == 50
         assert cfg.spacing == "geometric"
         assert cfg.taus == tuple(tau_grid(0.05, 3.0, 50))
+
+    def test_tau_grid_follows_the_grid_keys(self):
+        cfg = parse_config((REPO / "configs" / "fig1a.ini").read_text())
+        assert replace(cfg, tau_max=6.0).taus == tuple(tau_grid(0.05, 6.0, 50))
+        assert replace(cfg, tau_min=None).taus is None
+        assert "taus" not in [f.name for f in fields(RunConfig) if f.init]
 
     def test_unknown_key_names_key_and_line(self):
         bad = MINIMAL.replace("delta = 0.2", "delta = 0.2\nwhatever = 1")
@@ -162,6 +169,9 @@ class TestParseConfig:
          "[bath] modes (line 7): discrete bath needs at least one mode"),
         ("g = 1.0\nomega_c = 10.0", "modes = 1.0:-0.2",
          "[bath] modes (line 7): couplings g_k must be nonnegative"),
+        ("g = 1.0\nomega_c = 10.0", "modes = 1e-160:1.0",
+         "[bath] modes (line 7): (g_k/omega_k)^2 of every mode must be "
+         "finite"),
         ("tau_max = 3.0", "tau_max = 3.0\nmodes = ,",
          "[run] modes: at least one mode required"),
         ("tau_max = 3.0", "tau_max = 3.0\nspacing = log",
@@ -911,6 +921,36 @@ modes = small_delta
             assert _data_rows(proc.stdout) == _data_rows(
                 self.run("compute", "--config", str(cfg)).stdout)
 
+    @pytest.mark.parametrize("edits, code", [
+        ({"g = 1.0": "g = 0.01\ns = 1", "10.0": "1e155"}, 0),
+        ({"g = 1.0": "g = 0.01\ns = 1.001", "10.0": "1e155"}, 0),
+        ({"g = 1.0\nomega_c = 10.0": "modes = 1e-160:1.0"}, 2)],
+        ids=["s-1-omega_c-1e155", "s-1.001-omega_c-1e155",
+             "mode-amplitude-1e160"])
+    def test_square_past_the_largest_double_under_warnings_as_errors(
+            self, tmp_path, edits, code):
+        # omega_c tau = 5e154 squares past the largest double, and so does
+        # a mode's g/omega = 1e160, a config fault: every warning is an
+        # error here, so neither may be hidden
+        text = MINIMAL
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text + "tau = 0.5\n")
+        proc = subprocess.run([sys.executable, "-W", "error", "-m",
+                               "spinzeno.cli", "compute", "--config",
+                               str(cfg)], capture_output=True, text=True,
+                              env=_src_env(), timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 2:
+            assert proc.stderr == ("config error: [bath] modes (line 7): "
+                                   "(g_k/omega_k)^2 of every mode must be "
+                                   "finite\n")
+        else:
+            (row,) = _data_rows(proc.stdout)
+            assert row["error"] == "" and 0.0 < float(row["gamma"]) < 1e-3
+
     def test_missing_out_directory_exit_code(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text(MINIMAL + "tau_points = 2\n")
@@ -930,10 +970,14 @@ modes = small_delta
          "1e-06 at n_max=3"),
         # no n_max >= 3 fits seven modes: the fault is the mode count
         ("oracle-check", _SEVEN_MODES, 3, _SEVEN_MODES_MESSAGE),
-        ("oracle-check", _SEVEN_MODES, 6, _SEVEN_MODES_MESSAGE)],
+        ("oracle-check", _SEVEN_MODES, 6, _SEVEN_MODES_MESSAGE),
+        # its time and memory grow with omega tau_max
+        ("oracle-check", "1e5:0.2", 3,
+         "[run] tau_max: tau = 1 at spectral half-width 1e+05 needs 2e+05 "
+         "Chebyshev terms, more than 100000")],
         ids=["out-is-a-directory", "oracle-dimension-budget",
              "oracle-truncation", "oracle-seven-modes-n3",
-             "oracle-seven-modes-n6"])
+             "oracle-seven-modes-n6", "oracle-chebyshev-terms"])
     def test_config_fault_exits_before_the_solve(self, tmp_path, command,
                                                  modes, n_max, message):
         cfg = tmp_path / "c.ini"

@@ -1,6 +1,7 @@
 """Polaron-frame parameter and rotation-coefficient tests."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from spinzeno.polaron import SIGMA_X, SIGMA_Z
 KERNEL = BathKernel(SpectralDensity(G=1.0, s=3.0, omega_c=10.0), None)
 
 params_strategy = st.builds(
-    lambda eps, dr: PolaronParams(eps, dr, math.hypot(eps, dr)),
+    lambda eps, dr: PolaronParams(eps, dr),
     st.floats(-3.0, 3.0), st.floats(0.0, 3.0),
 ).filter(lambda p: p.omega_r > 1e-6)
 
@@ -53,7 +54,16 @@ class TestRenormalize:
         assert q.omega_r == 2.0
         assert q.nx == 0.0
         with pytest.raises(DegenerateSystemError):
-            PolaronParams(0.0, 1.0, 1.0).with_small_delta()
+            PolaronParams(0.0, 1.0).with_small_delta()
+
+    def test_omega_r_follows_epsilon_and_delta_r(self):
+        p = renormalize(SystemParams(-2.0, 1.0), KERNEL)
+        assert replace(p, delta_r=0.0).omega_r == abs(p.epsilon)
+        assert replace(p, epsilon=0.0).omega_r == p.delta_r
+        assert [f.name for f in fields(PolaronParams) if f.init] \
+            == ["epsilon", "delta_r"]
+        with pytest.raises(TypeError):
+            PolaronParams(1.0, 0.5, 2.0)
 
 
 class TestRotCoeffs:
@@ -81,13 +91,13 @@ class TestRotCoeffs:
         assert np.max(np.abs(got_y - want_y)) < 1e-12
 
     def test_initial_values(self):
-        p = PolaronParams(1.0, 0.5, math.hypot(1.0, 0.5))
+        p = PolaronParams(1.0, 0.5)
         a_x, a_y, a_z, b_x, b_y, b_z = rot_coeffs(p, 0.0)
         assert (a_x, a_y, a_z) == (1.0, 0.0, 0.0)
         assert (b_x, b_y, b_z) == (0.0, 1.0, 0.0)
 
     def test_vectorized(self):
-        p = PolaronParams(1.0, 0.5, math.hypot(1.0, 0.5))
+        p = PolaronParams(1.0, 0.5)
         t = np.linspace(0.0, 3.0, 7)
         coeffs = rot_coeffs(p, t)
         assert all(c.shape == t.shape for c in coeffs)
@@ -111,6 +121,6 @@ class TestFgh:
         assert f == pytest.approx(sz, abs=1e-12)
 
     def test_unitarity_of_u_s(self):
-        p = PolaronParams(1.0, 0.5, math.hypot(1.0, 0.5))
+        p = PolaronParams(1.0, 0.5)
         u = u_s_matrix(p, 1.3)
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-14

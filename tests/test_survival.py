@@ -282,7 +282,7 @@ def test_coefficients_match_the_references(mode, epsilon, delta_r, log_phases,
     """_coefficients' one scatter per block against the loop that adds one
     (j, k) term at a time, and _spin_tables against the matrix DFT, for
     Omega_r tau from 1e-8 to 1e3."""
-    pc = PolaronParams(epsilon, delta_r, math.hypot(epsilon, delta_r))
+    pc = PolaronParams(epsilon, delta_r)
     if mode.small_delta:
         pc = pc.with_small_delta()
     taus = np.sort(10.0 ** np.array(log_phases)) / pc.omega_r
@@ -332,9 +332,8 @@ class TestInvariants:
         # pairs entering the removed integrand: only epsilon^2, delta_r^2
         # and epsilon*delta_r products survive in |m_mu| terms
         from spinzeno.polaron import PolaronParams, rot_coeffs
-        w = math.hypot(1.0, 0.6)
-        p = PolaronParams(1.0, 0.6, w)
-        q = PolaronParams(-1.0, -0.6, w)
+        p = PolaronParams(1.0, 0.6)
+        q = PolaronParams(-1.0, -0.6)
         t = np.linspace(0.0, 4.0, 9)
         ax, ay, az, bx, by, bz = rot_coeffs(p, t)
         ax2, ay2, az2, bx2, by2, bz2 = rot_coeffs(q, t)
