@@ -50,7 +50,9 @@ half-line quadrature it replaced did, although the integral above has
 none; a strict xfail in tests/test_bath.py pins that known fault.  With
 the weight, phi_I diverges for s <= 1 (DivergentKernelError).
 Discrete baths are finite sums, and a mode whose alpha_k^2 = (g_k/w_k)^2
-is not a finite double is rejected.  No path integrates over frequency.
+is not a finite double is rejected, as is a kernel whose phi_R(0) = sum_k
+alpha_k^2 coth(beta w_k/2) is not (a tiny w_k at finite T).  No path
+integrates over frequency.
 
 A BathKernel holds only its source, beta and tol.  phi_R(0), the terms
 of the finite-T sum and a discrete bath's weights alpha_k^2 and
@@ -171,6 +173,20 @@ class DiscreteBath:
             values.flags.writeable = False
             object.__setattr__(self, name, values)
 
+    def weights(self, beta=None):
+        """(alpha_k^2, alpha_k^2 coth(beta omega_k / 2)) at the inverse
+        temperature beta (None: T = 0); tanh keeps full relative accuracy
+        at small arguments.  A DomainError if the second sum, phi_R(0),
+        is not a finite double."""
+        a2 = self.alphas ** 2
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            thermal = a2 if beta is None \
+                else a2 * (1.0 / np.tanh(0.5 * beta * self.omegas))
+            if not np.sum(thermal) < math.inf:
+                raise DomainError("phi_R(0) = sum_k alpha_k^2 coth(beta "
+                                  "omega_k/2) must be finite")
+        return a2, thermal
+
 
 class KernelTable:
     """Spline tables of psi(t) and phi_I(t) on [0, t_max].
@@ -216,6 +232,8 @@ class BathKernel:
             raise DomainError("beta must be finite and positive, or None")
         if not 0.0 < self.tol < math.inf:
             raise DomainError("tol must be finite and positive")
+        if isinstance(self.source, DiscreteBath):
+            self._mode_weights      # a DomainError if phi_R(0) overflows
 
     # -- divergence and frequency scale ---------------------------------
 
@@ -345,12 +363,8 @@ class BathKernel:
 
     @cached_property
     def _mode_weights(self):
-        """(alpha_k^2, alpha_k^2 coth(beta omega_k / 2)) of a discrete bath;
-        tanh keeps full relative accuracy at small arguments."""
-        a2 = self.source.alphas ** 2
-        if self.beta is None:
-            return a2, a2
-        return a2, a2 * (1.0 / np.tanh(0.5 * self.beta * self.source.omegas))
+        """A discrete bath's weights at this kernel's beta."""
+        return self.source.weights(self.beta)
 
     @cached_property
     def _phi_r0(self):

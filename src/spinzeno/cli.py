@@ -12,8 +12,11 @@ every config fault but an --out that cannot be written is raised before
 any curve is solved.  A body builds one BathKernel per (bath, beta)
 cell, shares it across modes and taus, and gets each mode's curve from
 survival_prob, by its alias `regimes.sample_curve` (which the benchmark
-tracer wraps), where a failed point is a gap row.  oracle-check writes
-curve's rows (`_curves`) with an exact row after each.
+tracer wraps), where a failed point is a gap row.  The modes of a cell
+also share its first quadrature level (one survival.FirstLevel per
+cell, dropped with the cell), and each curve is bit-identical to the
+same mode solved alone.  oracle-check writes curve's rows (`_curves`)
+with an exact row after each.
 """
 
 import math
@@ -34,7 +37,8 @@ from .regimes import classify, sample_curve
 # survival_prob is unused here but stays importable from this module:
 # perfbench/tracer.py wraps spinzeno.cli.survival_prob, and
 # tests/test_benchmark_hooks.py checks that every such hook resolves.
-from .survival import SurvivalMode, survival_prob, validity_value  # noqa: F401
+from .survival import (FirstLevel, SurvivalMode, survival_prob,  # noqa: F401
+                       validity_value)
 from .tables import Row, emit
 
 EXIT_CONFIG = 2
@@ -88,8 +92,10 @@ def _curves(cfg, meta, point=False, sweep=False, compare=False):
     for value, system, source in cells:
         cell = f"[{cfg.sweep_key} = {value:.12g}] " if sweep else ""
         kernel, validity, lines = _kernel(cfg, system, source, cell)
-        curves = [sample_curve(mode, system, kernel, taus)
+        shared = FirstLevel(cfg.modes, system, kernel, taus)
+        curves = [sample_curve(mode, system, kernel, taus, shared)
                   for mode in cfg.modes]
+        del shared          # its arrays are not needed past the curves
         # a cell of gap rows has no result for a line to qualify
         if any(len(cv.errors) < len(cv.tau_grid) for cv in curves):
             for line in lines:

@@ -27,11 +27,11 @@ Configs are INI documents with three sections::
 Unknown keys, missing required keys, non-numeric or non-finite values
 (``beta = inf`` is the one spelling of zero temperature), non-integer
 ``tau_points`` or ``n_max``, out-of-range values (``s`` also needs a finite
-Gamma(s - 1), and each bath mode a finite (g/omega)^2), a mode listed
-twice and a tau grid whose points coincide are rejected with the offending
-key and line number.  Section names are
-lowercase, ``[DEFAULT]`` is an unknown section like any other, and ``%``
-is a literal character.
+Gamma(s - 1), each bath mode a finite (g/omega)^2, and the modes a
+finite phi_R(0) at the config's beta), a mode listed twice and a tau grid
+whose points coincide are rejected with the offending key and line
+number.  Section names are lowercase, ``[DEFAULT]`` is an unknown
+section like any other, and ``%`` is a literal character.
 
 RunConfig takes the parsed values only: its tau grid ``taus`` is derived
 from tau_min, tau_max, tau_points and spacing when it is built, and is
@@ -196,6 +196,8 @@ def parse_config(text):
                           _number(text, "bath", "modes", g_raw)))
         try:
             source = DiscreteBath(tuple(pairs))
+            # beta is never swept, so its mode weights are final here
+            source.weights(system["beta"])
         except DomainError as exc:
             _fail(text, "bath", "modes", str(exc))
     else:

@@ -26,7 +26,8 @@ class OutOfRegimeError(SpinZenoError):
 
 
 class TruncationError(SpinZenoError):
-    """Fock-space truncation lost too much weight."""
+    """Fock-space truncation lost too much weight, or its top level's
+    energy is not a finite double."""
 
 
 class DimensionBudgetError(SpinZenoError):

@@ -125,6 +125,14 @@ class LabHamiltonian:
     def build(cls, sys, spec):
         n_modes = len(spec.bath.modes)
         n = spec.n_max
+        # the largest diagonal entry, in Python floats, which overflow to
+        # inf without a warning: a TruncationError, not an inf in diag
+        top = 0.5 * abs(float(sys.epsilon)) \
+            + (n - 1) * sum(w for w, _ in spec.bath.modes)
+        if not top < math.inf:
+            raise TruncationError(
+                "the top Fock level's energy |epsilon|/2 + (n_max - 1) "
+                "sum_k omega_k is not a finite double")
         shape = (2,) + (n,) * n_modes
         sz = np.array([1.0, -1.0]).reshape((2,) + (1,) * n_modes)
         diag = np.broadcast_to(0.5 * sys.epsilon * sz, shape)

@@ -52,10 +52,10 @@ def tau_grid(tau_min, tau_max, n_points, spacing="geometric"):
     raise ValueError(f"unknown grid spacing {spacing!r}")
 
 
-def sample_curve(mode, sys, kernel, taus):
+def sample_curve(mode, sys, kernel, taus, shared=None):
     """survival_prob under its older name, kept only because the benchmark
     tracer wraps spinzeno.cli.sample_curve; it goes with that hook."""
-    return survival_prob(mode, sys, kernel, taus)
+    return survival_prob(mode, sys, kernel, taus, shared)
 
 
 def classify(curve):

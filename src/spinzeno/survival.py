@@ -44,11 +44,18 @@ the negative frequencies are the conjugates of the positive ones.  The
 same factors at tau enter A, whose nine (j, k) terms are summed by one
 scatter per block.  The magnitudes sum |U| |V| behind the rounding floor
 come from the first level only.
+
+The modes of one cell (one system, kernel and tau grid) share that first
+level, a FirstLevel: the kernel rows at its nodes and Ctil(0) are
+evaluated once, and the panel sums once for each distinct Omega_r.  Each
+mode keeps its own coefficients, acceptance test and later levels, so a
+curve is bit-identical whether it is solved alone or in a cell.
 """
 
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -256,45 +263,61 @@ def _coefficients(pc, taus, removed, ct_0=None):
 
 def _moment_integrand(kernel, w, removed):
     """f(x) = (U, V) with U = K_r e^{i w a x} (row-major in (r, a)) and
-    V = Phi_c' at the nodes x; the moments are int U V^T.  Both are views
-    of arrays that keep the nodes innermost, the order the products and
-    the panel sums run in."""
-    def f(x):
-        rows = list(_corr_combos(kernel, x))
-        if removed:
-            rows.append(np.ones(x.shape))
-        e, phi = _basis(w, x)
-        u = (np.stack(rows)[:, None] * e).reshape((-1,) + x.shape)
-        v = np.concatenate([np.ones((1,) + x.shape), phi])
-        return np.moveaxis(u, 0, -1), np.moveaxis(v, 0, -1)
-
-    return f
+    V = Phi_c' at the nodes x; the moments are int U V^T."""
+    return lambda x: _integrand(_corr_combos(kernel, x), w, removed, x)
 
 
-def _panel_sums(f, lo, width, magnitudes=False):
+def _integrand(rows, w, removed, x):
+    """(U, V) at the nodes x from the kernel rows there, (Ctil_1,
+    Ctil_2), with the constant row after them if `removed`.  Both are
+    views of arrays that keep the nodes innermost, the order the products
+    and the panel sums run in."""
+    rows = list(rows)
+    if removed:
+        rows.append(np.ones(x.shape))
+    e, phi = _basis(w, x)
+    u = (np.stack(rows)[:, None] * e).reshape((-1,) + x.shape)
+    v = np.concatenate([np.ones((1,) + x.shape), phi])
+    return np.moveaxis(u, 0, -1), np.moveaxis(v, 0, -1)
+
+
+def _products(u, v, half, magnitudes):
+    """Each panel's K15 sums of U V^T and their differences from the G7
+    sums, in one array with the columns (K15, K15 - G7) x j, and the K15
+    sums of |U| |V|^T if `magnitudes` (else None); `half` holds the
+    panels' half-widths."""
+    hw = half[..., None] * _WEIGHTS
+    with np.errstate(invalid="ignore", over="ignore"):
+        u = np.swapaxes(u, 1, 2)
+        vw = (v[:, :, None] * hw[..., None]).reshape(v.shape[:2] + (-1,))
+        return (u @ vw, np.abs(u) @ (np.abs(v) * hw[..., :1])
+                if magnitudes else None)
+
+
+def _panel_sums(products, lo, width, magnitudes=False):
     """K15 sums of U V^T on each panel, their differences from the
     embedded G7 sums, and the K15 sums of |U| |V|^T if `magnitudes`.
 
-    f is called on at most MAX_NODES nodes at a time (always at least one
-    panel).  Returns (sums, diffs, abs_sums, failed) for the panels before
-    the first failure (abs_sums is None without `magnitudes`); failed is
-    None or (panel position, error) for the first panel whose sums are
-    not finite, as any non-finite value of f makes them.
+    The panels go in chunks of at most MAX_NODES nodes (always at least
+    one panel): products(start, x, half, magnitudes) gives the sums of
+    the chunk whose first panel is panel `start`, with nodes x (panel,
+    node) and half-widths `half` (panel, 1), as (sums, abs_sums) with
+    the columns of the sums (K15, K15 - G7) x j.  Returns (sums, diffs,
+    abs_sums, failed) for the panels before the first failure (abs_sums
+    is None without `magnitudes`); failed is None or (panel position,
+    error) for the first panel whose sums are not finite, as any
+    non-finite value of the integrand makes them.
     """
     per_call = max(1, MAX_NODES // _K15_X.size)
     sums, mags, failed, end = [], [], None, lo.size
     for first in range(0, lo.size, per_call):
         half = 0.5 * width[first:first + per_call, None]
-        u, v = f(lo[first:first + per_call, None] + half * (_K15_X + 1.0))
-        # both weight sets in one product: columns (K15, K15 - G7) x j
-        hw = half[..., None] * _WEIGHTS
-        with np.errstate(invalid="ignore", over="ignore"):
-            u = np.swapaxes(u, 1, 2)
-            vw = (v[:, :, None] * hw[..., None]).reshape(v.shape[:2] + (-1,))
-            sums.append(u @ vw)
-            if magnitudes:
-                mags.append(np.abs(u) @ (np.abs(v) * hw[..., :1]))
-        finite = np.isfinite(sums[-1]).all(axis=(1, 2))
+        chunk, chunk_mags = products(
+            first, lo[first:first + per_call, None] + half * (_K15_X + 1.0),
+            half, magnitudes)
+        sums.append(chunk)
+        mags.append(chunk_mags)
+        finite = np.isfinite(chunk).all(axis=(1, 2))
         if not finite.all():
             end = first + int(np.argmin(finite))
             failed = (end, NonFiniteIntegrandError(
@@ -307,7 +330,7 @@ def _panel_sums(f, lo, width, magnitudes=False):
             np.concatenate(mags)[:end] if magnitudes else None, failed)
 
 
-def integrate_triangle(f, taus, coeffs, tol=TOL):
+def integrate_triangle(f, taus, coeffs, tol=TOL, first=None):
     """D(tau_t) = Re sum_ij coeffs[t, i, j] int_0^tau_t U_i(x) V_j(x) dx for
     every tau_t of the sorted, nonnegative `taus`, with (U, V) = f(x).
 
@@ -334,7 +357,9 @@ def integrate_triangle(f, taus, coeffs, tol=TOL):
     moments are the K15 sums of its accepted sub-panels, so tol bounds
     each point's error, apart from the floors.  f must map an array of
     nodes (panel, node) to (U, V) with shapes (panel, node, i) and
-    (panel, node, j).
+    (panel, node, j).  `first`, if given, gives the first level's sums
+    in place of f, in _panel_sums' `products` form (survival_prob passes
+    its FirstLevel's).
 
     Returns (values, error bounds, largest interval node count, interval
     node counts, failed): an interval's node count is 15 for each
@@ -362,9 +387,15 @@ def integrate_triangle(f, taus, coeffs, tol=TOL):
     end, failed = n, None                # points from `end` on are gaps
     # the open sub-panels in interval order: interval, left end, width
     owner, sub_lo, sub_w = np.arange(n), lo, width
+
+    def later(start, x, half, magnitudes):
+        return _products(*f(x), half, magnitudes)
+
+    products = later if first is None else first
     while owner.size:
-        est, diff, mag, bad = _panel_sums(f, sub_lo, sub_w,
+        est, diff, mag, bad = _panel_sums(products, sub_lo, sub_w,
                                           magnitudes=floor is None)
+        products = later
         if bad is not None:
             end = int(owner[bad[0]])
             failed = (end, bad[1])
@@ -413,16 +444,80 @@ def _rate(s, tau):
     return 0.0 - math.log(min(s, 1.0)) / tau if tau > 0.0 else 0.0
 
 
-def _sorted_curve(mode, sys, kernel, taus):
-    """(s, quad_error, zeroth_order, orders, failed) on sorted taus > 0."""
+def _params(mode, sys, kernel):
+    """The full polaron parameters and the mode's coefficient set."""
     p_full = renormalize(sys, kernel)
-    pc = p_full.with_small_delta() if mode.small_delta else p_full
-    ct_0 = np.array(_corr_combos(kernel, 0.0)) if mode.removed else None
+    return p_full, p_full.with_small_delta() if mode.small_delta else p_full
+
+
+class FirstLevel:
+    """The first quadrature level of the curves of one cell: the `modes`
+    on one system, kernel and tau grid.
+
+    That level is one K15 panel on every grid interval, the same nodes
+    for every mode.  The kernel rows (Ctil_1, Ctil_2) there and Ctil(0)
+    are evaluated once, and the panel sums once for each distinct
+    Omega_r, over the rows of the widest mode at that Omega_r: with the
+    constant row if a removed mode of `modes` has it.  A mode takes the
+    leading rows.  A matrix product forms each row of its result from
+    that row of its left factor alone, and NumPy's BLAS does so bit for
+    bit (tests/test_survival.py checks it), so a curve is bit-identical
+    alone or in a cell.  The arrays live as long as the object.
+    """
+
+    def __init__(self, modes, sys, kernel, taus):
+        self.modes, self.sys, self.kernel = modes, sys, kernel
+        self.taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        self._rows = {}             # chunk start -> kernel rows
+        self._sums = {}             # (Omega_r, chunk start) -> panel sums
+
+    @cached_property
+    def _removed_at(self):
+        """The Omega_r of the removed modes."""
+        omegas = set()
+        for mode in map(SurvivalMode, self.modes):
+            if mode.removed:
+                try:
+                    omegas.add(_params(mode, self.sys, self.kernel)[1].omega_r)
+                except SpinZenoError:
+                    pass            # that curve is all gaps
+        return omegas
+
+    @cached_property
+    def ct_0(self):
+        """(Ctil_1, Ctil_2) at 0, for the constant row of removed modes."""
+        return np.array(_corr_combos(self.kernel, 0.0))
+
+    def products(self, omega, removed):
+        """integrate_triangle's `first` for a mode at Rabi frequency omega,
+        with the constant row if `removed`; it always gives the magnitude
+        sums, which the first level takes."""
+        n = 5 * (3 if removed else 2)       # its rows (r, a)
+
+        def products(start, x, half, magnitudes):
+            sums = self._sums.get((omega, start))
+            if sums is None or sums[0].shape[1] < n:
+                if start not in self._rows:
+                    self._rows[start] = _corr_combos(self.kernel, x)
+                sums = self._sums[omega, start] = _products(
+                    *_integrand(self._rows[start], omega,
+                                removed or omega in self._removed_at, x),
+                    half, True)
+            return sums[0][:, :n], sums[1][:, :n]
+
+        return products
+
+
+def _sorted_curve(mode, sys, kernel, taus, shared):
+    """(s, quad_error, zeroth_order, orders, failed) on sorted taus > 0."""
+    p_full, pc = _params(mode, sys, kernel)
+    ct_0 = shared.ct_0 if mode.removed else None
     coeffs = _coefficients(pc, taus, mode.removed, ct_0)
     coeffs = coeffs.reshape(taus.size, -1, coeffs.shape[-1])
     f = _moment_integrand(kernel, pc.omega_r, mode.removed)
-    integral, err, _, orders, failed = integrate_triangle(f, taus, coeffs,
-                                                          tol=kernel.tol)
+    integral, err, _, orders, failed = integrate_triangle(
+        f, taus, coeffs, tol=kernel.tol,
+        first=shared.products(pc.omega_r, mode.removed))
     # The oscillation term is itself O(delta_r^2), so the small-delta
     # reduction keeps its amplitude and only sends omega_r -> |epsilon|.
     zeroth = 0.0 if mode.removed else \
@@ -431,7 +526,7 @@ def _sorted_curve(mode, sys, kernel, taus):
             0.25 * sys.delta * sys.delta * err, zeroth, orders, failed)
 
 
-def survival_prob(mode, sys, kernel, taus):
+def survival_prob(mode, sys, kernel, taus, shared=None):
     """The DecayCurve of any tau grid (one point for a scalar) to kernel.tol,
     in the caller's order, from one pass over its valid taus, stably sorted.
 
@@ -442,9 +537,18 @@ def survival_prob(mode, sys, kernel, taus):
     the quadrature goes to every valid point.  An s outside (0, 1 +
     SURVIVAL_SLACK] is an OutOfRegimeError; an s in (1, 1 + SURVIVAL_SLACK]
     is truncation rounding: Gamma comes from min(s, 1), and s is kept.
+
+    `shared` is the FirstLevel of the cell the curve belongs to, built on
+    this kernel and tau grid; without one the curve gets its own.
     """
     mode = SurvivalMode(mode)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if shared is None:
+        shared = FirstLevel((mode,), sys, kernel, taus)
+    elif shared.kernel is not kernel or \
+            not np.array_equal(shared.taus, taus, equal_nan=True):
+        raise ValueError("the FirstLevel was built for another kernel or "
+                         "tau grid")
     valid = (taus >= 0.0) & (taus < math.inf)
     errors = {int(i): DomainError("tau must be finite and nonnegative")
               for i in np.flatnonzero(~valid)}
@@ -457,7 +561,7 @@ def survival_prob(mode, sys, kernel, taus):
     if sys.delta != 0.0 and live.size:
         try:
             s[live], quad_err[live], zeroth[live], orders[live], failed = \
-                _sorted_curve(mode, sys, kernel, taus[live])
+                _sorted_curve(mode, sys, kernel, taus[live], shared)
         except SpinZenoError as exc:
             s[valid] = quad_err[valid] = np.nan
             errors.update((int(i), exc) for i in np.flatnonzero(valid))

@@ -951,6 +951,60 @@ modes = small_delta
             (row,) = _data_rows(proc.stdout)
             assert row["error"] == "" and 0.0 < float(row["gamma"]) < 1e-3
 
+    @pytest.mark.parametrize("command, edits, message", [
+        # alpha^2 = 1e280 times coth(beta omega / 2) = 2e150 at beta = 1
+        ("compute", {"delta = 0.2": "delta = 0.2\nbeta = 1.0",
+                     "g = 1.0\nomega_c = 10.0": "modes = 1e-150:1e-10",
+                     "tau_min = 0.05\ntau_max = 3.0": "tau = 0.5"},
+         "[bath] modes (line 8): phi_R(0) = sum_k alpha_k^2 "
+         "coth(beta omega_k/2) must be finite"),
+        # (n_max - 1) omega = 2e308
+        ("oracle-check", {"g = 1.0\nomega_c = 10.0": "modes = 1e308:0.2",
+                          "tau_min = 0.05\ntau_max = 3.0":
+                          "tau_min = 0.1\ntau_max = 1.0\ntau_points = 3\n"
+                          "n_max = 3"},
+         "[run] n_max: the top Fock level's energy |epsilon|/2 + "
+         "(n_max - 1) sum_k omega_k is not a finite double")],
+        ids=["thermal-mode-weight", "oracle-top-fock-energy"])
+    def test_overflowing_mode_is_a_config_fault_under_warnings_as_errors(
+            self, tmp_path, command, edits, message):
+        # each value is a finite double, but a product of them is not:
+        # exit 2 before the solve, with no warning hidden
+        text = MINIMAL
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        proc = subprocess.run([sys.executable, "-W", "error", "-m",
+                               "spinzeno.cli", command, "--config",
+                               str(cfg)], capture_output=True, text=True,
+                              env=_src_env(), timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"config error: {message}\n"
+
+    def test_compare_evaluates_the_first_level_once_per_cell(self, tmp_path):
+        # four modes on the benchmark's six-mode bath: one kernel call on
+        # the 40 x 15 first-level nodes and one Ctil(0), not one per mode
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MINIMAL.replace("delta = 0.2", "delta = 0.1")
+                       .replace("g = 1.0\nomega_c = 10.0",
+                                "modes = 0.5:0.1 1.0:0.2 2.0:0.25 3.0:0.3 "
+                                "4.5:0.3 6.0:0.2")
+                       .replace("tau_max = 3.0", "tau_max = 6.0")
+                       + "tau_points = 40\nmodes = full small_delta "
+                       "removed_full removed_small_delta\n")
+        sizes = []
+        real = BathKernel.phi_parts
+
+        def counting(self, t):
+            sizes.append(np.size(t))
+            return real(self, t)
+
+        with mock.patch.object(BathKernel, "phi_parts", counting):
+            result = self.run("compare", "--config", str(cfg))
+        assert result.exit_code == 0
+        assert sizes.count(40 * 15) == 1 and sizes.count(1) == 1
+
     def test_missing_out_directory_exit_code(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text(MINIMAL + "tau_points = 2\n")

@@ -621,6 +621,114 @@ class TestCurvePath:
         assert isinstance(curve.errors[0][1], SpinZenoError)
 
 
+class _NanAbove2(BathKernel):
+    """A kernel whose psi is NaN beyond t = 2: every panel that reaches
+    past it has a non-finite integrand."""
+
+    def phi_parts(self, t):
+        psi, phi_i = super().phi_parts(t)
+        return np.where(np.abs(t) > 2.0, np.nan, psi), phi_i
+
+
+def _same_curve(a, b):
+    """Bit for bit: s, gamma, every diagnostics array, and each gap's
+    index, exception type and message."""
+    assert a.mode is b.mode
+    assert np.array_equal(a.s, b.s, equal_nan=True)
+    assert np.array_equal(a.gamma, b.gamma, equal_nan=True)
+    assert a.diagnostics.keys() == b.diagnostics.keys()
+    for key, value in a.diagnostics.items():
+        assert np.array_equal(value, b.diagnostics[key], equal_nan=True), key
+    assert [(i, type(e), str(e)) for i, e in a.errors] == \
+        [(i, type(e), str(e)) for i, e in b.errors]
+
+
+_SHARED_CASES = {
+    # (system, kernel, taus, modes)
+    "discrete-all-four": (SystemParams(1.0, 0.1), SIX_MODE,
+                          tau_grid(0.05, 6.0, 40), ALL_MODES),
+    "continuum-distinct-omega": (SYS_B, KERNEL, tau_grid(0.05, 1.8, 20),
+                                 [SurvivalMode.FULL,
+                                  SurvivalMode.SMALL_DELTA]),
+    # B = 0: Omega_r = |epsilon| for every mode, so all four share one
+    "b0-one-omega": (SYS_B, BathKernel(SpectralDensity(0.5, 0.7, 3.0)),
+                     tau_grid(0.05, 3.0, 12), ALL_MODES),
+    # intervals of width 2 and a lone point need later levels
+    "coarse-linear": (SYS_B, KERNEL, np.linspace(2.0, 8.0, 4), ALL_MODES),
+    "one-point": (SYS_B, KERNEL, [6.0], ALL_MODES),
+    # the finite-T kernel of s <= 1 raises: every point of every mode
+    "kernel-raises": (SYS_B, BathKernel(SpectralDensity(0.5, 0.7, 3.0), 2.0),
+                      tau_grid(0.05, 3.0, 5), ALL_MODES),
+    "kernel-not-finite": (SYS_B, _NanAbove2(J3), tau_grid(0.5, 6.0, 8),
+                          ALL_MODES),
+    # epsilon = 0 has no small-delta reduction
+    "epsilon-0": (SystemParams(0.0, 0.5), KERNEL, tau_grid(0.05, 3.0, 6),
+                  ALL_MODES),
+}
+
+
+class TestSharedFirstLevel:
+    """The modes of a cell share its first quadrature level (FirstLevel),
+    and each curve stays bit-identical to the same mode solved alone."""
+
+    @pytest.mark.parametrize("name", list(_SHARED_CASES))
+    def test_each_curve_matches_its_mode_solved_alone(self, name):
+        sys, kernel, taus, modes = _SHARED_CASES[name]
+        shared = survival_module.FirstLevel(modes, sys, kernel, taus)
+        curves = [survival_prob(mode, sys, kernel, taus, shared)
+                  for mode in modes]
+        for mode, curve in zip(modes, curves):
+            _same_curve(curve, survival_prob(mode, sys, kernel, taus))
+        # each case reaches what it is named for
+        if name in ("coarse-linear", "one-point"):
+            assert max(c.diagnostics["order"].max() for c in curves) > 15
+        if name.startswith("kernel"):
+            assert all(c.errors for c in curves)
+        if name == "epsilon-0":
+            assert [bool(c.errors) for c in curves] == \
+                [m.small_delta for m in modes]
+        if name == "b0-one-omega":
+            assert {renormalize(sys, kernel).omega_r} == {abs(sys.epsilon)}
+
+    def test_a_mode_outside_the_cell_widens_its_sums(self):
+        # a FirstLevel built for the full mode alone forms the full
+        # mode's rows; removed_full then needs the constant row too
+        taus = tau_grid(0.05, 3.0, 10)
+        shared = survival_module.FirstLevel([SurvivalMode.FULL], SYS_B,
+                                            KERNEL, taus)
+        for mode in (SurvivalMode.FULL, SurvivalMode.REMOVED_FULL,
+                     SurvivalMode.FULL):
+            _same_curve(survival_prob(mode, SYS_B, KERNEL, taus, shared),
+                        survival_prob(mode, SYS_B, KERNEL, taus))
+
+    def test_the_modes_of_a_cell_evaluate_the_first_level_once(self):
+        # 40 points: one kernel call on the 600 first-level nodes and one
+        # Ctil(0) for the cell, where each mode alone makes its own
+        sys, kernel, taus, modes = _SHARED_CASES["discrete-all-four"]
+        sizes = []
+        real = BathKernel.phi_parts
+
+        def counting(self, t):
+            sizes.append(np.size(t))
+            return real(self, t)
+
+        with mock.patch.object(BathKernel, "phi_parts", counting):
+            shared = survival_module.FirstLevel(modes, sys, kernel, taus)
+            for mode in modes:
+                survival_prob(mode, sys, kernel, taus, shared)
+        assert sizes.count(40 * 15) == 1 and sizes.count(1) == 1
+
+    @pytest.mark.parametrize("kernel, taus", [
+        (BathKernel(J3, None), [0.5, 1.0]), (KERNEL, [0.5, 2.0])],
+        ids=["another-kernel", "another-grid"])
+    def test_a_first_level_serves_its_own_kernel_and_grid(self, kernel,
+                                                            taus):
+        shared = survival_module.FirstLevel(ALL_MODES, SYS_B, KERNEL,
+                                            [0.5, 1.0])
+        with pytest.raises(ValueError, match="another kernel or tau grid"):
+            survival_prob(SurvivalMode.FULL, SYS_B, kernel, taus, shared)
+
+
 GR_SYS = SystemParams(1.0, 0.1)
 GR_BATH = SpectralDensity(G=0.5, s=3.0, omega_c=10.0)
 GR_TAUS = 10.0 * 2.0 ** np.arange(7)
