@@ -42,13 +42,13 @@ Since w_c a_n >= 1, the power (w_c a_n)^(1-s) is at most 1 for s > 1 and
 cannot overflow, however large s is; G Gamma(s-1) is finite because the
 spectral density admits only such s.
 
-The terms n <= N are summed directly; the rest is an analytic
-Euler-Maclaurin tail (the integral over n plus end corrections up to
-B_12), and N is the smallest count whose remainder bound is below
-KERNEL_SHARE * tol.  The sum carries the coth weight in phi_I too, as the
-half-line quadrature it replaced did, although the integral above has
-none; a strict xfail in tests/test_bath.py pins that known fault.  With
-the weight, phi_I diverges for s <= 1 (DivergentKernelError).
+The terms n <= N are summed in one pass over n, in order; the rest is an
+analytic Euler-Maclaurin tail (the integral over n plus end corrections
+up to B_12), and N is the smallest count whose remainder bound is below
+KERNEL_SHARE * tol.  The sum carries the coth weight in phi_I too, as
+the half-line quadrature it replaced did, although the integral above
+has none; a strict xfail in tests/test_bath.py pins that known fault.
+With the weight, phi_I diverges for s <= 1 (DivergentKernelError).
 Discrete baths are finite sums, and a mode whose alpha_k^2 = (g_k/w_k)^2
 is not a finite double is rejected, as is a kernel whose phi_R(0) = sum_k
 alpha_k^2 coth(beta w_k/2) is not (a tiny w_k at finite T).  No path
@@ -291,6 +291,15 @@ class BathKernel:
         return a, c * J.G * math.gamma(J.s - 1.0) \
             * (J.omega_c * a) ** (1.0 - J.s)
 
+    def _direct_sum(self, ta):
+        """(psi, phi_I) of the finite-T terms n = 0..N: one call over a
+        leading n axis, summed in order (a reduction over a lone time
+        would go pairwise)."""
+        n_axis = (-1,) + (1,) * np.ndim(ta)
+        a, weights = (v.reshape(n_axis) for v in self._thermal_terms)
+        return tuple(np.add.accumulate(v, axis=0)[-1] for v in
+                     _one_minus_pow(weights, 1.0 - self.source.s, ta / a))
+
     def _thermal_parts(self, ta):
         """(psi, phi_I) at finite temperature for times ta >= 0."""
         J, beta = self.source, self.beta
@@ -300,11 +309,7 @@ class BathKernel:
                 f"converge at finite T for s <= 1 (s={J.s})")
         a, weights = self._thermal_terms
         e = 1.0 - J.s
-        psi = phi_i = 0.0
-        for a_n, w_n in zip(a, weights):
-            p, q = _one_minus_pow(w_n, e, ta / a_n)
-            psi = psi + p
-            phi_i = phi_i + q
+        psi, phi_i = self._direct_sum(ta)
         big_a = float(a[-1])
         x = ta / big_a
         # the tail's scale G Gamma(s-1) (w_c A)^(1-s), the last term's

@@ -101,11 +101,11 @@ def _curves(cfg, meta, point=False, sweep=False, compare=False):
             for line in lines:
                 click.echo(line, err=True)
         for cv in curves:
-            labels, errors = classify(cv).labels, dict(cv.errors)
-            rows += [Row(cv.mode.value, value, float(tau), float(cv.gamma[i]),
-                         float(cv.s[i]), validity, labels[i],
-                         errors.get(i, ""))
-                     for i, tau in enumerate(cv.tau_grid)]
+            mode, errors = cv.mode.value, dict(cv.errors)
+            rows += [Row(mode, value, tau, gamma, s, validity, label,
+                         errors.get(i, "")) for i, (tau, gamma, s, label)
+                     in enumerate(zip(cv.tau_grid.tolist(), cv.gamma.tolist(),
+                                      cv.s.tolist(), classify(cv).labels))]
     if compare:
         base = curves[0]
         for mode, cv in zip(cfg.modes[1:], curves[1:]):

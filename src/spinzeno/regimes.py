@@ -70,11 +70,11 @@ def classify(curve):
         return RegimeReport(("",) * curve.tau_grid.size, ())
     slope = np.gradient(gamma, tau)
     floor = SLOPE_NOISE_FLOOR * np.max(np.abs(gamma))
-    signs = np.where(np.abs(slope) > floor, np.sign(slope), 0.0)
-    names = {1.0: RegimeLabel.ZENO.value, -1.0: RegimeLabel.ANTI_ZENO.value,
-             0.0: ""}
+    signs = np.where(np.abs(slope) > floor, np.sign(slope), 0.0).astype(int)
     labels = np.full(curve.tau_grid.size, "", dtype=object)
-    labels[mask] = [names[sign] for sign in signs[inverse]]
+    names = np.array([RegimeLabel.ANTI_ZENO.value, "",   # at sign + 1
+                      RegimeLabel.ZENO.value], dtype=object)
+    labels[mask] = names[signs[inverse] + 1]
 
     crossovers = []
     labelled = np.flatnonzero(signs)
@@ -83,5 +83,5 @@ def classify(curve):
             bracket = (float(tau[max(a - 1, 0)]),
                        float(tau[min(b + 1, tau.size - 1)]))
             crossovers.append(
-                (bracket, f"{names[signs[a]]}_to_{names[signs[b]]}"))
+                (bracket, f"{names[signs[a] + 1]}_to_{names[signs[b] + 1]}"))
     return RegimeReport(tuple(labels), tuple(crossovers))

@@ -154,26 +154,23 @@ def _spin_tables(pc, taus, removed):
     Each is a sum of products f(t) g(s), whose 3x3 DFT is the outer
     product of the DFTs of f and g.
     """
-    half = 0.5 * pc.omega_r * np.asarray(taus, dtype=float)[:, None]
+    half = 0.5 * pc.omega_r * np.asarray(taus, dtype=float)[:, None, None]
     u_up = -1j * np.sin(half) * pc.nx                         # <u|up>
     u_dn = np.cos(half) + 1j * np.sin(half) * pc.nz           # <u|down>
     t = 2.0 * np.pi / 3.0 * np.arange(3) / pc.omega_r
-    tables = []
-    for m, z in _spin_elements(pc, t):
-        f_m, f_z, f_mc, f_zc = np.array([m, z, m.conj(), z.conj()]) @ _DFT.T
-        if removed:
-            p = np.broadcast_to(np.outer(f_m, f_mc), half.shape[:1] + (3, 3))
-        else:
-            f_v = u_dn * f_m + u_up * f_z
-            f_vc = np.conj(u_dn) * f_mc + np.conj(u_up) * f_zc
-            # <u|sigma~_mu(t) sigma~_mu(s)|up>, summed over |up>, |down>, is
-            # v(t) z(s) + w(t) m(s) with w = u_up conj(m) - u_dn z
-            f_w = u_up * f_mc - u_dn * f_z
-            braket = f_v[:, :, None] * f_z + f_w[:, :, None] * f_m
-            p = f_vc[:, :, None] * f_v[:, None, :] \
-                - np.conj(u_up)[:, :, None] * braket
-        tables.append(p)
-    return np.stack(tables, axis=1)
+    m, z = map(np.array, zip(*_spin_elements(pc, t)))    # each (mu, t)
+    f_m, f_z, f_mc, f_zc = np.array([m, z, m.conj(), z.conj()]) @ _DFT.T
+    if removed:
+        return np.broadcast_to(f_m[:, :, None] * f_mc[:, None, :],
+                               half.shape[:1] + (2, 3, 3))
+    f_v = u_dn * f_m + u_up * f_z
+    f_vc = np.conj(u_dn) * f_mc + np.conj(u_up) * f_zc
+    # <u|sigma~_mu(t) sigma~_mu(s)|up>, summed over |up>, |down>, is
+    # v(t) z(s) + w(t) m(s) with w = u_up conj(m) - u_dn z
+    f_w = u_up * f_mc - u_dn * f_z
+    braket = f_v[..., None] * f_z[:, None] + f_w[..., None] * f_m[:, None]
+    return f_vc[..., None] * f_v[..., None, :] \
+        - np.conj(u_up)[..., None] * braket
 
 
 def _basis(w, x):
@@ -353,13 +350,16 @@ def integrate_triangle(f, taus, coeffs, tol=TOL, first=None):
     different sub-panels are independent and add in quadrature, so the
     shares sqrt(w / W) F do too; if they all had one sign, n sub-panels
     could accept sqrt(n) F, up to sqrt(LIMIT) F = 45 F.  int |U| |V| over
-    the interval is taken from the first level's K15 sums.  An interval's
-    moments are the K15 sums of its accepted sub-panels, so tol bounds
-    each point's error, apart from the floors.  f must map an array of
-    nodes (panel, node) to (U, V) with shapes (panel, node, i) and
-    (panel, node, j).  `first`, if given, gives the first level's sums
-    in place of f, in _panel_sums' `products` form (survival_prob passes
-    its FirstLevel's).
+    the interval is taken from the first level's K15 sums.  An
+    interval's moments are the K15 sums of its accepted sub-panels, so
+    tol bounds each point's error, apart from the floors.  They are
+    added one sub-panel at a time, level by level and left to right
+    within a level (as are the |dM| of the error bounds), so their bits
+    do not depend on how many sub-panels a level accepts at once.  f
+    must map an array of nodes (panel, node) to (U, V) with shapes
+    (panel, node, i) and (panel, node, j).  `first`, if given, gives the
+    first level's sums in place of f, in _panel_sums' `products` form
+    (survival_prob passes its FirstLevel's).
 
     Returns (values, error bounds, largest interval node count, interval
     node counts, failed): an interval's node count is 15 for each
@@ -409,9 +409,13 @@ def integrate_triangle(f, taus, coeffs, tol=TOL, first=None):
         # shares: w of tol, sqrt(w / W) of the floor (see the docstring)
         done = (err <= rate * sub_w) | \
             (err * np.sqrt(width[owner]) <= floor[owner] * np.sqrt(sub_w))
-        np.add.at(moments, owner[done], est[:k][done])
-        np.add.at(changes, owner[done], diff[done])
+        # flat indices take NumPy's fast loop, in sub-panel order per cell
+        cells = np.arange(moments.size).reshape(n, -1)[owner[done]].ravel()
+        np.add.at(moments.reshape(-1), cells, est[:k][done].reshape(-1))
+        np.add.at(changes.reshape(-1), cells, diff[done].reshape(-1))
         owner, sub_lo, sub_w = owner[~done], sub_lo[~done], sub_w[~done]
+        if not owner.size:
+            break
         pieces += np.bincount(owner, minlength=n)
         over = owner[pieces[owner] > LIMIT]
         if over.size:
@@ -437,7 +441,10 @@ def integrate_triangle(f, taus, coeffs, tol=TOL, first=None):
 
 
 def _rate(s, tau):
-    """Gamma = -ln(s)/tau; NaN for s outside (0, 1 + SURVIVAL_SLACK]."""
+    """Gamma = -ln(s)/tau; NaN for s outside (0, 1 + SURVIVAL_SLACK].
+
+    math.log, one point at a time: np.log is an ulp off it on some s, so
+    an array form would change Gamma's bits."""
     if not 0.0 < s <= 1.0 + SURVIVAL_SLACK:
         return math.nan
     # 0.0 - keeps s == 1 from giving -0.0
@@ -567,7 +574,7 @@ def survival_prob(mode, sys, kernel, taus, shared=None):
             errors.update((int(i), exc) for i in np.flatnonzero(valid))
     if failed is not None:
         errors.update((int(i), failed[1]) for i in live[failed[0]:])
-    gamma = np.array([_rate(s_t, t) for s_t, t in zip(s, taus)])
+    gamma = np.array(list(map(_rate, s.tolist(), taus.tolist())))
     for i in np.flatnonzero(~np.isfinite(gamma)):
         errors.setdefault(int(i), OutOfRegimeError(
             f"survival {s[i]:.6g} out of regime"))

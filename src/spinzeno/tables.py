@@ -8,7 +8,8 @@ CSV output starts with '#'-prefixed header lines echoing every parameter
 that affects the numbers, then a column-name row, then data rows with 12
 significant digits, a cell with a comma or a double quote (as an error
 text may have) quoted.  JSON output carries the same metadata plus full-
-precision row values, with NaN written as the string "nan".
+precision row values, with NaN written as the string "nan" and +-inf
+as "inf" and "-inf".
 """
 
 import csv
@@ -27,17 +28,20 @@ def emit_csv(meta, rows):
     out.writelines(f"# {key} = {val}\n" for key, val in meta)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(COLUMNS)
-    # 12 significant digits for a float: csv.writer writes None as an
-    # empty cell; a NaN of either sign is "nan"
-    writer.writerows(["%.12g" % v if isinstance(v, float) else v
-                      for v in row] for row in rows)
+    # 12 significant digits in the float columns (sweep may be None, an
+    # empty cell); a NaN of either sign is "nan"
+    writer.writerows((mode, sweep if sweep is None else "%.12g" % sweep,
+                      "%.12g" % tau, "%.12g" % gamma, "%.12g" % s,
+                      "%.12g" % validity, regime, error)
+                     for mode, sweep, tau, gamma, s, validity, regime, error
+                     in rows)
     return out.getvalue()
 
 
 def _json_cell(value):
-    # NaN is not valid JSON; encode it as a string marker
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
+    # NaN and +-inf are not valid JSON; encode them as string markers
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
     return value
 
 

@@ -5,5 +5,6 @@ closed-form propagator u_s_matrix, the matrix reconstruction of the
 second-order survival probability, the term-by-term loop for the moment
 coefficients and the matrix DFT of the spin tables, the dense lab-frame
 Hamiltonian and eigendecomposition the exact oracle is checked against,
-the short-time sum rules, the long-time golden-rule rate, and the JSON
-table reader parse_json."""
+the short-time sum rules, the long-time golden-rule rate, the running
+sum of the finite-temperature kernel's direct terms, and the JSON table
+reader parse_json."""

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from reference.reconstruct import correlation, phi
+from reference.thermal import running_direct_sum
 from spinzeno import BathKernel, DiscreteBath, SpectralDensity
 from spinzeno.bath import ohmicity_ok
 from spinzeno.errors import (DivergentKernelError, DomainError,
@@ -313,6 +314,31 @@ class TestFiniteTemperatureSum:
                           beta=2.0, tol=1e-300)
         with pytest.raises(QuadratureError, match="thermal sum terms"):
             kern.phi_parts(1.0)
+
+
+class TestDirectSum:
+    """The terms n = 0..N of the finite-T sum, evaluated in one call over n,
+    add up in order: bit for bit the running sum of the terms one at a
+    time, computed here on the machine that runs the test."""
+
+    NODES = np.random.default_rng(3).uniform(0.0, 8.0, (20, 15))
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 50.0])
+    @pytest.mark.parametrize("s", [1.2, 1.7, 2.0, 3.0])
+    @pytest.mark.parametrize("t", ["zero", "nodes", "lone"])
+    def test_equals_the_running_sum(self, s, beta, t):
+        # a lone time with 8 terms or more is where a reduction over n
+        # would go pairwise (tol 1e-14 gives N + 1 of 8 to 18 here)
+        kern = BathKernel(SpectralDensity(G=0.7, s=s, omega_c=10.0), beta,
+                          tol=1e-14 if t == "lone" else 1e-10)
+        ta = {"zero": 0.0, "nodes": self.NODES, "lone": 1.3}[t]
+        if t == "lone":
+            assert kern._thermal_terms[0].size >= 8
+        got, want = kern._direct_sum(ta), running_direct_sum(kern, ta)
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(ta)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 class TestDerivedValues:

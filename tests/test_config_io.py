@@ -25,7 +25,7 @@ from spinzeno import (BathKernel, DiscreteBath, Row, SpectralDensity,
                       SurvivalMode, SystemParams, emit_csv, emit_json,
                       parse_config, survival_prob, sweep_cells, tau_grid)
 from spinzeno import config
-from spinzeno.cli import main
+from spinzeno.cli import EXIT_QUADRATURE, main
 from spinzeno.config import RunConfig, header_lines
 from spinzeno.errors import ConfigError, QuadratureError
 from spinzeno.tables import COLUMNS, emit
@@ -340,6 +340,14 @@ class TestEmit:
         assert math.isnan(back[0].gamma)
         assert doc["rows"][0][3] == "nan"
 
+    def test_json_infinity_encoding(self):
+        rows = (Row("full", -math.inf, 1.0, math.inf, 0.5, math.inf, "",
+                    ""),)
+        doc = json.loads(emit_json((), rows))  # must be strictly valid JSON
+        assert [doc["rows"][0][i] for i in (1, 3, 5)] == ["-inf", "inf",
+                                                          "inf"]
+        assert parse_json(emit_json((), rows))[1] == rows
+
 
 OUT_OF_REGIME_CURVE = """
 [system]
@@ -424,6 +432,24 @@ class TestCli:
         result = self.run("compute", "--config", str(cfg))
         assert result.exit_code == 0
         assert "0.996361465839" in result.output
+
+    def test_infinite_cell_exits_alike_in_csv_and_json(self, tmp_path):
+        # the validity (delta/omega_c)^2 (1 - B^4) overflows to inf: JSON
+        # writes it as "inf", as CSV does, and exits with the CSV run's code
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[system]\nepsilon = 1.0\ndelta = 1e200\n"
+                       "[bath]\ng = 0.5\ns = 3.0\nomega_c = 1e-150\n"
+                       "[run]\nmodes = full\ntau = 0.5\n")
+        as_csv, as_json = (self.run("compute", "--config", str(cfg),
+                                    "--format", fmt)
+                           for fmt in ("csv", "json"))
+        assert as_json.exit_code == as_csv.exit_code == EXIT_QUADRATURE
+        (want,) = _data_rows(as_csv.stdout)
+        meta, (row,) = parse_json(as_json.stdout)
+        assert want["validity"] == "inf" and row.validity == math.inf
+        assert emit_csv((), (row,)).splitlines()[1] == \
+            as_csv.stdout.splitlines()[-1]
+        assert emit_json(meta, (row,)) == as_json.stdout
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "c.ini"

@@ -143,6 +143,57 @@ class TestPanels:
         assert calls == [(40, K15), (80, K15)]
         assert sum(p * n for p, n in calls) == nodes.sum()
 
+    @pytest.mark.parametrize("g, taus", [
+        (lambda x: np.cos(100.0 * x), np.linspace(0.1, 4.0, 40)),
+        (lambda x: np.abs(np.sin(7.0 * x)) + np.cos(40.0 * x),
+         np.linspace(0.3, 4.0, 12))], ids=["cos-100x", "kinks"])
+    def test_accepted_sub_panels_add_in_sub_panel_order(self, g, taus):
+        # the values and error bounds are those of the K15 sums of the
+        # accepted sub-panels added one at a time, level by level and left
+        # to right in each interval, bit for bit; in both cases intervals
+        # accept sub-panels on two levels, the later one two siblings at
+        # once, so adding siblings together first changes the bits
+        def uv(x):
+            return (np.stack([g(x), 1j * x * g(x)], axis=-1),
+                    np.stack([np.ones_like(x), np.cos(x), x * x], axis=-1))
+
+        calls, nodes = [], survival_module._K15_X + 1.0
+        coeffs = np.arange(1.0, 7.0).reshape(1, 2, 3) \
+            * np.exp(1j * taus)[:, None, None]
+        val, err, _, _, failed = integrate_triangle(
+            lambda x: calls.append(x) or uv(x), taus, coeffs)
+        assert failed is None
+        lo = np.concatenate(([0.0], taus[:-1]))
+        level = list(zip(range(taus.size), lo, taus - lo))   # open sub-panels
+        moments = np.zeros(coeffs.shape, dtype=complex)
+        changes = np.zeros(coeffs.shape)
+        accepted = [[] for _ in taus]       # each interval's levels
+        for depth, x in enumerate(calls):
+            assert np.array_equal(x, [a + 0.5 * w * nodes
+                                      for _, a, w in level])
+            bisected = {tuple(row) for row in calls[depth + 1]} \
+                if depth + 1 < len(calls) else set()
+            later = []
+            for i, a, w in level:
+                if tuple(a + 0.25 * w * nodes) in bisected:   # its left half
+                    later += [(i, a, 0.5 * w), (i, a + 0.5 * w, 0.5 * w)]
+                    continue
+                half = np.array([[0.5 * w]])
+                sums, _ = survival_module._products(
+                    *uv(a + half * nodes), half, False)
+                moments[i] += sums[0, :, :3]
+                changes[i] += np.abs(sums[0, :, 3:])
+                accepted[i].append(depth)
+            level = later
+        assert not level
+        assert any(len(d) > 2 and d[-2] == d[-1] > d[0] for d in accepted)
+        want = np.real(np.sum(coeffs * np.cumsum(moments, axis=0),
+                              axis=(1, 2)))
+        want_err = np.sum(np.abs(coeffs) * np.cumsum(changes, axis=0),
+                          axis=(1, 2))
+        assert val.tobytes() == want.tobytes()
+        assert err.tobytes() == want_err.tobytes()
+
     def test_calls_hold_at_most_max_nodes(self):
         calls = []
         per_call = MAX_NODES // K15
