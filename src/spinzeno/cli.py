@@ -13,10 +13,10 @@ any curve is solved.  A body builds one BathKernel per (bath, beta)
 cell, shares it across modes and taus, and gets each mode's curve from
 survival_prob, by its alias `regimes.sample_curve` (which the benchmark
 tracer wraps), where a failed point is a gap row.  The modes of a cell
-also share its first quadrature level (one survival.FirstLevel per
-cell, dropped with the cell), and each curve is bit-identical to the
-same mode solved alone.  oracle-check writes curve's rows (`_curves`)
-with an exact row after each.
+also share its first quadrature level (one survival.FirstLevel of the
+cell's modes, kernel and tau grid, dropped with the cell), and each
+curve is bit-identical to the same mode solved alone.  oracle-check
+writes curve's rows (`_curves`) with an exact row after each.
 """
 
 import math
@@ -92,7 +92,7 @@ def _curves(cfg, meta, point=False, sweep=False, compare=False):
     for value, system, source in cells:
         cell = f"[{cfg.sweep_key} = {value:.12g}] " if sweep else ""
         kernel, validity, lines = _kernel(cfg, system, source, cell)
-        shared = FirstLevel(cfg.modes, system, kernel, taus)
+        shared = FirstLevel(cfg.modes, kernel, taus)
         curves = [sample_curve(mode, system, kernel, taus, shared)
                   for mode in cfg.modes]
         del shared          # its arrays are not needed past the curves

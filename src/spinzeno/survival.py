@@ -45,11 +45,12 @@ same factors at tau enter A, whose nine (j, k) terms are summed by one
 scatter per block.  The magnitudes sum |U| |V| behind the rounding floor
 come from the first level only.
 
-The modes of one cell (one system, kernel and tau grid) share that first
-level, a FirstLevel: the kernel rows at its nodes and Ctil(0) are
-evaluated once, and the panel sums once for each distinct Omega_r.  Each
-mode keeps its own coefficients, acceptance test and later levels, so a
-curve is bit-identical whether it is solved alone or in a cell.
+The modes of one cell (one kernel and tau grid) share that first level,
+a FirstLevel: the kernel at its nodes and Ctil(0) once, and the panel
+sums once per distinct Omega_r, with the constant row if any mode of the
+cell is removed.  Each mode takes the leading rows and keeps its own
+coefficients, acceptance test and later levels, so a curve is
+bit-identical whether it is solved alone or in a cell.
 """
 
 import enum
@@ -451,44 +452,27 @@ def _rate(s, tau):
     return 0.0 - math.log(min(s, 1.0)) / tau if tau > 0.0 else 0.0
 
 
-def _params(mode, sys, kernel):
-    """The full polaron parameters and the mode's coefficient set."""
-    p_full = renormalize(sys, kernel)
-    return p_full, p_full.with_small_delta() if mode.small_delta else p_full
-
-
 class FirstLevel:
     """The first quadrature level of the curves of one cell: the `modes`
-    on one system, kernel and tau grid.
+    on one kernel and tau grid.
 
     That level is one K15 panel on every grid interval, the same nodes
     for every mode.  The kernel rows (Ctil_1, Ctil_2) there and Ctil(0)
     are evaluated once, and the panel sums once for each distinct
-    Omega_r, over the rows of the widest mode at that Omega_r: with the
-    constant row if a removed mode of `modes` has it.  A mode takes the
-    leading rows.  A matrix product forms each row of its result from
-    that row of its left factor alone, and NumPy's BLAS does so bit for
-    bit (tests/test_survival.py checks it), so a curve is bit-identical
-    alone or in a cell.  The arrays live as long as the object.
+    Omega_r, with the constant row when any mode of the cell is removed.
+    A mode takes the leading rows.  A matrix product forms each row of
+    its result from that row of its left factor alone, and NumPy's BLAS
+    does so bit for bit (tests/test_survival.py checks it), so a curve
+    is bit-identical alone or in a cell.  The arrays live as long as the
+    object.
     """
 
-    def __init__(self, modes, sys, kernel, taus):
-        self.modes, self.sys, self.kernel = modes, sys, kernel
+    def __init__(self, modes, kernel, taus):
+        self.modes, self.kernel = set(map(SurvivalMode, modes)), kernel
         self.taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        self._removed = any(mode.removed for mode in self.modes)
         self._rows = {}             # chunk start -> kernel rows
         self._sums = {}             # (Omega_r, chunk start) -> panel sums
-
-    @cached_property
-    def _removed_at(self):
-        """The Omega_r of the removed modes."""
-        omegas = set()
-        for mode in map(SurvivalMode, self.modes):
-            if mode.removed:
-                try:
-                    omegas.add(_params(mode, self.sys, self.kernel)[1].omega_r)
-                except SpinZenoError:
-                    pass            # that curve is all gaps
-        return omegas
 
     @cached_property
     def ct_0(self):
@@ -503,12 +487,11 @@ class FirstLevel:
 
         def products(start, x, half, magnitudes):
             sums = self._sums.get((omega, start))
-            if sums is None or sums[0].shape[1] < n:
+            if sums is None:
                 if start not in self._rows:
                     self._rows[start] = _corr_combos(self.kernel, x)
                 sums = self._sums[omega, start] = _products(
-                    *_integrand(self._rows[start], omega,
-                                removed or omega in self._removed_at, x),
+                    *_integrand(self._rows[start], omega, self._removed, x),
                     half, True)
             return sums[0][:, :n], sums[1][:, :n]
 
@@ -517,7 +500,8 @@ class FirstLevel:
 
 def _sorted_curve(mode, sys, kernel, taus, shared):
     """(s, quad_error, zeroth_order, orders, failed) on sorted taus > 0."""
-    p_full, pc = _params(mode, sys, kernel)
+    p_full = renormalize(sys, kernel)
+    pc = p_full.with_small_delta() if mode.small_delta else p_full
     ct_0 = shared.ct_0 if mode.removed else None
     coeffs = _coefficients(pc, taus, mode.removed, ct_0)
     coeffs = coeffs.reshape(taus.size, -1, coeffs.shape[-1])
@@ -527,10 +511,14 @@ def _sorted_curve(mode, sys, kernel, taus, shared):
         first=shared.products(pc.omega_r, mode.removed))
     # The oscillation term is itself O(delta_r^2), so the small-delta
     # reduction keeps its amplitude and only sends omega_r -> |epsilon|.
-    zeroth = 0.0 if mode.removed else \
-        (p_full.delta_r / pc.omega_r * np.sin(0.5 * pc.omega_r * taus)) ** 2
-    return (1.0 - zeroth - 0.25 * sys.delta * sys.delta * integral,
-            0.25 * sys.delta * sys.delta * err, zeroth, orders, failed)
+    # A delta_r / |epsilon| past ~1e154 overflows it: s is then not
+    # finite, an out-of-regime gap.
+    amplitude = p_full.delta_r / pc.omega_r
+    with np.errstate(over="ignore", invalid="ignore"):
+        zeroth = 0.0 if mode.removed else \
+            (amplitude * np.sin(0.5 * pc.omega_r * taus)) ** 2
+        return (1.0 - zeroth - 0.25 * sys.delta * sys.delta * integral,
+                0.25 * sys.delta * sys.delta * err, zeroth, orders, failed)
 
 
 def survival_prob(mode, sys, kernel, taus, shared=None):
@@ -545,17 +533,17 @@ def survival_prob(mode, sys, kernel, taus, shared=None):
     SURVIVAL_SLACK] is an OutOfRegimeError; an s in (1, 1 + SURVIVAL_SLACK]
     is truncation rounding: Gamma comes from min(s, 1), and s is kept.
 
-    `shared` is the FirstLevel of the cell the curve belongs to, built on
-    this kernel and tau grid; without one the curve gets its own.
+    `shared` is the FirstLevel of the cell the curve belongs to, built for
+    this mode, kernel and tau grid; without one the curve gets its own.
     """
     mode = SurvivalMode(mode)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if shared is None:
-        shared = FirstLevel((mode,), sys, kernel, taus)
-    elif shared.kernel is not kernel or \
+        shared = FirstLevel((mode,), kernel, taus)
+    elif mode not in shared.modes or shared.kernel is not kernel or \
             not np.array_equal(shared.taus, taus, equal_nan=True):
-        raise ValueError("the FirstLevel was built for another kernel or "
-                         "tau grid")
+        raise ValueError("the FirstLevel was built for other modes or "
+                         "another kernel or tau grid")
     valid = (taus >= 0.0) & (taus < math.inf)
     errors = {int(i): DomainError("tau must be finite and nonnegative")
               for i in np.flatnonzero(~valid)}

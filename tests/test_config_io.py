@@ -101,7 +101,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("entry", [
         "tau = -1", "tau = inf", "tau = nan", "tau_min = 0", "tau_min = -0.5",
         "tau_min = nan", "tau_max = 0.05", "tau_max = 0.01", "tau_max = inf",
-        "tau_points = 1", "tau_points = 0", "n_max = 2", "tol = 0",
+        "tau_points = 1", "tau_points = 0", "tau_points = 10001",
+        "tau_points = 1000000000000000", "n_max = 2", "tol = 0",
         "tol = -1e-8", "tol = nan", "tol = inf",
         "modes = full, full", "modes = full, small_delta, small_delta",
         "modes = full FULL"])
@@ -922,9 +923,12 @@ modes = small_delta
         {"delta = 0.2": "delta = 0.2\nbeta = 1e29"},
         {"delta = 0.2": "delta = 0.2\nbeta = 2.0", "g = 1.0": "g = 1e-320"},
         {"omega_c = 10.0": "omega_c = 1e-300"},
-        {"delta = 0.2": "delta = 1e155"}],
+        {"delta = 0.2": "delta = 1e155"},
+        # delta_r / |epsilon| = 1e155 squares past the largest double
+        {"delta = 0.2": "delta = 1e155",
+         "tau_min = 0.05": "modes = small_delta\ntau_min = 0.05"}],
         ids=["beta-1e29", "g-1e-320-finite-t", "omega_c-1e-300",
-             "delta-1e155"])
+             "delta-1e155", "delta-1e155-small-delta"])
     def test_extreme_finite_value_ends_with_a_cli_exit_code(self, tmp_path,
                                                           edits):
         # each value is finite and in range, so no float expression may

@@ -650,6 +650,11 @@ _SHARED_CASES = {
     "continuum-distinct-omega": (SYS_B, KERNEL, tau_grid(0.05, 1.8, 20),
                                  [SurvivalMode.FULL,
                                   SurvivalMode.SMALL_DELTA]),
+    # full's sums get the constant row, which only the removed mode at
+    # the other Omega_r needs, and full takes their leading rows
+    "removal-at-another-omega": (SYS_B, KERNEL, tau_grid(0.05, 1.8, 20),
+                                 [SurvivalMode.FULL,
+                                  SurvivalMode.REMOVED_SMALL_DELTA]),
     # B = 0: Omega_r = |epsilon| for every mode, so all four share one
     "b0-one-omega": (SYS_B, BathKernel(SpectralDensity(0.5, 0.7, 3.0)),
                      tau_grid(0.05, 3.0, 12), ALL_MODES),
@@ -664,6 +669,9 @@ _SHARED_CASES = {
     # epsilon = 0 has no small-delta reduction
     "epsilon-0": (SystemParams(0.0, 0.5), KERNEL, tau_grid(0.05, 3.0, 6),
                   ALL_MODES),
+    # 4,500 first-level nodes: kernel calls of 2,040, 2,040 and 420
+    "three-chunks": (SystemParams(1.0, 0.1), SIX_MODE,
+                     tau_grid(0.05, 6.0, 300), ALL_MODES),
 }
 
 
@@ -674,7 +682,7 @@ class TestSharedFirstLevel:
     @pytest.mark.parametrize("name", list(_SHARED_CASES))
     def test_each_curve_matches_its_mode_solved_alone(self, name):
         sys, kernel, taus, modes = _SHARED_CASES[name]
-        shared = survival_module.FirstLevel(modes, sys, kernel, taus)
+        shared = survival_module.FirstLevel(modes, kernel, taus)
         curves = [survival_prob(mode, sys, kernel, taus, shared)
                   for mode in modes]
         for mode, curve in zip(modes, curves):
@@ -689,42 +697,54 @@ class TestSharedFirstLevel:
                 [m.small_delta for m in modes]
         if name == "b0-one-omega":
             assert {renormalize(sys, kernel).omega_r} == {abs(sys.epsilon)}
+        if name == "three-chunks":
+            assert sorted(shared._rows) == [0, 136, 272]
 
-    def test_a_mode_outside_the_cell_widens_its_sums(self):
-        # a FirstLevel built for the full mode alone forms the full
-        # mode's rows; removed_full then needs the constant row too
+    def test_a_mode_outside_the_cell_is_refused(self):
+        # a FirstLevel built for the full mode alone has no constant row,
+        # which removed_full needs
         taus = tau_grid(0.05, 3.0, 10)
-        shared = survival_module.FirstLevel([SurvivalMode.FULL], SYS_B,
-                                            KERNEL, taus)
-        for mode in (SurvivalMode.FULL, SurvivalMode.REMOVED_FULL,
-                     SurvivalMode.FULL):
-            _same_curve(survival_prob(mode, SYS_B, KERNEL, taus, shared),
-                        survival_prob(mode, SYS_B, KERNEL, taus))
+        shared = survival_module.FirstLevel([SurvivalMode.FULL], KERNEL,
+                                            taus)
+        with pytest.raises(ValueError, match="other modes"):
+            survival_prob(SurvivalMode.REMOVED_FULL, SYS_B, KERNEL, taus,
+                          shared)
+        _same_curve(survival_prob(SurvivalMode.FULL, SYS_B, KERNEL, taus,
+                                  shared),
+                    survival_prob(SurvivalMode.FULL, SYS_B, KERNEL, taus))
 
     def test_the_modes_of_a_cell_evaluate_the_first_level_once(self):
         # 40 points: one kernel call on the 600 first-level nodes and one
-        # Ctil(0) for the cell, where each mode alone makes its own
+        # Ctil(0) for the cell, where each mode alone makes its own, and
+        # the first-level products once for each of the two Omega_r
         sys, kernel, taus, modes = _SHARED_CASES["discrete-all-four"]
-        sizes = []
-        real = BathKernel.phi_parts
+        sizes, first_products = [], []
+        real, real_products = BathKernel.phi_parts, survival_module._products
 
         def counting(self, t):
             sizes.append(np.size(t))
             return real(self, t)
 
-        with mock.patch.object(BathKernel, "phi_parts", counting):
-            shared = survival_module.FirstLevel(modes, sys, kernel, taus)
+        def counting_products(u, v, half, magnitudes):
+            if magnitudes:
+                first_products.append(u.shape)
+            return real_products(u, v, half, magnitudes)
+
+        with mock.patch.object(BathKernel, "phi_parts", counting), \
+                mock.patch.object(survival_module, "_products",
+                                  counting_products):
+            shared = survival_module.FirstLevel(modes, kernel, taus)
             for mode in modes:
                 survival_prob(mode, sys, kernel, taus, shared)
         assert sizes.count(40 * 15) == 1 and sizes.count(1) == 1
+        assert len(first_products) == 2
 
     @pytest.mark.parametrize("kernel, taus", [
         (BathKernel(J3, None), [0.5, 1.0]), (KERNEL, [0.5, 2.0])],
         ids=["another-kernel", "another-grid"])
     def test_a_first_level_serves_its_own_kernel_and_grid(self, kernel,
                                                             taus):
-        shared = survival_module.FirstLevel(ALL_MODES, SYS_B, KERNEL,
-                                            [0.5, 1.0])
+        shared = survival_module.FirstLevel(ALL_MODES, KERNEL, [0.5, 1.0])
         with pytest.raises(ValueError, match="another kernel or tau grid"):
             survival_prob(SurvivalMode.FULL, SYS_B, kernel, taus, shared)
 
