@@ -11,7 +11,7 @@ from .errors import (ConfigError, DegenerateSystemError, DimensionBudgetError,
                      NonFiniteIntegrandError, OutOfRegimeError,
                      QuadratureError, SpinZenoError, TruncationError)
 from .oracle import (ExactEvolution, LabHamiltonian, TruncatedBathSpec,
-                     discretize_bath, initial_vector_lab)
+                     initial_vector_lab)
 from .polaron import PolaronParams, SystemParams, renormalize, rot_coeffs
 from .regimes import (RegimeLabel, RegimeReport, classify, sample_curve,
                       tau_grid)

@@ -21,15 +21,17 @@ Configs are INI documents with three sections::
     tau_points = 50
     spacing = geometric
     sweep = g: 0.01 0.05 0.5 0.95
-    tol = 1e-8          ; error bound of each point, kernel's share included
+    tol = 1e-8          ; error bound of each point's s
     n_max = 6           ; Fock truncation for oracle-check
 
 Unknown keys, missing required keys, non-numeric or non-finite values
 (``beta = inf`` is the one spelling of zero temperature), non-integer
 ``tau_points`` or ``n_max``, out-of-range values (``tau_points`` is at most
 MAX_TAU_POINTS, so a grid never outgrows memory; ``s`` also needs a finite
-Gamma(s - 1), each bath mode a finite (g/omega)^2, and the modes a
-finite phi_R(0) at the config's beta), a mode listed twice and a tau grid
+Gamma(s - 1), ``g`` and ``s`` a finite 2 g |Gamma(s - 1)| at s != 1, in
+[bath] and in every sweep cell, each bath mode a finite (g/omega)^2, and
+the modes a finite 2 phi_R(0) at the config's beta: psi = phi_R(0) -
+phi_R(t) reaches 2 phi_R(0)), a mode listed twice and a tau grid
 whose points coincide are rejected with the offending key and line
 number.  Section names are lowercase, ``[DEFAULT]`` is an unknown
 section like any other, and ``%`` is a literal character.
@@ -211,8 +213,11 @@ def parse_config(text):
         for key in ("g", "omega_c"):
             if bath[key] is None:
                 raise ConfigError(f"[bath] missing required key {key!r}")
-        source = SpectralDensity(G=bath["g"], s=bath["s"],
-                                 omega_c=bath["omega_c"])
+        try:
+            source = SpectralDensity(G=bath["g"], s=bath["s"],
+                                     omega_c=bath["omega_c"])
+        except DomainError as exc:
+            _fail(text, "bath", "g", str(exc))
 
     modes = []
     for token in run.pop("modes").replace(",", " ").split():
@@ -249,6 +254,13 @@ def parse_config(text):
         if not all(in_range(section, sweep_key, v) for v in sweep_values):
             _fail(text, "run", "sweep",
                   f"{sweep_key} {KEYS[section][sweep_key][3]}")
+        if section == "bath" and isinstance(source, SpectralDensity):
+            # sweep_cells builds each cell's density later, in the solve
+            for v in sweep_values:
+                try:
+                    replace(source, **{SWEEPS[sweep_key]: v})
+                except DomainError as exc:
+                    _fail(text, "run", "sweep", f"{sweep_key} = {v!r}: {exc}")
 
     cfg = RunConfig(system=SystemParams(system["epsilon"], system["delta"]),
                     source=source, modes=tuple(modes), beta=system["beta"],

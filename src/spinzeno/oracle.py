@@ -55,23 +55,6 @@ class TruncatedBathSpec:
         return 2 * self.n_max ** len(self.bath.modes)
 
 
-def discretize_bath(J, K, omega_max):
-    """Midpoint-rule discretization of a continuous spectral density.
-
-    omega_k = (k - 1/2) d_omega with d_omega = omega_max / K and
-    g_k = sqrt(J(omega_k) d_omega), so sum g_k^2/omega_k^2 cos(omega_k t)
-    approximates phi_R(t) at zero temperature.
-    """
-    if K < 1:
-        raise DomainError("mode count K must be at least 1")
-    if omega_max <= 0.0:
-        raise DomainError("omega_max must be positive")
-    d_omega = omega_max / K
-    omegas = (np.arange(K) + 0.5) * d_omega
-    gs = np.sqrt(J.eval(omegas) * d_omega)
-    return DiscreteBath(tuple(zip(omegas, gs)))
-
-
 def _coherent_vector(alpha, n_max):
     """Truncated coherent state |alpha> for real alpha (a real vector)."""
     n = np.arange(n_max)

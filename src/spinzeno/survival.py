@@ -64,7 +64,7 @@ from .errors import (DomainError, NonFiniteIntegrandError, OutOfRegimeError,
                      QuadratureError, SpinZenoError)
 from .polaron import renormalize, rot_coeffs
 
-TOL = 1e-8              # default bound on each point's integral error
+TOL = 1e-8              # default bound on each point's error in s
 LIMIT = 2048            # most sub-panels one grid interval may be cut into
 ROUNDING_FLOOR = 1e-13  # least stop tolerance, relative to sum |A| int |f|
 SURVIVAL_SLACK = 1e-6   # tolerated truncation excursion of s outside [0, 1]
@@ -353,7 +353,9 @@ def integrate_triangle(f, taus, coeffs, tol=TOL, first=None):
     could accept sqrt(n) F, up to sqrt(LIMIT) F = 45 F.  int |U| |V| over
     the interval is taken from the first level's K15 sums.  An
     interval's moments are the K15 sums of its accepted sub-panels, so
-    tol bounds each point's error, apart from the floors.  They are
+    tol bounds each point's error in D, apart from the floors (an infinite
+    tol accepts the first level).  survival_prob passes tol / (delta^2/4),
+    so that kernel.tol bounds s = 1 - zeroth - (delta^2/4) D.  They are
     added one sub-panel at a time, level by level and left to right
     within a level (as are the |dM| of the error bounds), so their bits
     do not depend on how many sub-panels a level accepts at once.  f
@@ -407,9 +409,11 @@ def integrate_triangle(f, taus, coeffs, tol=TOL, first=None):
         owner, sub_lo, sub_w = owner[:k], sub_lo[:k], sub_w[:k]
         diff = np.abs(diff[:k])
         err = np.sum(a_max[owner] * diff, axis=(1, 2))
-        # shares: w of tol, sqrt(w / W) of the floor (see the docstring)
-        done = (err <= rate * sub_w) | \
-            (err * np.sqrt(width[owner]) <= floor[owner] * np.sqrt(sub_w))
+        # shares: w of tol, sqrt(w / W) of the floor (see the docstring);
+        # an infinite tol times a zero width fails the first test only
+        with np.errstate(invalid="ignore"):
+            done = (err <= rate * sub_w) | \
+                (err * np.sqrt(width[owner]) <= floor[owner] * np.sqrt(sub_w))
         # flat indices take NumPy's fast loop, in sub-panel order per cell
         cells = np.arange(moments.size).reshape(n, -1)[owner[done]].ravel()
         np.add.at(moments.reshape(-1), cells, est[:k][done].reshape(-1))
@@ -506,8 +510,11 @@ def _sorted_curve(mode, sys, kernel, taus, shared):
     coeffs = _coefficients(pc, taus, mode.removed, ct_0)
     coeffs = coeffs.reshape(taus.size, -1, coeffs.shape[-1])
     f = _moment_integrand(kernel, pc.omega_r, mode.removed)
+    # tol bounds s, which carries the integral times delta^2/4; where that
+    # factor underflows, the deficit is below the smallest double
+    scale = 0.25 * sys.delta * sys.delta
     integral, err, _, orders, failed = integrate_triangle(
-        f, taus, coeffs, tol=kernel.tol,
+        f, taus, coeffs, tol=kernel.tol / scale if scale else math.inf,
         first=shared.products(pc.omega_r, mode.removed))
     # The oscillation term is itself O(delta_r^2), so the small-delta
     # reduction keeps its amplitude and only sends omega_r -> |epsilon|.
@@ -517,13 +524,18 @@ def _sorted_curve(mode, sys, kernel, taus, shared):
     with np.errstate(over="ignore", invalid="ignore"):
         zeroth = 0.0 if mode.removed else \
             (amplitude * np.sin(0.5 * pc.omega_r * taus)) ** 2
-        return (1.0 - zeroth - 0.25 * sys.delta * sys.delta * integral,
-                0.25 * sys.delta * sys.delta * err, zeroth, orders, failed)
+        return (1.0 - zeroth - scale * integral, scale * err, zeroth,
+                orders, failed)
 
 
 def survival_prob(mode, sys, kernel, taus, shared=None):
-    """The DecayCurve of any tau grid (one point for a scalar) to kernel.tol,
-    in the caller's order, from one pass over its valid taus, stably sorted.
+    """The DecayCurve of any tau grid (one point for a scalar) in the
+    caller's order, from one pass over its valid taus, stably sorted.
+
+    kernel.tol bounds each point's error in s (its diagnostics'
+    quad_error), apart from the rounding floor: the quadrature of the
+    integral behind s gets tol / (delta^2/4), infinite where delta^2/4
+    underflows to 0.  Gamma = -ln(s)/tau is then within about tol/(s tau).
 
     No SpinZenoError is raised: a failed point is a gap, NaN in s and
     gamma, with its error in `errors`.  A negative or non-finite tau is a

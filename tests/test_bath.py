@@ -10,9 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
+from reference.gauss import gauss_bath
 from reference.reconstruct import correlation, phi
 from reference.thermal import running_direct_sum
-from spinzeno import BathKernel, DiscreteBath, SpectralDensity
+from spinzeno import (BathKernel, DiscreteBath, SpectralDensity,
+                      SurvivalMode, SystemParams, survival_prob, tau_grid)
 from spinzeno.bath import ohmicity_ok
 from spinzeno.errors import (DivergentKernelError, DomainError,
                              QuadratureError)
@@ -100,15 +102,6 @@ def reference_phi_r0(J, beta):
 
 
 class TestSpectralDensity:
-    def test_eval(self):
-        J = SUPER_OHMIC
-        w = np.array([1.0, 5.0, 20.0])
-        assert np.allclose(J.eval(w), w ** 3 / 100.0 * np.exp(-w / 10.0))
-
-    def test_eval_rejects_negative_frequency(self):
-        with pytest.raises(DomainError, match="omega >= 0"):
-            SUPER_OHMIC.eval(np.array([1.0, -0.5]))
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
             SpectralDensity(G=1.0, s=0.0, omega_c=10.0)
@@ -127,8 +120,23 @@ class TestSpectralDensity:
 
     @pytest.mark.parametrize("s", [1e-16, 0.5, 1.0, 2.0, 172.6])
     def test_accepts_ohmicity_with_finite_gamma(self, s):
+        # G = 0.5 keeps 2 G Gamma(s - 1) finite at s = 172.6, where
+        # Gamma(171.6) = 1.6e308 (see the psi bound below)
         assert ohmicity_ok(s)
-        SpectralDensity(G=1.0, s=s, omega_c=10.0)
+        SpectralDensity(G=0.5, s=s, omega_c=10.0)
+
+    @pytest.mark.parametrize("G, s", [(1e5, 171.0), (1.7e308, 3.0),
+                                      (1e308, 0.5)])
+    def test_rejects_psi_past_the_largest_double(self, G, s):
+        # psi reaches 2 phi_R(0) = 2 G Gamma(s - 1) at T = 0: 8.5e309,
+        # 3.4e308 and 7.1e308 (|Gamma(-0.5)| = 3.5) are no doubles
+        with pytest.raises(DomainError, match="2 G \\|Gamma"):
+            SpectralDensity(G=G, s=s, omega_c=10.0)
+
+    @pytest.mark.parametrize("G, s", [(8e307, 3.0), (1e308, 1.0)])
+    def test_accepts_psi_up_to_the_largest_double(self, G, s):
+        # 2 G Gamma(2) = 1.6e308; s = 1 has no Gamma(s - 1) prefactor
+        SpectralDensity(G=G, s=s, omega_c=10.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field, match", [("G", "coupling G"),
@@ -160,6 +168,17 @@ class TestDiscreteBath:
         # be one either
         with pytest.raises(DomainError, match="omega_k\\)\\^2"):
             DiscreteBath(((1e-160, 1.0),))
+
+    @pytest.mark.parametrize("g, ok", [(9.4e153, True), (1.3e154, False)])
+    def test_kernel_needs_a_finite_twice_phi_r0(self, g, ok):
+        # psi reaches 2 phi_R(0) = 2 alpha^2: 1.77e308 is a double, 3.4e308
+        # is not, though alpha^2 = 1.69e308 itself is
+        bath = DiscreteBath(((1.0, g),))
+        if ok:
+            assert BathKernel(bath).phi_r0() == g * g
+        else:
+            with pytest.raises(DomainError, match="2 phi_R\\(0\\)"):
+                BathKernel(bath)
 
     def test_mode_arrays_are_built_once_and_read_only(self):
         bath = DiscreteBath(((1.0, 0.2), (4.0, 0.3)))
@@ -257,6 +276,60 @@ class TestClosedFormKernel:
         psi_ref, phi_i_ref = reference_parts(J, t)
         assert psi == pytest.approx(psi_ref, abs=1e-8)
         assert phi_i == pytest.approx(phi_i_ref, abs=1e-8)
+
+
+# (G, s, omega_c) of the continuum baths checked against their Gauss-rule
+# discretization, each with its bound on max |s_K=20 - s| (see below)
+GAUSS_BATHS = {(0.05, 3.0, 2.0): 1e-9, (1.0, 3.0, 10.0): 1e-9,
+               (0.5, 1.5, 10.0): 1e-9, (0.3, 5.0, 3.0): 5e-8}
+
+
+@pytest.mark.parametrize("bath", list(GAUSS_BATHS), ids=str)
+class TestGaussRuleBath:
+    """The T = 0 continuum kernel (closed form) and its curves against the
+    discrete sum over the K-mode Gauss rule of tests/reference/gauss.py:
+    two kernel paths and B, checked against each other."""
+
+    @pytest.mark.parametrize("K", [1, 2, 6, 20])
+    def test_phi_r0_and_b_are_exact_at_every_k(self, bath, K):
+        # the rule holds the weight's zeroth moment, G Gamma(s - 1)
+        J = SpectralDensity(*bath)
+        cont, disc = BathKernel(J), BathKernel(gauss_bath(J, K))
+        assert disc.phi_r0() == pytest.approx(cont.phi_r0(), rel=1e-14)
+        assert disc.coherence_b() == pytest.approx(cont.coherence_b(),
+                                                   rel=1e-14)
+
+    def test_kernel_matches_at_short_times(self, bath):
+        # exact through t^11 at K = 6: measured 3e-16 to 2.2e-13 here
+        J = SpectralDensity(*bath)
+        t = np.array([0.001, 0.01, 0.03, 0.1]) / J.omega_c
+        cont = np.array(BathKernel(J).phi_parts(t))
+        disc = np.array(BathKernel(gauss_bath(J, 6)).phi_parts(t))
+        assert np.max(np.sum(np.abs(disc - cont), axis=0)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", [SurvivalMode.FULL,
+                                      SurvivalMode.REMOVED_FULL])
+    def test_curves_converge_to_the_continuum(self, bath, mode):
+        # 8 geometric tau up to omega_c tau = 2, where the few-mode kernel
+        # is still close.  Max |ds| at K = 6, 12 and 20 was measured at
+        # 5.3e-8 to 8.7e-5, 1.9e-10 to 2.1e-6 and 2.5e-13 to 2.4e-8, each
+        # K = 6 error at least 33x its K = 12 one.  The s = 5 bath, whose
+        # weight x^3 e^-x sits at larger x, where the kernel oscillates
+        # faster, converges slowest (3.8e-9 and 2.4e-8 at K = 20, against
+        # at most 4.2e-10 for the others), so it has its own bound
+        J = SpectralDensity(*bath)
+        sys = SystemParams(1.0, 0.2)
+        taus = tau_grid(0.05, 2.0 / J.omega_c, 8)
+        ref = survival_prob(mode, sys, BathKernel(J, tol=1e-13), taus)
+        err = {}
+        for K in (6, 12, 20):
+            curve = survival_prob(mode, sys,
+                                  BathKernel(gauss_bath(J, K), tol=1e-13), taus)
+            assert curve.errors == ()
+            err[K] = np.max(np.abs(curve.s - ref.s))
+        assert ref.errors == ()
+        assert err[12] * 20.0 <= err[6]
+        assert err[20] <= GAUSS_BATHS[bath]
 
 
 class TestFiniteTemperatureSum:

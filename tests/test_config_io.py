@@ -28,6 +28,7 @@ from spinzeno import config
 from spinzeno.cli import EXIT_QUADRATURE, main
 from spinzeno.config import RunConfig, header_lines
 from spinzeno.errors import ConfigError, QuadratureError
+from spinzeno.survival import TOL
 from spinzeno.tables import COLUMNS, emit
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -771,6 +772,10 @@ modes = small_delta
         assert [r["regime"] for r in _data_rows(result.stdout)] == [""] * 6
 
     def test_compute_matches_curve_at_each_tau(self, tmp_path):
+        # the one-point and three-point grids may stop at different
+        # bisection depths, so s and Gamma agree within the bound that tol
+        # puts on each (|ds| <= tol on either side, Gamma = -ln(s)/tau);
+        # every other column is exact
         text = (MINIMAL.replace("tau_min = 0.05\ntau_max = 3.0\n", _SMALL_RUN)
                 + "modes = full small_delta removed_full\n")
         cfg = tmp_path / "c.ini"
@@ -783,8 +788,15 @@ modes = small_delta
             cfg.write_text(text + f"tau = {float(tau)!r}\n")
             result = self.run("compute", "--config", str(cfg))
             assert result.exit_code == 0, result.stderr
-            assert _data_rows(result.stdout) == [
-                dict(r, regime="") for r in curve_rows[i::3]]
+            point_rows = _data_rows(result.stdout)
+            expected = [dict(r, regime="") for r in curve_rows[i::3]]
+            assert len(point_rows) == len(expected) == 3
+            for got, want in zip(point_rows, expected):
+                s, gamma = float(want.pop("s")), float(want.pop("gamma"))
+                assert abs(float(got.pop("s")) - s) <= 2.0 * TOL
+                assert abs(float(got.pop("gamma")) - gamma) \
+                    <= 2.0 * TOL / (s * tau)
+                assert got == want
 
     @pytest.mark.parametrize("command", ["compute", "curve", "sweep",
                                          "compare", "oracle-check"])
@@ -926,9 +938,12 @@ modes = small_delta
         {"delta = 0.2": "delta = 1e155"},
         # delta_r / |epsilon| = 1e155 squares past the largest double
         {"delta = 0.2": "delta = 1e155",
-         "tau_min = 0.05": "modes = small_delta\ntau_min = 0.05"}],
+         "tau_min = 0.05": "modes = small_delta\ntau_min = 0.05"},
+        # delta^2/4, the factor that turns tol on s into tol on the
+        # integral, underflows to 0
+        {"delta = 0.2": "delta = 1e-200"}],
         ids=["beta-1e29", "g-1e-320-finite-t", "omega_c-1e-300",
-             "delta-1e155", "delta-1e155-small-delta"])
+             "delta-1e155", "delta-1e155-small-delta", "delta-1e-200"])
     def test_extreme_finite_value_ends_with_a_cli_exit_code(self, tmp_path,
                                                           edits):
         # each value is finite and in range, so no float expression may
@@ -986,7 +1001,7 @@ modes = small_delta
         ("compute", {"delta = 0.2": "delta = 0.2\nbeta = 1.0",
                      "g = 1.0\nomega_c = 10.0": "modes = 1e-150:1e-10",
                      "tau_min = 0.05\ntau_max = 3.0": "tau = 0.5"},
-         "[bath] modes (line 8): phi_R(0) = sum_k alpha_k^2 "
+         "[bath] modes (line 8): 2 phi_R(0) = 2 sum_k alpha_k^2 "
          "coth(beta omega_k/2) must be finite"),
         # (n_max - 1) omega = 2e308
         ("oracle-check", {"g = 1.0\nomega_c = 10.0": "modes = 1e308:0.2",
@@ -1011,6 +1026,56 @@ modes = small_delta
                               env=_src_env(), timeout=120)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command, edits, key", [
+        # G Gamma(170) = 4.3e309
+        ("compute", {"g = 1.0": "g = 1e5\ns = 171",
+                     "tau_min = 0.05\ntau_max = 3.0": "tau = 0.5"},
+         "[bath] g"),
+        # 2 phi_R(0) = 3.4e308: psi overflows at long tau
+        ("curve", {"g = 1.0": "g = 1.7e308",
+                   "tau_max = 3.0": "tau_max = 30.0\ntau_points = 5"},
+         "[bath] g"),
+        # alpha^2 = 1.69e308: psi overflows from tau ~ 1.7
+        ("compute", {"g = 1.0\nomega_c = 10.0": "modes = 1.0:1.3e154",
+                     "tau_min = 0.05\ntau_max = 3.0": "tau = 3.0"},
+         "[bath] modes"),
+        # the second cell's density, built lazily during the solve
+        ("sweep", {"g = 1.0": "g = 1e5",
+                   "tau_max = 3.0": "tau_max = 3.0\ntau_points = 3\n"
+                   "sweep = s: 3 171"},
+         "[run] sweep"),
+        # just inside the rule: every row is s = 1, the spin frozen
+        ("curve", {"g = 1.0": "g = 8e307",
+                   "tau_max = 3.0": "tau_max = 30.0\ntau_points = 5"},
+         None),
+        ("compute", {"g = 1.0\nomega_c = 10.0": "modes = 1.0:9.4e153",
+                     "tau_min = 0.05\ntau_max = 3.0": "tau = 3.0"},
+         None)],
+        ids=["g-1e5-s-171", "g-1.7e308", "mode-amplitude-1.3e154",
+             "sweep-s-171", "g-8e307", "mode-amplitude-9.4e153"])
+    def test_psi_past_the_largest_double_is_a_config_fault(
+            self, tmp_path, command, edits, key):
+        # psi = phi_R(0) - phi_R(t) reaches 2 phi_R(0): a bath whose
+        # 2 phi_R(0) (2 G |Gamma(s - 1)| for a density) is not a finite
+        # double exits 2 before the solve, naming its key; one just inside
+        # runs with no warning at all
+        text = MINIMAL
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        proc = subprocess.run([sys.executable, "-W", "error", "-m",
+                               "spinzeno.cli", command, "--config",
+                               str(cfg)], capture_output=True, text=True,
+                              env=_src_env(), timeout=120)
+        if key is None:
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert {r["s"] for r in _data_rows(proc.stdout)} == {"1"}
+        else:
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith(f"config error: {key} (line ")
+            assert "must be" in proc.stderr and "finite" in proc.stderr
 
     def test_compare_evaluates_the_first_level_once_per_cell(self, tmp_path):
         # four modes on the benchmark's six-mode bath: one kernel call on

@@ -11,9 +11,8 @@ from scipy.special import jv
 
 from reference.oracle import DenseEvolution, build_lab_hamiltonian
 from spinzeno import (BathKernel, DiscreteBath, ExactEvolution,
-                      LabHamiltonian, SpectralDensity, SurvivalMode,
-                      SystemParams, TruncatedBathSpec, discretize_bath,
-                      initial_vector_lab, survival_prob)
+                      LabHamiltonian, SurvivalMode, SystemParams,
+                      TruncatedBathSpec, initial_vector_lab, survival_prob)
 from spinzeno.config import parse_config
 from spinzeno.errors import (DimensionBudgetError, DomainError,
                              TruncationError)
@@ -61,33 +60,6 @@ class TestTruncatedBathSpec:
     def test_minimum_truncation(self):
         with pytest.raises(DomainError):
             TruncatedBathSpec(TWO_MODE, n_max=2)
-
-
-class TestDiscretizeBath:
-    @pytest.mark.parametrize("K, omega_max, match", [
-        (0, 8.0, "mode count K"), (4, 0.0, "omega_max")])
-    def test_rejects_bad_arguments(self, K, omega_max, match):
-        J = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
-        with pytest.raises(DomainError, match=match):
-            discretize_bath(J, K, omega_max)
-
-    def test_zero_coupling(self):
-        J = SpectralDensity(G=1e-300, s=3.0, omega_c=10.0)
-        bath = discretize_bath(J, 4, 40.0)
-        assert np.allclose(bath.couplings, 0.0)
-
-    def test_single_mode_definition(self):
-        J = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
-        bath = discretize_bath(J, 1, 8.0)
-        (w, g), = bath.modes
-        assert w == 4.0
-        assert g ** 2 == pytest.approx(J.eval(4.0) * 8.0, rel=1e-12)
-
-    def test_dense_discretization_reproduces_phi_r0(self):
-        J = SpectralDensity(G=1.0, s=3.0, omega_c=10.0)
-        bath = discretize_bath(J, 400, 80.0)
-        phi_r0 = float(np.sum((bath.couplings / bath.omegas) ** 2))
-        assert phi_r0 == pytest.approx(1.0, rel=0.01)
 
 
 class TestHamiltonian:
