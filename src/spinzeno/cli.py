@@ -127,10 +127,11 @@ def _oracle_check(cfg, meta):
         raise ConfigError("[system] oracle-check requires zero temperature")
     # before the curves, as config faults: too many modes, or truncation
     k = len(cfg.source.modes)
-    if 2 * 3 ** k > DEFAULT_DIM_BUDGET:
+    if 2 * math.comb(k + 2, 2) > DEFAULT_DIM_BUDGET:
         raise ConfigError(f"[bath] modes: {k} modes exceed the dimension "
                           f"budget {DEFAULT_DIM_BUDGET} at every n_max "
-                          f"(2 * 3^{k} = {2 * 3 ** k} at n_max = 3)")
+                          f"(2 * C({k} + 2, 2) = {2 * math.comb(k + 2, 2)} "
+                          "at n_max = 3)")
     try:
         spec = TruncatedBathSpec(cfg.source, cfg.n_max)
         evo = ExactEvolution(cfg.system, spec, cfg.taus)

@@ -31,7 +31,8 @@ class TruncationError(SpinZenoError):
 
 
 class DimensionBudgetError(SpinZenoError):
-    """The exact oracle's truncated dimension 2 n_max^K exceeds the budget."""
+    """The exact oracle's truncated dimension 2 C(K + n_max - 1, K) exceeds
+    the budget."""
 
 
 class ConfigError(SpinZenoError):

@@ -4,23 +4,31 @@ Brute-force validation path: propagate the state on a truncated Fock
 space and read off the survival probability without any perturbation
 theory.  Zero temperature only.
 
+The bath basis keeps the occupations (n_1, ..., n_K) whose total
+excitation sum_k n_k is at most n_max - 1, the top level of one mode: a
+dimension of 2 C(K + n_max - 1, K), where a product of n_max levels per
+mode would take 2 n_max^K.  The polaron-displaced vacuum puts a Poisson
+weight of mean sum_k alpha_k^2 / 4 on the total excitation, so one
+number, the weight the whole truncated state loses, decides whether
+n_max is enough.
+
 No d x d matrix is formed.  The Hamiltonian is an operator
-(LabHamiltonian) on the state vector of the (2, n_max, ..., n_max) array,
-and exp(-i H tau) is a Chebyshev series in H (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 3967, 1984) over a Gershgorin bound of its spectrum,
-with Bessel coefficients from Miller's backward recurrence.  H and the
-initial state are real, so one real recurrence serves a whole tau grid:
-a pass costs about (spectral half-width x tau_max) applications of H, at
-O(d K) each, and memory is O(d (K + CHUNK + number of taus)).  An
-evolution runs that pass once, over the grid it is built with, and holds
-the states of those taus and nothing else.  A grid whose series would
-need more than MAX_CHEBYSHEV_TERMS Bessel orders is refused before any
-coefficient is formed.  The dense eigendecomposition this replaces is the
-cross-check in tests/reference/oracle.py.
+(LabHamiltonian) on the state vector, and exp(-i H tau) is a Chebyshev
+series in H (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984) over a
+Gershgorin bound of its spectrum, with Bessel coefficients from Miller's
+backward recurrence.  H and the initial state are real, so one real
+recurrence serves a whole tau grid: a pass costs about (spectral
+half-width x tau_max) applications of H, at O(d K) each, and memory is
+O(d (K + CHUNK + number of taus)).  An evolution runs that pass once,
+over the grid it is built with, and holds the states of those taus and
+nothing else.  A grid whose series would need more than
+MAX_CHEBYSHEV_TERMS Bessel orders is refused before any coefficient is
+formed.  The dense eigendecomposition this replaces is the cross-check
+in tests/reference/oracle.py.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,18 +37,54 @@ from .errors import DimensionBudgetError, DomainError, TruncationError
 from .polaron import SIGMA_X, SIGMA_Z
 
 DEFAULT_DIM_BUDGET = 4096
-TRUNCATION_TOL = 1e-6  # largest weight a truncated coherent state may lose
+TRUNCATION_TOL = 1e-6  # largest weight the truncated initial state may lose
 CHEBYSHEV_TOL = 1e-16  # series tail cut
 CHUNK = 32            # Chebyshev vectors stored per accumulation product
 MAX_CHEBYSHEV_TERMS = 100000  # Bessel orders of one recurrence, 2(x + 30)
 
 
+def _bath_states(n_modes, top):
+    """(count, n_modes) occupations of total excitation <= top, in
+    lexicographic order (mode 0 slowest)."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(n_modes):        # append one mode at a time
+        room = top + 1 - rows.sum(axis=1)   # its levels under each prefix
+        rows = np.repeat(rows, room, axis=0)
+        level = np.arange(len(rows)) - np.repeat(np.cumsum(room) - room, room)
+        rows = np.column_stack((rows, level))
+    return rows
+
+
+def _rank(rows, top):
+    """Index of each row of occupations in _bath_states(K, top).
+
+    The combinatorial number system: the states before n in lexicographic
+    order are, for each mode k, those that agree with n before k and hold
+    fewer than n_k excitations in k.  With b the budget top - sum_{l<k} n_l
+    left at k, they number count(K - k, b) - count(K - k, b - n_k), where
+    count(j, b) = C(j + b, b) states of j modes have total at most b.
+    """
+    n_modes = rows.shape[1]
+    count = np.array([[math.comb(j + b, b) for b in range(top + 1)]
+                      for j in range(n_modes + 1)])
+    left = top - np.cumsum(rows, axis=1) + rows
+    j = np.arange(n_modes, 0, -1)
+    return np.sum(count[j, left] - count[j, left - rows], axis=1)
+
+
 @dataclass(frozen=True)
 class TruncatedBathSpec:
-    """Discrete bath plus per-mode Fock truncation (levels 0..n_max-1)."""
+    """Discrete bath plus a total-excitation Fock truncation.
+
+    The bath states are the occupations of total excitation at most
+    n_max - 1, the top level any one mode reaches; `states` is their
+    read-only (count, K) table in lexicographic order, mode 0 slowest.  At
+    K = 1 that is the single mode's levels 0..n_max-1.
+    """
 
     bath: DiscreteBath
     n_max: int
+    states: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n_max < 3:
@@ -49,14 +93,18 @@ class TruncatedBathSpec:
             raise DimensionBudgetError(
                 f"total dimension {self.dimension} exceeds budget "
                 f"{DEFAULT_DIM_BUDGET}")
+        states = _bath_states(len(self.bath.modes), self.n_max - 1)
+        states.flags.writeable = False
+        object.__setattr__(self, "states", states)
 
     @property
     def dimension(self):
-        return 2 * self.n_max ** len(self.bath.modes)
+        k = len(self.bath.modes)
+        return 2 * math.comb(k + self.n_max - 1, k)
 
 
 def _coherent_vector(alpha, n_max):
-    """Truncated coherent state |alpha> for real alpha (a real vector)."""
+    """Coherent-state amplitudes <n|alpha>, n < n_max, for real alpha."""
     n = np.arange(n_max)
     if alpha == 0:
         coeff = np.zeros(n_max)
@@ -65,11 +113,6 @@ def _coherent_vector(alpha, n_max):
         log_fact = np.cumsum(np.log(np.maximum(n, 1)))  # log(n!)
         coeff = np.sign(alpha) ** n * np.exp(
             -0.5 * alpha ** 2 + n * np.log(abs(alpha)) - 0.5 * log_fact)
-    loss = 1.0 - np.sum(np.abs(coeff) ** 2)
-    if loss > TRUNCATION_TOL:
-        raise TruncationError(
-            f"coherent state |alpha|={abs(alpha):.3g} loses weight "
-            f"{loss:.3g} > {TRUNCATION_TOL:g} at n_max={n_max}")
     return coeff
 
 
@@ -77,13 +120,21 @@ def initial_vector_lab(spec):
     """Lab-frame state vector of |up> x polaron vacuum at T = 0.
 
     The polaron-frame product state maps to |up> times coherent
-    displacements -alpha_k/2 in the lab frame (normalized after
-    truncation).  The vector is real.
+    displacements -alpha_k/2 in the lab frame: each kept bath state gets
+    the product of its modes' coherent amplitudes.  The weight the
+    truncation drops, 1 - ||psi||^2, may be at most TRUNCATION_TOL; the
+    vector is normalized after it.  The vector is real.
     """
-    vec = np.array([1.0])
-    for alpha in spec.bath.alphas:
-        vec = np.kron(vec, _coherent_vector(-0.5 * alpha, spec.n_max))
-    full = np.kron(np.array([1.0, 0.0]), vec)
+    amp = np.ones(len(spec.states))
+    for alpha, occupation in zip(spec.bath.alphas, spec.states.T):
+        amp = amp * _coherent_vector(-0.5 * alpha, spec.n_max)[occupation]
+    loss = 1.0 - np.sum(amp ** 2)
+    if loss > TRUNCATION_TOL:
+        raise TruncationError(
+            f"the displaced bath vacuum loses weight {loss:.3g} > "
+            f"{TRUNCATION_TOL:g} at n_max={spec.n_max} (total excitation "
+            f"at most {spec.n_max - 1})")
+    full = np.kron(np.array([1.0, 0.0]), amp)
     return full / np.linalg.norm(full)
 
 
@@ -91,67 +142,77 @@ class LabHamiltonian:
     """The real symmetric lab-frame Hamiltonian, applied without a matrix.
 
     H = (eps/2) sz + (delta/2) sx + sum_k omega_k a_k^dag a_k
-    + sz sum_k (g_k/2)(a_k + a_k^dag) acts on the flat state vector of
-    the (2, n_max, ..., n_max) array, spin index first.  `diag` holds the
-    bias and number terms.  Every other term pairs index i with i + shift
-    and weight w[i], as one entry of `hops`: the sx flip with shift d/2,
-    and a_k + a_k^dag with the stride of mode k and weight
-    sz (g_k/2) sqrt(m_k + 1), zero where level m_k + 1 is truncated.
+    + sz sum_k (g_k/2)(a_k + a_k^dag) acts on the state vector of d
+    entries, spin index first, then the spec's bath states.  It is held
+    row by row (compressed sparse rows): the entries of row i are
+    `weights[starts[i]:starts[i + 1]]` at the columns `cols[...]`, and each
+    row starts with its diagonal, the bias and number terms
+    (eps/2) sz + sum_k omega_k n_k.  The other entries are the sx flip,
+    of weight delta/2, and for each mode k the state with one excitation
+    more or less in k, of weight sz (g_k/2) sqrt(n_k + 1) or
+    sz (g_k/2) sqrt(n_k); a neighbour outside the basis has no entry.
     """
 
-    def __init__(self, diag, hops):
-        self.diag = diag
-        self.hops = hops
-        self.shape = (diag.size, diag.size)
+    def __init__(self, cols, weights, starts):
+        self.cols = cols
+        self.weights = weights
+        self.starts = starts
+        self.shape = (starts.size, starts.size)
 
     @classmethod
     def build(cls, sys, spec):
-        n_modes = len(spec.bath.modes)
-        n = spec.n_max
+        top = spec.n_max - 1
         # the largest diagonal entry, in Python floats, which overflow to
         # inf without a warning: a TruncationError, not an inf in diag
-        top = 0.5 * abs(float(sys.epsilon)) \
-            + (n - 1) * sum(w for w, _ in spec.bath.modes)
-        if not top < math.inf:
+        if not 0.5 * abs(float(sys.epsilon)) \
+                + top * max(w for w, _ in spec.bath.modes) < math.inf:
             raise TruncationError(
                 "the top Fock level's energy |epsilon|/2 + (n_max - 1) "
-                "sum_k omega_k is not a finite double")
-        shape = (2,) + (n,) * n_modes
-        sz = np.array([1.0, -1.0]).reshape((2,) + (1,) * n_modes)
-        diag = np.broadcast_to(0.5 * sys.epsilon * sz, shape)
-        half = spec.dimension // 2
-        hops = [(half, np.full(half, 0.5 * sys.delta))]
-        for k, (omega, g) in enumerate(spec.bath.modes):
-            m = np.arange(n).reshape((1,) * (k + 1) + (n,)
-                                     + (1,) * (n_modes - 1 - k))
-            diag = diag + omega * m
-            w = 0.5 * g * sz * np.sqrt(m + 1.0) * (m < n - 1)
-            stride = n ** (n_modes - 1 - k)
-            hops.append((stride,
-                         np.broadcast_to(w, shape).reshape(-1)[:-stride]))
-        return cls(diag.reshape(-1), hops)
+                "max_k omega_k is not a finite double")
+        states = spec.states
+        size, n_modes = states.shape
+        sz = np.repeat([1.0, -1.0], size)
+        diag = 0.5 * sys.epsilon * sz + np.tile(states @ spec.bath.omegas, 2)
+        index = np.arange(2 * size)
+        # each state below the top total and its neighbour one excitation
+        # up in mode k, for every k (state-major)
+        below = np.flatnonzero(states.sum(axis=1) < top)
+        lo = np.repeat(below, n_modes)
+        hi = _rank((states[below, None, :]
+                    + np.eye(n_modes, dtype=np.intp)).reshape(-1, n_modes),
+                   top)
+        w = (0.5 * spec.bath.couplings * np.sqrt(states[below] + 1.0)).ravel()
+        # the same pairs in the spin-down half, where sz = -1
+        lo = np.concatenate((lo, lo + size))
+        hi = np.concatenate((hi, hi + size))
+        w = np.concatenate((w, -w))
+        # by row, each row's diagonal first
+        rows = np.concatenate((index, index, lo, hi))
+        order = np.argsort(rows, kind="stable")
+        cols = np.concatenate((index, (index + size) % (2 * size), hi, lo))
+        weights = np.concatenate((diag, np.full(2 * size, 0.5 * sys.delta),
+                                  w, w))
+        return cls(cols[order], weights[order],
+                   np.searchsorted(rows[order], index))
 
     def affine(self, shift, scale):
         """(H - shift) / scale as an operator of the same form."""
-        return LabHamiltonian((self.diag - shift) / scale,
-                              [(s, w / scale) for s, w in self.hops])
+        weights = self.weights / scale
+        weights[self.starts] = (self.weights[self.starts] - shift) / scale
+        return LabHamiltonian(self.cols, weights, self.starts)
 
     def spectral_bounds(self):
         """Gershgorin interval (lo, hi) that holds the whole spectrum."""
-        radius = np.zeros(self.diag.size)
-        for s, w in self.hops:
-            radius[s:] += np.abs(w)
-            radius[:-s] += np.abs(w)
-        return (float(np.min(self.diag - radius)),
-                float(np.max(self.diag + radius)))
+        diag = self.weights[self.starts]
+        off = np.abs(self.weights)
+        off[self.starts] = 0.0
+        radius = np.add.reduceat(off, self.starts)
+        return (float(np.min(diag - radius)), float(np.max(diag + radius)))
 
     def __matmul__(self, v):
         """H v for a real or complex array of d entries, in v's shape."""
         psi = np.asarray(v).reshape(-1)
-        out = self.diag * psi
-        for s, w in self.hops:
-            out[s:] += w * psi[:-s]
-            out[:-s] += w * psi[s:]
+        out = np.add.reduceat(self.weights * psi[self.cols], self.starts)
         return out.reshape(np.shape(v))
 
 

@@ -69,6 +69,7 @@ def test_oracle_note_reads_the_dimension(tracer_module, tmp_path):
                    "n_max = 5\nmodes = full removed_full\n")
     layers = _traced_run(tracer_module, ["oracle-check", "--config",
                                          str(cfg)])
-    assert layers["oracle.init"]["notes"]["dim"] == [2 * 5 ** 3]
+    # three modes of total excitation <= 4: C(3 + 4, 4) = 35 bath states
+    assert layers["oracle.init"]["notes"]["dim"] == [2 * 35]
     assert layers["oracle.init"]["calls"] == 1      # one pass per run
     assert layers["oracle.survival"]["calls"] == 6

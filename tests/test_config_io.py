@@ -417,10 +417,12 @@ def _data_rows(text):
     return list(csv.DictReader(lines))
 
 
-# 2 * 3**7 = 4374 > 4096: over the oracle's budget at the smallest n_max
-_SEVEN_MODES = " ".join(f"{w}.0:0.1" for w in range(1, 8))
-_SEVEN_MODES_MESSAGE = ("[bath] modes: 7 modes exceed the dimension budget "
-                        "4096 at every n_max (2 * 3^7 = 4374 at n_max = 3)")
+# 2 * C(63 + 2, 2) = 4160 > 4096: over the oracle's budget at the smallest
+# n_max, where 62 modes still fit (4032)
+_63_MODES = " ".join(f"{w}.0:0.1" for w in range(1, 64))
+_63_MODES_MESSAGE = ("[bath] modes: 63 modes exceed the dimension budget "
+                     "4096 at every n_max (2 * C(63 + 2, 2) = 4160 at "
+                     "n_max = 3)")
 
 
 class TestCli:
@@ -1009,7 +1011,7 @@ modes = small_delta
                           "tau_min = 0.1\ntau_max = 1.0\ntau_points = 3\n"
                           "n_max = 3"},
          "[run] n_max: the top Fock level's energy |epsilon|/2 + "
-         "(n_max - 1) sum_k omega_k is not a finite double")],
+         "(n_max - 1) max_k omega_k is not a finite double")],
         ids=["thermal-mode-weight", "oracle-top-fock-energy"])
     def test_overflowing_mode_is_a_config_fault_under_warnings_as_errors(
             self, tmp_path, command, edits, message):
@@ -1112,21 +1114,27 @@ modes = small_delta
     @pytest.mark.parametrize("command, modes, n_max, message", [
         ("curve", "1.0:0.2 3.0:0.3", 6,
          "--out: {out} is not a file path in an existing directory"),
-        ("oracle-check", "1.0:0.2 2.0:0.25 3.0:0.3 4.0:0.3 5.0:0.2", 6,
-         "[run] n_max: total dimension 15552 exceeds budget 4096"),
+        ("oracle-check", "1.0:0.2 2.0:0.25 3.0:0.3 4.0:0.3 5.0:0.2", 12,
+         "[run] n_max: total dimension 8736 exceeds budget 4096"),
         ("oracle-check", "1.0:3.0", 3,
-         "[run] n_max: coherent state |alpha|=1.5 loses weight 0.391 > "
-         "1e-06 at n_max=3"),
-        # no n_max >= 3 fits seven modes: the fault is the mode count
-        ("oracle-check", _SEVEN_MODES, 3, _SEVEN_MODES_MESSAGE),
-        ("oracle-check", _SEVEN_MODES, 6, _SEVEN_MODES_MESSAGE),
+         "[run] n_max: the displaced bath vacuum loses weight 0.391 > "
+         "1e-06 at n_max=3 (total excitation at most 2)"),
+        # every mode alone keeps all but 5.5e-7 at levels 0..2; the two
+        # together lose more at total excitation <= 2
+        ("oracle-check", "1.0:0.245 2.0:0.49", 3,
+         "[run] n_max: the displaced bath vacuum loses weight 4.41e-06 > "
+         "1e-06 at n_max=3 (total excitation at most 2)"),
+        # no n_max >= 3 fits 63 modes: the fault is the mode count
+        ("oracle-check", _63_MODES, 3, _63_MODES_MESSAGE),
+        ("oracle-check", _63_MODES, 6, _63_MODES_MESSAGE),
         # its time and memory grow with omega tau_max
         ("oracle-check", "1e5:0.2", 3,
          "[run] tau_max: tau = 1 at spectral half-width 1e+05 needs 2e+05 "
          "Chebyshev terms, more than 100000")],
         ids=["out-is-a-directory", "oracle-dimension-budget",
-             "oracle-truncation", "oracle-seven-modes-n3",
-             "oracle-seven-modes-n6", "oracle-chebyshev-terms"])
+             "oracle-truncation", "oracle-whole-vacuum-truncation",
+             "oracle-63-modes-n3", "oracle-63-modes-n6",
+             "oracle-chebyshev-terms"])
     def test_config_fault_exits_before_the_solve(self, tmp_path, command,
                                                  modes, n_max, message):
         cfg = tmp_path / "c.ini"
@@ -1142,6 +1150,25 @@ modes = small_delta
         assert not solve.called
         assert result.exit_code == 2
         assert result.stderr == f"config error: {message.format(out=out)}\n"
+
+    @pytest.mark.parametrize("n_modes, bound", [(8, 2e-8), (62, 3e-8)])
+    def test_many_mode_oracle_check_runs(self, tmp_path, n_modes, bound):
+        # past the 6 modes of a product basis: at n_max = 3 the
+        # total-excitation basis takes 8 modes at dimension 90 and 62 at
+        # 4032.  Measured oracle.max_abs_error: 1.75e-8 and 2.26e-8; for
+        # 8 modes 1.59e-8 at n_max = 4 and 5, where the truncation is
+        # converged
+        modes = " ".join(f"{w}.0:0.1" for w in range(1, n_modes + 1))
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(_DISCRETE.replace("1.0:0.2 3.0:0.3", modes)
+                       .replace("tau_min = 0.05\ntau_max = 3.0\n", _SMALL_RUN)
+                       + "n_max = 3\nmodes = full removed_full\n")
+        result = self.run("oracle-check", "--config", str(cfg))
+        assert result.exit_code == 0, result.stderr
+        assert len(_data_rows(result.stdout)) == 2 * 2 * 3
+        header = dict(ln[2:].split(" = ") for ln in result.stdout.splitlines()
+                      if ln.startswith("# "))
+        assert float(header["oracle.max_abs_error"]) <= bound
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")

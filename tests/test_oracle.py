@@ -1,6 +1,7 @@
 """Exact-evolution oracle tests: construction, initial state, agreement
 with the dense reference in tests/reference/oracle.py."""
 
+import itertools
 import math
 import pathlib
 
@@ -9,14 +10,16 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import jv
 
-from reference.oracle import DenseEvolution, build_lab_hamiltonian
+from reference.oracle import (DenseEvolution, build_lab_hamiltonian,
+                              initial_vector, kept_states)
 from spinzeno import (BathKernel, DiscreteBath, ExactEvolution,
                       LabHamiltonian, SurvivalMode, SystemParams,
                       TruncatedBathSpec, initial_vector_lab, survival_prob)
 from spinzeno.config import parse_config
 from spinzeno.errors import (DimensionBudgetError, DomainError,
                              TruncationError)
-from spinzeno.oracle import _chebyshev_coefficients, _coherent_vector
+from spinzeno.oracle import (TRUNCATION_TOL, _chebyshev_coefficients,
+                             _coherent_vector, _rank)
 from spinzeno.polaron import SIGMA_X, SIGMA_Z
 
 TWO_MODE = DiscreteBath(((1.0, 0.2), (3.0, 0.3)))
@@ -50,16 +53,40 @@ def density_matrix_survival(sys, spec, tau, removed=False):
 
 class TestTruncatedBathSpec:
     def test_dimension(self):
+        # two modes of total excitation <= 5: C(2 + 5, 5) = 21 states
         spec = TruncatedBathSpec(TWO_MODE, n_max=6)
-        assert spec.dimension == 2 * 36
+        assert spec.dimension == 2 * 21
+        assert spec.states.shape == (21, 2)
 
     def test_budget_enforced(self):
+        # 2 C(65, 63) = 4160 > 4096 >= 2 C(64, 62) = 4032
+        assert TruncatedBathSpec(TWO_MODE, n_max=63).dimension == 4032
         with pytest.raises(DimensionBudgetError):
-            TruncatedBathSpec(TWO_MODE, n_max=50)
+            TruncatedBathSpec(TWO_MODE, n_max=64)
 
     def test_minimum_truncation(self):
         with pytest.raises(DomainError):
             TruncatedBathSpec(TWO_MODE, n_max=2)
+
+    @pytest.mark.parametrize("n_modes, n_max", [(1, 6), (3, 7), (5, 4),
+                                                (62, 3)])
+    def test_states_are_the_sorted_totals_and_rank_in_order(self, n_modes,
+                                                            n_max):
+        # every occupation of total <= n_max - 1, each once, in
+        # lexicographic order, enumerated here by the positions of the
+        # excitations; at 62 modes a mixed-radix key 3^62 would overflow
+        # an int64, the combinatorial rank does not
+        bath = DiscreteBath(tuple((1.0 + k, 0.0) for k in range(n_modes)))
+        spec = TruncatedBathSpec(bath, n_max)
+        want = set()
+        for total in range(n_max):
+            for modes in itertools.combinations_with_replacement(
+                    range(n_modes), total):
+                want.add(tuple(modes.count(k) for k in range(n_modes)))
+        assert [tuple(row) for row in spec.states.tolist()] == sorted(want)
+        assert spec.dimension == 2 * len(want)
+        assert np.array_equal(_rank(spec.states, n_max - 1),
+                              np.arange(len(want)))
 
 
 class TestHamiltonian:
@@ -84,6 +111,20 @@ class TestHamiltonian:
         h = build_lab_hamiltonian(SystemParams(1.0, 0.0), spec)
         sz = np.kron(SIGMA_Z, np.eye(3))
         assert np.max(np.abs(h @ sz - sz @ h)) < 1e-14
+
+    @pytest.mark.parametrize("g, n_max", [(0.05, 3), (0.5, 6)])
+    def test_one_mode_is_the_product_basis_bit_for_bit(self, g, n_max):
+        # at K = 1 the total-excitation basis is the product basis: H and
+        # the initial state equal the unrestricted reference's in every bit
+        sys = SystemParams(0.7, 0.3)
+        spec = TruncatedBathSpec(DiscreteBath(((0.8, g),)), n_max)
+        dense = build_lab_hamiltonian(sys, spec, restrict=False)
+        assert np.array_equal(kept_states(1, n_max), np.arange(2 * n_max))
+        h = LabHamiltonian.build(sys, spec)
+        columns = np.column_stack([h @ e for e in np.eye(spec.dimension)])
+        assert np.array_equal(columns, dense)
+        assert initial_vector_lab(spec).tobytes() \
+            == initial_vector(spec, restrict=False).tobytes()
 
     @pytest.mark.parametrize("bath, n_max", [
         (DiscreteBath(((0.8, 0.5),)), 6), (TWO_MODE, 5), (THREE_MODE, 4)],
@@ -130,7 +171,7 @@ class TestInitialState:
     def test_zero_coupling_gives_vacuum(self):
         bath = DiscreteBath(((1.0, 0.0), (2.0, 0.0)))
         rho = initial_state_lab(TruncatedBathSpec(bath, 3))
-        want = np.zeros(2 * 9)
+        want = np.zeros(2 * 6)         # two modes of total <= 2: 6 states
         want[0] = 1.0
         assert np.allclose(rho, np.outer(want, want), atol=1e-14)
 
@@ -158,9 +199,30 @@ class TestInitialState:
         vec = initial_vector_lab(TruncatedBathSpec(TWO_MODE, 6))
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("bath, n_max", [
+        (TWO_MODE, 6), (THREE_MODE, 4), (DiscreteBath(((0.8, 0.5),)), 6)])
+    def test_vector_matches_the_restricted_reference(self, bath, n_max):
+        spec = TruncatedBathSpec(bath, n_max)
+        assert np.max(np.abs(initial_vector_lab(spec)
+                             - initial_vector(spec))) < 1e-15
+
     def test_truncation_loss_raises(self):
+        # |alpha/2| = 3 loses 0.98 of its weight at total excitation <= 3
         with pytest.raises(TruncationError):
-            _coherent_vector(3.0, 4)
+            initial_vector_lab(TruncatedBathSpec(
+                DiscreteBath(((1.0, 6.0),)), 4))
+
+    def test_truncation_loss_is_the_whole_vacuum_loss(self):
+        # each mode alone keeps all but 5.5e-7 of its coherent state at
+        # levels 0..2, but the two together lose 4.4e-6 at total <= 2
+        bath = DiscreteBath(((1.0, 0.245), (2.0, 0.49)))
+        for alpha in bath.alphas:
+            coeff = _coherent_vector(-0.5 * alpha, 3)
+            assert 1.0 - np.sum(coeff ** 2) < TRUNCATION_TOL
+        with pytest.raises(TruncationError, match="loses weight 4.41e-06"):
+            initial_vector_lab(TruncatedBathSpec(bath, 3))
+        assert np.linalg.norm(initial_vector_lab(
+            TruncatedBathSpec(bath, 4))) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestExactEvolution:
@@ -243,7 +305,7 @@ class TestExactEvolution:
 
     @pytest.mark.parametrize("bath, n_max", [
         (DiscreteBath(((0.8, 0.5),)), 6), (TWO_MODE, 6), (THREE_MODE, 7),
-        (THREE_MODE, 9)], ids=["d12", "d72", "d686", "d1458"])
+        (THREE_MODE, 9)], ids=["d12", "d42", "d168", "d330"])
     def test_matches_dense_reference(self, bath, n_max):
         sys = SystemParams(1.0, 0.3)
         spec = TruncatedBathSpec(bath, n_max)
@@ -256,6 +318,23 @@ class TestExactEvolution:
                            - dense.survival(tau, removed)) < 1e-10
         # the state itself, global phase included
         assert np.max(np.abs(evo.state(5.0) - dense.state(5.0))) < 1e-10
+
+    @pytest.mark.parametrize("delta", [0.02, 0.01])
+    def test_total_excitation_basis_matches_product_basis(self, delta):
+        # criterion 07's bath at n_max = 6: keeping the 21 bath states of
+        # total excitation <= 5, not all 36 with every mode at levels
+        # 0..5, moves s by less than 1e-12
+        sys = SystemParams(1.0, delta)
+        spec = TruncatedBathSpec(TWO_MODE, 6)
+        taus = np.linspace(0.0, 5.0, 20)
+        evo = ExactEvolution(sys, spec, taus)
+        restricted = DenseEvolution(sys, spec)
+        product = DenseEvolution(sys, spec, restrict=False)
+        for tau in taus:
+            for removed in (False, True):
+                want = product.survival(tau, removed)
+                assert abs(restricted.survival(tau, removed) - want) < 1e-12
+                assert abs(evo.survival(tau, removed) - want) < 1e-12
 
     def test_truncation_convergence(self):
         sys = SystemParams(1.0, 0.02)
