@@ -32,7 +32,8 @@ from .bath import BathKernel, DiscreteBath
 from .config import header_lines, parse_config, sweep_cells
 from .errors import (ConfigError, DimensionBudgetError, DomainError,
                      QuadratureError, SpinZenoError, TruncationError)
-from .oracle import DEFAULT_DIM_BUDGET, ExactEvolution, TruncatedBathSpec
+from .oracle import (DEFAULT_DIM_BUDGET, MIN_N_MAX, ExactEvolution,
+                     TruncatedBathSpec, dimension)
 from .regimes import classify, sample_curve
 # survival_prob is unused here but stays importable from this module:
 # perfbench/tracer.py wraps spinzeno.cli.survival_prob, and
@@ -127,11 +128,11 @@ def _oracle_check(cfg, meta):
         raise ConfigError("[system] oracle-check requires zero temperature")
     # before the curves, as config faults: too many modes, or truncation
     k = len(cfg.source.modes)
-    if 2 * math.comb(k + 2, 2) > DEFAULT_DIM_BUDGET:
+    smallest = dimension(k, MIN_N_MAX)
+    if smallest > DEFAULT_DIM_BUDGET:
         raise ConfigError(f"[bath] modes: {k} modes exceed the dimension "
                           f"budget {DEFAULT_DIM_BUDGET} at every n_max "
-                          f"(2 * C({k} + 2, 2) = {2 * math.comb(k + 2, 2)} "
-                          "at n_max = 3)")
+                          f"(dimension {smallest} at n_max = {MIN_N_MAX})")
     try:
         spec = TruncatedBathSpec(cfg.source, cfg.n_max)
         evo = ExactEvolution(cfg.system, spec, cfg.taus)

@@ -37,10 +37,16 @@ from .errors import DimensionBudgetError, DomainError, TruncationError
 from .polaron import SIGMA_X, SIGMA_Z
 
 DEFAULT_DIM_BUDGET = 4096
+MIN_N_MAX = 3
 TRUNCATION_TOL = 1e-6  # largest weight the truncated initial state may lose
 CHEBYSHEV_TOL = 1e-16  # series tail cut
 CHUNK = 32            # Chebyshev vectors stored per accumulation product
 MAX_CHEBYSHEV_TERMS = 100000  # Bessel orders of one recurrence, 2(x + 30)
+
+
+def dimension(n_modes, n_max):
+    """Spin times the bath states of total excitation <= n_max - 1."""
+    return 2 * math.comb(n_modes + n_max - 1, n_modes)
 
 
 def _bath_states(n_modes, top):
@@ -87,8 +93,8 @@ class TruncatedBathSpec:
     states: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.n_max < 3:
-            raise DomainError("n_max must be at least 3")
+        if self.n_max < MIN_N_MAX:
+            raise DomainError(f"n_max must be at least {MIN_N_MAX}")
         if self.dimension > DEFAULT_DIM_BUDGET:
             raise DimensionBudgetError(
                 f"total dimension {self.dimension} exceeds budget "
@@ -99,8 +105,7 @@ class TruncatedBathSpec:
 
     @property
     def dimension(self):
-        k = len(self.bath.modes)
-        return 2 * math.comb(k + self.n_max - 1, k)
+        return dimension(len(self.bath.modes), self.n_max)
 
 
 def _coherent_vector(alpha, n_max):

@@ -421,8 +421,7 @@ def _data_rows(text):
 # n_max, where 62 modes still fit (4032)
 _63_MODES = " ".join(f"{w}.0:0.1" for w in range(1, 64))
 _63_MODES_MESSAGE = ("[bath] modes: 63 modes exceed the dimension budget "
-                     "4096 at every n_max (2 * C(63 + 2, 2) = 4160 at "
-                     "n_max = 3)")
+                     "4096 at every n_max (dimension 4160 at n_max = 3)")
 
 
 class TestCli:

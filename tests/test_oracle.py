@@ -336,6 +336,22 @@ class TestExactEvolution:
                 assert abs(restricted.survival(tau, removed) - want) < 1e-12
                 assert abs(evo.survival(tau, removed) - want) < 1e-12
 
+    @pytest.mark.parametrize("n_max, bound", [
+        (3, 5e-8), (4, 5e-10), (5, 2e-12), (6, 1e-14)])
+    def test_oracle_check_golden_truncation_error(self, n_max, bound):
+        # the bath, system and taus of tests/golden/oracle_check.csv, which
+        # runs at n_max = 4: against n_max = 12 the total-excitation basis
+        # is off by 4.4e-8, 3.2e-10, 1.1e-12 and 1.2e-15 at n_max = 3..6,
+        # the product basis by 2.0e-8, 4.8e-11, 6.4e-14 and 2.8e-15
+        sys = SystemParams(1.0, 0.2)
+        taus = (0.1, 0.55, 1.0)
+        evo = ExactEvolution(sys, TruncatedBathSpec(TWO_MODE, n_max), taus)
+        converged = ExactEvolution(sys, TruncatedBathSpec(TWO_MODE, 12), taus)
+        for tau in taus:
+            for removed in (False, True):
+                assert abs(evo.survival(tau, removed)
+                           - converged.survival(tau, removed)) <= bound
+
     def test_truncation_convergence(self):
         sys = SystemParams(1.0, 0.02)
         a = ExactEvolution(sys, TruncatedBathSpec(TWO_MODE, 6),
